@@ -24,19 +24,23 @@ The checks:
   middle of a chain, some mixture is exactly indifferent to it.
 * A4, A5p: act-level monotonicity and the tie between overriding at a state
   and that state being null.
+
+:func:`audit` builds one context (closure, expected utilities, comparison
+matrix) and passes it to every ``check_*`` as ``context``; called alone, a
+check builds its own.  A3, A3p, A3pp and gamma read their weights off one
+partition per strict chain, solved at most once per audit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .acts import Act, AAModel, act_prefers, act_utility, is_null
 from .errors import ClosureTooLarge, MissingModel, MissingUtility, RegimeMismatch
-from .nsreal import EPS, NSReal, ONE, QOrdering, qcompare
+from .nsreal import EPS, NSReal, ONE, QOrdering
 from .prefcore import (
     Lottery,
     PrefOrdering,
@@ -84,16 +88,6 @@ __all__ = [
     "lexicographic_mix",
     "lexicographic_mixture_partition",
 ]
-
-_COMPARISON_FOR_REGIME = {
-    Regime.STD: "quantitative",
-    Regime.NS_UTIL: "qualitative",
-    Regime.NS_PROB: "standard-part",
-}
-
-# Exhaustive triple scans are quadratic-to-cubic in the closure size; above
-# this size A1 switches to an equivalent rank argument (see _find_violation).
-_TRIPLE_SCAN_LIMIT = 40
 
 # Hard bound on the closure size the postulate checks will scan.  The checks
 # are exhaustive over pairs and triples, so cost grows cubically; past this
@@ -216,19 +210,40 @@ def mixture_closure(structure: PrefStructure, depth: int | None = None) -> tuple
     )
 
 
-@dataclass(frozen=True)
+_Chain = tuple[int, int, int]
+
+
+@dataclass
 class _Context:
+    """What the checks of one audit share: the closure, each lottery's
+    expected utility, the regime's comparison of every two of them, and the
+    witness weights of the strict chains solved so far."""
+
+    regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
     matrix: tuple[tuple[PrefOrdering, ...], ...]
+    # Per chain, a witness weight for each relation with a nonempty weight
+    # set; whole partitions would cost several times the memory.
+    chain_weights: dict[_Chain, dict[QOrdering, Fraction]] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.lotteries)
 
+    def chain_weight(self, chain: _Chain, relation: QOrdering) -> Fraction | None:
+        """A weight a putting a*p + (1-a)*r in ``relation`` to q on the chain
+        (p, q, r), or None; the chain is partitioned on its first request."""
+        weights = self.chain_weights.get(chain)
+        if weights is None:
+            i, j, k = chain
+            parts = _mixture_partition(self.values[i], self.values[k], self.values[j], self.regime)
+            weights = {ordering: weight_set.witness() for ordering, weight_set in parts.items()}
+            self.chain_weights[chain] = weights
+        return weights.get(relation)
 
-@lru_cache(maxsize=32)
-def _context(structure: PrefStructure) -> _Context:
+
+def _build_context(structure: PrefStructure) -> _Context:
     lotteries = mixture_closure(structure)
     if len(lotteries) > AUDIT_SIZE_LIMIT:
         raise ClosureTooLarge(
@@ -241,16 +256,24 @@ def _context(structure: PrefStructure) -> _Context:
     matrix = tuple(
         tuple(compare_values(vi, vj, structure.regime) for vj in values) for vi in values
     )
-    return _Context(lotteries, values, matrix)
+    return _Context(structure.regime, lotteries, values, matrix)
 
 
-def _domain(structure: PrefStructure, context: _Context, extra: str = "") -> str:
-    base = (
+def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
+    return (
         f"mixture closure of {len(structure.generators)} generators, "
         f"size {context.size}, depth {structure.closure_depth}, "
-        f"grid /{structure.grid_denominator}"
+        f"grid /{structure.grid_denominator}; {extra}"
     )
-    return f"{base}; {extra}" if extra else base
+
+
+def _mixture_partition(
+    endpoint: NSReal, other_endpoint: NSReal, target: NSReal, regime: Regime
+) -> dict[QOrdering, RationalIntervalSet]:
+    """Each weight a in (0, 1) by how a*endpoint + (1-a)*other_endpoint compares with target."""
+    return partition_affine_comparison(
+        AffineValue(endpoint, other_endpoint), AffineValue(target, target), regime.comparison
+    )
 
 
 def solve_mixture_relation(
@@ -264,11 +287,7 @@ def solve_mixture_relation(
     ``a*endpoint + (1-a)*other_endpoint`` standing in ``relation`` to the
     target under the regime's comparison.  Returned as a finite union of
     disjoint rational intervals."""
-    parts = partition_affine_comparison(
-        AffineValue(endpoint_value, other_endpoint_value),
-        AffineValue(target_value, target_value),
-        _COMPARISON_FOR_REGIME[regime],
-    )
+    parts = _mixture_partition(endpoint_value, other_endpoint_value, target_value, regime)
     return parts.get(relation, RationalIntervalSet())
 
 
@@ -279,36 +298,32 @@ def solve_mixture_relation(
 def _find_negative_transitivity_violation(
     matrix: Sequence[Sequence[PrefOrdering]],
 ) -> tuple[int, int, int] | None:
+    """The first triple (i, j, k) in scan order with i not above j and j not
+    above k, yet i above k; None when there is none."""
     n = len(matrix)
     better = PrefOrdering.BETTER
-
-    def full_scan() -> tuple[int, int, int] | None:
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if (
-                matrix[i][j] is not better
-                and matrix[j][k] is not better
-                and matrix[i][k] is better
-            ):
-                return (i, j, k)
-        return None
-
-    if n <= _TRIPLE_SCAN_LIMIT:
-        return full_scan()
-    # Rank argument: an asymmetric relation is negatively transitive exactly
-    # when "strictly beats" is decided by comparing beat counts.  Verify that
-    # characterization pairwise; fall back to the cubic scan only on
-    # suspicion, which then necessarily produces a triple.
+    # Rank argument: when comparing beat counts decides "strictly beats" for
+    # every pair, no such triple exists (for an asymmetric relation, exactly
+    # then), so only a mismatch pays for the cubic scan.
     beats = [sum(1 for j in range(n) if matrix[i][j] is better) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (matrix[i][j] is better) != (beats[i] > beats[j]):
-                return full_scan()
+    if all(
+        (matrix[i][j] is better) == (beats[i] > beats[j])
+        for i, j in itertools.product(range(n), repeat=2)
+    ):
+        return None
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (
+            matrix[i][j] is not better
+            and matrix[j][k] is not better
+            and matrix[i][k] is better
+        ):
+            return (i, j, k)
     return None
 
 
-def check_A1(structure: PrefStructure) -> Verdict:
+def check_A1(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Asymmetry plus negative transitivity of strict preference."""
-    context = _context(structure)
+    context = context or _build_context(structure)
     matrix = context.matrix
     n = context.size
     domain = _domain(structure, context, "all pairs and triples")
@@ -344,17 +359,24 @@ def check_A1(structure: PrefStructure) -> Verdict:
 # A2 and B2
 
 
-def _independence_certificate(
+def _independence_failure(
+    postulate: str,
     context: _Context,
-    i: int,
-    j: int,
-    k: int,
+    domain: str,
+    triple: tuple[int, int, int],
     weight: NSReal | Fraction,
-    left: NSReal,
-    right: NSReal,
-    actual: PrefOrdering,
-) -> Counterexample:
-    return Counterexample(
+) -> Verdict | None:
+    """The failing verdict when mixing lotteries i and j of the triple
+    (i, j, k) with lottery k at ``weight`` does not keep i strictly above j;
+    None when it does."""
+    i, j, k = triple
+    values = context.values
+    left = weight * values[i] + (1 - weight) * values[k]
+    right = weight * values[j] + (1 - weight) * values[k]
+    actual = compare_values(left, right, context.regime)
+    if actual is PrefOrdering.BETTER:
+        return None
+    certificate = Counterexample(
         kind="independence",
         payload=(
             ("p", context.lotteries[i]),
@@ -366,33 +388,33 @@ def _independence_certificate(
             ("actual", actual.value),
         ),
     )
+    return Verdict(postulate, False, domain, certificate)
 
 
-def check_A2(structure: PrefStructure) -> Verdict:
-    """Independence over every strict pair, third lottery, and grid weight."""
-    context = _context(structure)
-    weights = grid_weights(structure.grid_denominator)
-    domain = _domain(structure, context, "all strict pairs x closure x grid weights")
-    values = context.values
+def _independence_scan(
+    postulate: str, context: _Context, domain: str, weights: Sequence[NSReal | Fraction]
+) -> Verdict:
+    """Mixing every strict pair with every closure lottery at every weight
+    keeps the pair strict; otherwise the first violation in scan order."""
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
             continue
         for k in range(context.size):
             for w in weights:
-                left = w * values[i] + (1 - w) * values[k]
-                right = w * values[j] + (1 - w) * values[k]
-                actual = compare_values(left, right, structure.regime)
-                if actual is not PrefOrdering.BETTER:
-                    return Verdict(
-                        "A2",
-                        False,
-                        domain,
-                        _independence_certificate(context, i, j, k, w, left, right, actual),
-                    )
-    return Verdict("A2", True, domain)
+                failure = _independence_failure(postulate, context, domain, (i, j, k), w)
+                if failure is not None:
+                    return failure
+    return Verdict(postulate, True, domain)
 
 
-def check_B2(structure: PrefStructure) -> Verdict:
+def check_A2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
+    """Independence over every strict pair, third lottery, and grid weight."""
+    context = context or _build_context(structure)
+    domain = _domain(structure, context, "all strict pairs x closure x grid weights")
+    return _independence_scan("A2", context, domain, grid_weights(structure.grid_denominator))
+
+
+def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for non-negligible weights, nonstandard probabilities.
 
     The weight set is the standard grid extended with infinitesimal and
@@ -401,116 +423,98 @@ def check_B2(structure: PrefStructure) -> Verdict:
     definitional sweep with its analytic guard)."""
     if structure.regime is not Regime.NS_PROB:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
-    context = _context(structure)
-    weights: list[NSReal | Fraction] = list(grid_weights(structure.grid_denominator))
-    weights += [EPS, Fraction(1, 2) * EPS, ONE - EPS]
-    domain = _domain(
-        structure, context, "all strict pairs x closure x (grid + nonstandard) weights"
-    )
-    values = context.values
-    negligible: dict[object, bool] = {}
-    for w in weights:
-        negligible[w] = is_negligible(
+    context = context or _build_context(structure)
+    weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
+    relevant = [
+        w
+        for w in weights
+        if not is_negligible(
             w,
             structure.utilities,
             structure.generators,
             denominator=structure.grid_denominator,
             depth=min(structure.closure_depth, 1),
         )
-    for i, j in itertools.product(range(context.size), repeat=2):
-        if context.matrix[i][j] is not PrefOrdering.BETTER:
-            continue
-        for k in range(context.size):
-            for w in weights:
-                if negligible[w]:
-                    continue
-                left = w * values[i] + (1 - w) * values[k]
-                right = w * values[j] + (1 - w) * values[k]
-                actual = compare_values(left, right, structure.regime)
-                if actual is not PrefOrdering.BETTER:
-                    return Verdict(
-                        "B2",
-                        False,
-                        domain,
-                        _independence_certificate(context, i, j, k, w, left, right, actual),
-                    )
-    return Verdict("B2", True, domain)
+    ]
+    domain = _domain(
+        structure, context, "all strict pairs x closure x (grid + nonstandard) weights"
+    )
+    return _independence_scan("B2", context, domain, relevant)
 
 
 # ---------------------------------------------------------------------------
 # Solvability family
 
 
-def _strict_chains(context: _Context) -> Iterable[tuple[int, int, int]]:
+def _strict_chains(context: _Context) -> Iterable[_Chain]:
     better = PrefOrdering.BETTER
     for i, j, k in itertools.product(range(context.size), repeat=3):
         if context.matrix[i][j] is better and context.matrix[j][k] is better:
             yield (i, j, k)
 
 
-def _existential_certificate(
-    context: _Context,
-    chain: tuple[int, int, int],
-    postulate: str,
-    missing: str,
-    relation: QOrdering,
-    empty_set: RationalIntervalSet,
-) -> Counterexample:
-    i, j, k = chain
-    return Counterexample(
-        kind="existential",
-        payload=(
-            ("p", context.lotteries[i]),
-            ("q", context.lotteries[j]),
-            ("r", context.lotteries[k]),
-            ("postulate", postulate),
-            ("missing", missing),
-            ("relation", relation.value),
-            ("set", empty_set),
+# Each solvability postulate asks which weights a put a*p + (1-a)*r above,
+# level with or below q on strict chains p > q > r.  Per postulate: the
+# domain it is decided over, which chains it exempts, and the (label,
+# relation) pairs whose weight sets must be nonempty, in reporting order.
+_SOLVABILITY = {
+    "A3": (
+        "all strict chains, exact weight solving",
+        None,
+        (("alpha", QOrdering.GREATER), ("beta", QOrdering.LESS)),
+    ),
+    "A3p": ("all strict chains, exact weight solving", None, (("alpha", QOrdering.GREATER),)),
+    "A3pp": (
+        "strict chains with non-overriding top, exact weight solving",
+        lambda context, chain: overrides_values(
+            context.values[chain[0]], context.values[chain[1]]
         ),
-    )
+        (("beta", QOrdering.LESS),),
+    ),
+    "gamma": (
+        "strict chains with nonempty lower set",
+        lambda context, chain: context.chain_weight(chain, QOrdering.LESS) is None,
+        (("gamma", QOrdering.EQUIVALENT),),
+    ),
+}
 
 
-def check_A3(structure: PrefStructure) -> Verdict:
-    """Both-sided solvability on every strict chain of the closure."""
-    context = _context(structure)
-    domain = _domain(structure, context, "all strict chains, exact weight solving")
+def _solvability(
+    postulate: str, structure: PrefStructure, context: _Context | None
+) -> Verdict:
+    """Scan the strict chains in order for the weights ``postulate`` needs:
+    a witness per needed weight, or a certificate for the first one missing."""
+    extra, exempt, needed = _SOLVABILITY[postulate]
+    context = context or _build_context(structure)
+    domain = _domain(structure, context, extra)
     witnesses: list[MixtureWitness] = []
     for chain in _strict_chains(context):
-        i, j, k = chain
-        vi, vj, vk = context.values[i], context.values[j], context.values[k]
-        upper = solve_mixture_relation(vi, vk, vj, QOrdering.GREATER, structure.regime)
-        if upper.is_empty:
-            return Verdict(
-                "A3",
-                False,
-                domain,
-                _existential_certificate(
-                    context, chain, "A3", "alpha", QOrdering.GREATER, upper
-                ),
-            )
-        lower = solve_mixture_relation(vi, vk, vj, QOrdering.LESS, structure.regime)
-        if lower.is_empty:
-            return Verdict(
-                "A3",
-                False,
-                domain,
-                _existential_certificate(context, chain, "A3", "beta", QOrdering.LESS, lower),
-            )
-        alpha = upper.witness()
-        beta = lower.witness()
-        assert alpha is not None and beta is not None
-        witnesses.append(
-            MixtureWitness(
-                "alpha", context.lotteries[i], context.lotteries[j], context.lotteries[k], alpha
-            )
-        )
-        witnesses.append(
-            MixtureWitness(
-                "beta", context.lotteries[i], context.lotteries[j], context.lotteries[k], beta
-            )
-        )
-    return Verdict("A3", True, domain, witnesses=tuple(witnesses))
+        if exempt is not None and exempt(context, chain):
+            continue
+        p, q, r = (context.lotteries[index] for index in chain)
+        for label, relation in needed:
+            weight = context.chain_weight(chain, relation)
+            if weight is None:
+                certificate = Counterexample(
+                    kind="existential",
+                    payload=(
+                        ("p", p),
+                        ("q", q),
+                        ("r", r),
+                        ("postulate", postulate),
+                        ("missing", label),
+                        ("relation", relation.value),
+                        ("set", RationalIntervalSet()),
+                    ),
+                )
+                return Verdict(postulate, False, domain, certificate)
+            witnesses.append(MixtureWitness(label, p, q, r, weight))
+    return Verdict(postulate, True, domain, witnesses=tuple(witnesses))
+
+
+def check_A3(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
+    """Both-sided solvability on every strict chain of the closure."""
+    return _solvability("A3", structure, context)
 
 
 def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> None:
@@ -522,14 +526,13 @@ def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> N
         )
 
 
-def check_A2prime(structure: PrefStructure) -> Verdict:
+def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for every weight, provided the third lottery does not
     override the preferred one.  Decided exactly: the preserving weight set
     must be the whole open interval."""
     _require_unsigned_qualitative(structure, "A2p")
-    context = _context(structure)
+    context = context or _build_context(structure)
     domain = _domain(structure, context, "all eligible triples, every weight in (0, 1)")
-    comparison = _COMPARISON_FOR_REGIME[structure.regime]
     values = context.values
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
@@ -540,136 +543,41 @@ def check_A2prime(structure: PrefStructure) -> Verdict:
             parts = partition_affine_comparison(
                 AffineValue(values[i], values[k]),
                 AffineValue(values[j], values[k]),
-                comparison,
+                structure.regime.comparison,
             )
             preserving = parts.get(QOrdering.GREATER, RationalIntervalSet())
             if not preserving.is_entire_unit_interval():
                 bad = preserving.complement_witness()
                 assert bad is not None
-                left = bad * values[i] + (1 - bad) * values[k]
-                right = bad * values[j] + (1 - bad) * values[k]
-                return Verdict(
-                    "A2p",
-                    False,
-                    domain,
-                    _independence_certificate(
-                        context,
-                        i,
-                        j,
-                        k,
-                        bad,
-                        left,
-                        right,
-                        compare_values(left, right, structure.regime),
-                    ),
-                )
+                failure = _independence_failure("A2p", context, domain, (i, j, k), bad)
+                assert failure is not None
+                return failure
     return Verdict("A2p", True, domain)
 
 
-def check_A3prime(structure: PrefStructure) -> Verdict:
+def check_A3prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Upper solvability: some mixture of the endpoints beats the middle."""
     if structure.regime not in (Regime.STD, Regime.NS_UTIL):
         raise RegimeMismatch("A3p applies to standard-probability regimes")
-    context = _context(structure)
-    domain = _domain(structure, context, "all strict chains, exact weight solving")
-    witnesses: list[MixtureWitness] = []
-    for chain in _strict_chains(context):
-        i, j, k = chain
-        upper = solve_mixture_relation(
-            context.values[i], context.values[k], context.values[j],
-            QOrdering.GREATER, structure.regime,
-        )
-        if upper.is_empty:
-            return Verdict(
-                "A3p",
-                False,
-                domain,
-                _existential_certificate(
-                    context, chain, "A3p", "alpha", QOrdering.GREATER, upper
-                ),
-            )
-        alpha = upper.witness()
-        assert alpha is not None
-        witnesses.append(
-            MixtureWitness(
-                "alpha", context.lotteries[i], context.lotteries[j], context.lotteries[k], alpha
-            )
-        )
-    return Verdict("A3p", True, domain, witnesses=tuple(witnesses))
+    return _solvability("A3p", structure, context)
 
 
-def check_A3doubleprime(structure: PrefStructure) -> Verdict:
+def check_A3doubleprime(
+    structure: PrefStructure, *, context: _Context | None = None
+) -> Verdict:
     """Lower solvability on chains whose top does not override the middle."""
     _require_unsigned_qualitative(structure, "A3pp")
-    context = _context(structure)
-    domain = _domain(
-        structure, context, "strict chains with non-overriding top, exact weight solving"
-    )
-    witnesses: list[MixtureWitness] = []
-    for chain in _strict_chains(context):
-        i, j, k = chain
-        if overrides_values(context.values[i], context.values[j]):
-            continue
-        lower = solve_mixture_relation(
-            context.values[i], context.values[k], context.values[j],
-            QOrdering.LESS, structure.regime,
-        )
-        if lower.is_empty:
-            return Verdict(
-                "A3pp",
-                False,
-                domain,
-                _existential_certificate(
-                    context, chain, "A3pp", "beta", QOrdering.LESS, lower
-                ),
-            )
-        beta = lower.witness()
-        assert beta is not None
-        witnesses.append(
-            MixtureWitness(
-                "beta", context.lotteries[i], context.lotteries[j], context.lotteries[k], beta
-            )
-        )
-    return Verdict("A3pp", True, domain, witnesses=tuple(witnesses))
+    return _solvability("A3pp", structure, context)
 
 
-def check_gamma_property(structure: PrefStructure) -> Verdict:
+def check_gamma_property(
+    structure: PrefStructure, *, context: _Context | None = None
+) -> Verdict:
     """If some endpoint mixture falls strictly below the middle of a chain,
     some endpoint mixture is exactly indifferent to it."""
     if structure.regime not in (Regime.STD, Regime.NS_UTIL):
         raise RegimeMismatch("the gamma property applies to standard-probability regimes")
-    context = _context(structure)
-    domain = _domain(structure, context, "strict chains with nonempty lower set")
-    witnesses: list[MixtureWitness] = []
-    for chain in _strict_chains(context):
-        i, j, k = chain
-        lower = solve_mixture_relation(
-            context.values[i], context.values[k], context.values[j],
-            QOrdering.LESS, structure.regime,
-        )
-        if lower.is_empty:
-            continue
-        level = solve_mixture_relation(
-            context.values[i], context.values[k], context.values[j],
-            QOrdering.EQUIVALENT, structure.regime,
-        )
-        if level.is_empty:
-            return Verdict(
-                "gamma",
-                False,
-                domain,
-                _existential_certificate(
-                    context, chain, "gamma", "gamma", QOrdering.EQUIVALENT, level
-                ),
-            )
-        gamma = level.witness()
-        assert gamma is not None
-        witnesses.append(
-            MixtureWitness(
-                "gamma", context.lotteries[i], context.lotteries[j], context.lotteries[k], gamma
-            )
-        )
-    return Verdict("gamma", True, domain, witnesses=tuple(witnesses))
+    return _solvability("gamma", structure, context)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +590,7 @@ def _require_acts(structure: PrefStructure) -> tuple[AAModel, tuple[Act, ...]]:
     return structure.model, structure.acts
 
 
-def check_A4(structure: PrefStructure) -> Verdict:
+def check_A4(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Acts agreeing everywhere but one state: strict preference between
     them forces the same strict preference between their lotteries there."""
     model, acts = _require_acts(structure)
@@ -715,7 +623,7 @@ def check_A4(structure: PrefStructure) -> Verdict:
     return Verdict("A4", True, domain)
 
 
-def check_A5prime(structure: PrefStructure) -> Verdict:
+def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """A state where some act's own lottery overrides the whole act must be
     null."""
     model, acts = _require_acts(structure)
@@ -751,7 +659,7 @@ def check_A5prime(structure: PrefStructure) -> Verdict:
 def audit(structure: PrefStructure) -> AuditReport:
     """Run every postulate check that applies to the structure's regime."""
     notes: list[str] = []
-    checks: list[Callable[[PrefStructure], Verdict]]
+    checks: list[Callable[..., Verdict]]
     if structure.regime is Regime.STD:
         checks = [check_A1, check_A2, check_A3, check_gamma_property]
     elif structure.regime is Regime.NS_UTIL:
@@ -769,8 +677,8 @@ def audit(structure: PrefStructure) -> AuditReport:
             checks.append(check_A5prime)
         elif structure.regime is Regime.NS_UTIL:
             notes.append("A5p omitted: overriding is undefined for signed utilities")
-    context = _context(structure)
-    verdicts = tuple(check(structure) for check in checks)
+    context = _build_context(structure)
+    verdicts = tuple(check(structure, context=context) for check in checks)
     return AuditReport(
         regime=structure.regime,
         generator_count=len(structure.generators),
@@ -825,12 +733,10 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
         value_r = expected_utility(r, assignment)
         if postulate == "A3pp" and overrides_values(value_p, value_q):
             return False
-        if postulate == "gamma":
-            lower = solve_mixture_relation(value_p, value_r, value_q, QOrdering.LESS, regime)
-            if lower.is_empty:
-                return False
-        solved = solve_mixture_relation(value_p, value_r, value_q, relation, regime)
-        return solved.is_empty
+        parts = _mixture_partition(value_p, value_r, value_q, regime)
+        if postulate == "gamma" and QOrdering.LESS not in parts:
+            return False
+        return relation not in parts
 
     if certificate.kind == "act-independence":
         model = structure.model

@@ -8,6 +8,7 @@ and ``examples`` (re-check every built-in example model).
 
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
 comparison disagrees, 2 on load or usage errors, 3 on unknown identifiers.
+Other exceptions, ``ConsistencyError`` among them, are bugs and propagate.
 Output is human-oriented by default; ``--output machine`` switches to
 stable token-prefixed lines.
 """
@@ -28,7 +29,7 @@ from .criteria import (
     maximin_utilities,
     two_point_lottery,
 )
-from .errors import ParseError, QualUtilError, SchemaError, UnknownIdentifier
+from .errors import ConsistencyError, QualUtilError, UnknownIdentifier
 from .formats import (
     ModelDocument,
     display_name,
@@ -329,13 +330,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except LookupError as error:
+    except ConsistencyError:
+        raise  # an analytic rule disagreed with its guard: a bug, not bad input
+    except QualUtilError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 3
-    except (SchemaError, ParseError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (QualUtilError, ValueError) as error:
+        return 3 if isinstance(error, LookupError) else 2
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

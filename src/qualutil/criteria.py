@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import IndexOrder, InvalidWeight
+from .errors import IndexOrder, IndexOutOfRange, InvalidWeight
 from .nsreal import NSReal, eps
 from .prefcore import Lottery, PrefOrdering, UtilityAssignment
 
@@ -51,7 +51,7 @@ class MaximinSpec:
 
     def outcome(self, index: int) -> str:
         if not 0 <= index < self.n:
-            raise IndexError(f"outcome index {index} out of range 0..{self.n - 1}")
+            raise IndexOutOfRange(f"outcome index {index} out of range 0..{self.n - 1}")
         return f"x{index}"
 
 
@@ -81,7 +81,7 @@ def best_case_power_utilities(spec: MaximinSpec) -> UtilityAssignment:
 
 def _check_pair(spec: MaximinSpec, low: int, high: int) -> None:
     if not (0 <= low < spec.n and 0 <= high < spec.n):
-        raise IndexError(f"outcome indices ({low}, {high}) out of range 0..{spec.n - 1}")
+        raise IndexOutOfRange(f"outcome indices ({low}, {high}) out of range 0..{spec.n - 1}")
     if low >= high:
         raise IndexOrder(f"expected low < high, got ({low}, {high})")
 

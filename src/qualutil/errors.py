@@ -40,6 +40,10 @@ class MissingModel(QualUtilError):
     """An act-level check was requested on a structure without a model."""
 
 
+class IndexOutOfRange(QualUtilError, IndexError):
+    """An outcome index lies outside the ranked outcome set."""
+
+
 class IndexOrder(QualUtilError, ValueError):
     """Outcome indices passed to the worst-case comparison rule were not
     strictly increasing."""

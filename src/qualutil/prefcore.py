@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .nsreal import NSReal, ONE, QOrdering, ZERO, qcompare, rational
-from .solver import AffineValue, RationalIntervalSet, partition_affine_comparison
+from .solver import AffineValue, RationalIntervalSet, compare, partition_affine_comparison
 
 __all__ = [
     "Regime",
@@ -63,6 +63,19 @@ class Regime(Enum):
     STD = "std"
     NS_UTIL = "ns-util"
     NS_PROB = "ns-prob"
+
+    @property
+    def comparison(self) -> str:
+        """The order this regime compares expected utilities by, named as
+        :func:`~qualutil.solver.partition_affine_comparison` names it."""
+        return _COMPARISON_FOR_REGIME[self]
+
+
+_COMPARISON_FOR_REGIME = {
+    Regime.STD: "quantitative",
+    Regime.NS_UTIL: "qualitative",
+    Regime.NS_PROB: "standard-part",
+}
 
 
 @unique
@@ -223,16 +236,7 @@ def case1_functional(lottery: Lottery, assignment: UtilityAssignment) -> Fractio
 
 def compare_values(left: NSReal, right: NSReal, regime: Regime) -> PrefOrdering:
     """Order two expected utilities under the given regime's comparison."""
-    if regime is Regime.NS_UTIL:
-        return _PREF_FROM_Q[qcompare(left, right)]
-    if regime is Regime.NS_PROB:
-        left, right = rational(left.standard_part()), rational(right.standard_part())
-    sign = (left - right).sign()
-    if sign > 0:
-        return PrefOrdering.BETTER
-    if sign < 0:
-        return PrefOrdering.WORSE
-    return PrefOrdering.INDIFFERENT
+    return _PREF_FROM_Q[compare(left, right, regime.comparison)]
 
 
 def prefers(
@@ -424,17 +428,12 @@ def check_property_P(
     if prefers(middle, worst, assignment, regime) is not PrefOrdering.BETTER:
         raise PreconditionViolated("middle lottery must beat the worst one")
 
-    comparison = {
-        Regime.STD: "quantitative",
-        Regime.NS_UTIL: "qualitative",
-        Regime.NS_PROB: "standard-part",
-    }[regime]
     mixture = AffineValue(
         expected_utility(best, assignment), expected_utility(worst, assignment)
     )
     target_value = expected_utility(middle, assignment)
     target = AffineValue(target_value, target_value)
-    parts = partition_affine_comparison(mixture, target, comparison)
+    parts = partition_affine_comparison(mixture, target, regime.comparison)
     empty = RationalIntervalSet()
     indifference = parts.get(QOrdering.EQUIVALENT, empty)
     better = parts.get(QOrdering.GREATER, empty)

@@ -24,6 +24,7 @@ __all__ = [
     "RationalIntervalSet",
     "partition_unit_interval",
     "partition_affine_comparison",
+    "compare",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -224,6 +225,12 @@ _COMPARATORS: dict[str, Callable[[NSReal, NSReal], QOrdering]] = {
     "quantitative": _quantitative,
     "standard-part": _standard_part_compare,
 }
+
+
+def compare(left: NSReal, right: NSReal, comparison: str) -> QOrdering:
+    """Compare two values by the order named ``comparison``, one of the
+    names :func:`partition_affine_comparison` accepts."""
+    return _COMPARATORS[comparison](left, right)
 
 
 def partition_affine_comparison(

@@ -4,26 +4,42 @@ Everything here is deliberately written from first principles rather than by
 calling back into the code paths under test: the comparison oracle works on
 raw coefficient dictionaries via Laurent long division, and the overriding
 oracle spells out the defining quantifier over mixtures instead of using the
-closed-form rule shipped in the package.
+closed-form rule shipped in the package.  The audit oracles restate each
+postulate check as the plain loop over pairs, triples and chains, solving
+every weight set they need afresh.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from qualutil import (
+    EPS,
+    ONE,
     AAModel,
     Act,
+    Counterexample,
     Lottery,
+    MixtureWitness,
     NSReal,
+    PrefOrdering,
     PrefStructure,
     QOrdering,
     Regime,
     UtilityAssignment,
+    Verdict,
+    compare_values,
     eps,
+    expected_utility,
+    grid_weights,
+    is_negligible,
+    mixture_closure,
+    overrides_values,
     qcompare,
     rational,
+    solve_mixture_relation,
 )
 
 # --- ratio-based comparison oracle -----------------------------------------
@@ -135,6 +151,197 @@ def brute_force_overrides(
             if qcompare(mixed_low, mixed_bottom) is not QOrdering.EQUIVALENT:
                 return False
     return True
+
+
+# --- definitional audit checks -----------------------------------------------
+
+BETTER = PrefOrdering.BETTER
+
+
+def negative_transitivity_scan(matrix) -> tuple[int, int, int] | None:
+    """The first triple (i, j, k) in lexicographic order with i not above j
+    and j not above k, yet i above k."""
+    n = len(matrix)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if matrix[i][j] is not BETTER and matrix[j][k] is not BETTER and matrix[i][k] is BETTER:
+            return (i, j, k)
+    return None
+
+
+class _Closure:
+    """The closure of a structure, its expected utilities and its strict
+    preference matrix, recomputed through the public API."""
+
+    def __init__(self, structure: PrefStructure, extra: str) -> None:
+        self.structure = structure
+        self.lotteries = mixture_closure(structure)
+        self.values = [expected_utility(l, structure.utilities) for l in self.lotteries]
+        self.better = [
+            [compare_values(vi, vj, structure.regime) is BETTER for vj in self.values]
+            for vi in self.values
+        ]
+        self.domain = (
+            f"mixture closure of {len(structure.generators)} generators, "
+            f"size {len(self.lotteries)}, depth {structure.closure_depth}, "
+            f"grid /{structure.grid_denominator}; {extra}"
+        )
+
+    def pairs(self):
+        n = len(self.lotteries)
+        return [(i, j) for i, j in itertools.product(range(n), repeat=2) if self.better[i][j]]
+
+    def chains(self):
+        n = len(self.lotteries)
+        return [(i, j, k) for i, j in self.pairs() for k in range(n) if self.better[j][k]]
+
+    def solve(self, chain, relation):
+        i, j, k = chain
+        values = self.values
+        return solve_mixture_relation(
+            values[i], values[k], values[j], relation, self.structure.regime
+        )
+
+    def witness(self, label, chain, weight):
+        i, j, k = chain
+        return MixtureWitness(
+            label, self.lotteries[i], self.lotteries[j], self.lotteries[k], weight
+        )
+
+    def existential(self, postulate, chain, missing, relation, empty_set):
+        i, j, k = chain
+        certificate = Counterexample(
+            kind="existential",
+            payload=(
+                ("p", self.lotteries[i]),
+                ("q", self.lotteries[j]),
+                ("r", self.lotteries[k]),
+                ("postulate", postulate),
+                ("missing", missing),
+                ("relation", relation.value),
+                ("set", empty_set),
+            ),
+        )
+        return Verdict(postulate, False, self.domain, certificate)
+
+
+def _independence_oracle(postulate, structure, weights, extra) -> Verdict:
+    closure = _Closure(structure, extra)
+    values = closure.values
+    for i, j in closure.pairs():
+        for k in range(len(values)):
+            for w in weights:
+                left = w * values[i] + (1 - w) * values[k]
+                right = w * values[j] + (1 - w) * values[k]
+                actual = compare_values(left, right, structure.regime)
+                if actual is not BETTER:
+                    certificate = Counterexample(
+                        kind="independence",
+                        payload=(
+                            ("p", closure.lotteries[i]),
+                            ("q", closure.lotteries[j]),
+                            ("r", closure.lotteries[k]),
+                            ("lambda", w),
+                            ("left", left),
+                            ("right", right),
+                            ("actual", actual.value),
+                        ),
+                    )
+                    return Verdict(postulate, False, closure.domain, certificate)
+    return Verdict(postulate, True, closure.domain)
+
+
+def oracle_A2(structure: PrefStructure) -> Verdict:
+    return _independence_oracle(
+        "A2",
+        structure,
+        grid_weights(structure.grid_denominator),
+        "all strict pairs x closure x grid weights",
+    )
+
+
+def oracle_B2(structure: PrefStructure) -> Verdict:
+    weights = list(grid_weights(structure.grid_denominator))
+    weights += [EPS, Fraction(1, 2) * EPS, ONE - EPS]
+    relevant = []
+    for w in weights:
+        negligible = is_negligible(
+            w,
+            structure.utilities,
+            structure.generators,
+            denominator=structure.grid_denominator,
+            depth=min(structure.closure_depth, 1),
+        )
+        if not negligible:
+            relevant.append(w)
+    return _independence_oracle(
+        "B2", structure, relevant, "all strict pairs x closure x (grid + nonstandard) weights"
+    )
+
+
+def oracle_A3(structure: PrefStructure) -> Verdict:
+    closure = _Closure(structure, "all strict chains, exact weight solving")
+    witnesses = []
+    for chain in closure.chains():
+        upper = closure.solve(chain, QOrdering.GREATER)
+        if upper.is_empty:
+            return closure.existential("A3", chain, "alpha", QOrdering.GREATER, upper)
+        lower = closure.solve(chain, QOrdering.LESS)
+        if lower.is_empty:
+            return closure.existential("A3", chain, "beta", QOrdering.LESS, lower)
+        witnesses.append(closure.witness("alpha", chain, upper.witness()))
+        witnesses.append(closure.witness("beta", chain, lower.witness()))
+    return Verdict("A3", True, closure.domain, witnesses=tuple(witnesses))
+
+
+def oracle_A3prime(structure: PrefStructure) -> Verdict:
+    closure = _Closure(structure, "all strict chains, exact weight solving")
+    witnesses = []
+    for chain in closure.chains():
+        upper = closure.solve(chain, QOrdering.GREATER)
+        if upper.is_empty:
+            return closure.existential("A3p", chain, "alpha", QOrdering.GREATER, upper)
+        witnesses.append(closure.witness("alpha", chain, upper.witness()))
+    return Verdict("A3p", True, closure.domain, witnesses=tuple(witnesses))
+
+
+def oracle_A3doubleprime(structure: PrefStructure) -> Verdict:
+    closure = _Closure(
+        structure, "strict chains with non-overriding top, exact weight solving"
+    )
+    witnesses = []
+    for chain in closure.chains():
+        i, j, _ = chain
+        if overrides_values(closure.values[i], closure.values[j]):
+            continue
+        lower = closure.solve(chain, QOrdering.LESS)
+        if lower.is_empty:
+            return closure.existential("A3pp", chain, "beta", QOrdering.LESS, lower)
+        witnesses.append(closure.witness("beta", chain, lower.witness()))
+    return Verdict("A3pp", True, closure.domain, witnesses=tuple(witnesses))
+
+
+def oracle_gamma(structure: PrefStructure) -> Verdict:
+    closure = _Closure(structure, "strict chains with nonempty lower set")
+    witnesses = []
+    for chain in closure.chains():
+        if closure.solve(chain, QOrdering.LESS).is_empty:
+            continue
+        level = closure.solve(chain, QOrdering.EQUIVALENT)
+        if level.is_empty:
+            return closure.existential("gamma", chain, "gamma", QOrdering.EQUIVALENT, level)
+        witnesses.append(closure.witness("gamma", chain, level.witness()))
+    return Verdict("gamma", True, closure.domain, witnesses=tuple(witnesses))
+
+
+# Postulate name -> its definitional check.
+AUDIT_ORACLES = {
+    "A2": oracle_A2,
+    "B2": oracle_B2,
+    "A3": oracle_A3,
+    "A3p": oracle_A3prime,
+    "A3pp": oracle_A3doubleprime,
+    "gamma": oracle_gamma,
+}
 
 
 # --- random model generators -------------------------------------------------

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import random_acts_structure, random_structure
+from oracles import negative_transitivity_scan, random_acts_structure, random_structure
 from qualutil import (
     AAModel,
     Act,
@@ -217,6 +219,29 @@ def test_negative_transitivity_finder_scales_past_the_scan_limit():
         rows[b][a] = I
     flawed = tuple(tuple(row) for row in rows)
     assert _find_negative_transitivity_violation(flawed) == (0, 1, 2)
+
+
+@st.composite
+def asymmetric_matrices(draw):
+    """Preference matrices ordered by a random score, then with a few pairs
+    overwritten (keeping asymmetry): weak orders and near misses alike."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rows = [
+        [B if scores[i] > scores[j] else W if scores[i] < scores[j] else I for j in range(n)]
+        for i in range(n)
+    ]
+    index = st.integers(0, n - 1)
+    overwrites = st.lists(st.tuples(index, index, st.sampled_from([B, W, I])), max_size=4)
+    for i, j, ordering in draw(overwrites):
+        if i != j:
+            rows[i][j], rows[j][i] = ordering, ordering.flipped()
+    return tuple(tuple(row) for row in rows)
+
+
+@given(asymmetric_matrices())
+def test_negative_transitivity_finder_agrees_with_the_cubic_scan(matrix):
+    assert _find_negative_transitivity_violation(matrix) == negative_transitivity_scan(matrix)
 
 
 # --- A2 and its primed variant ----------------------------------------------

@@ -4,6 +4,8 @@ import textwrap
 
 import pytest
 
+import qualutil.cli
+from qualutil import ConsistencyError, IndexOutOfRange, UnknownIdentifier
 from qualutil.cli import main
 from qualutil.fixtures import fixture_path
 
@@ -320,6 +322,37 @@ def test_maximin_misordered_pair_exits_2(capsys):
 def test_maximin_unparseable_argument_exits_2(capsys):
     code, _, err = run(capsys, "maximin", "3", "--compare", "zero", "1/2", "1", "0", "1/2", "1")
     assert code == 2
+
+
+def _audit_raising(monkeypatch, error):
+    def broken(structure):
+        raise error
+
+    monkeypatch.setattr(qualutil.cli, "audit", broken)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [IndexOutOfRange("outcome index 5 out of range 0..2"), UnknownIdentifier("no lottery 'z'")],
+)
+def test_lookup_errors_of_the_package_exit_3(capsys, monkeypatch, std_model, error):
+    _audit_raising(monkeypatch, error)
+    code, _, err = run(capsys, "audit", "--model", std_model)
+    assert code == 3
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ConsistencyError("sweep disagrees"), KeyError("bug"), IndexError("bug")],
+)
+def test_bugs_propagate_instead_of_exiting(monkeypatch, std_model, error):
+    # A failed internal cross-check, or a bare lookup error, is a bug in the
+    # package: it must not read as bad input or an unknown identifier.
+    _audit_raising(monkeypatch, error)
+    with pytest.raises(type(error)) as excinfo:
+        main(["audit", "--model", std_model])
+    assert excinfo.value is error
 
 
 # --- model loading and overrides --------------------------------------------
