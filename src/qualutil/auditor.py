@@ -29,6 +29,22 @@ The checks:
 matrix) and passes it to every ``check_*`` as ``context``; called alone, a
 check builds its own.  A3, A3p, A3pp and gamma read their weights off one
 partition per strict chain, solved at most once per audit.
+
+A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
+difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  The
+context therefore sorts the closure into classes of third lotteries that
+give the same verdict for every strict pair and weight, and these checks
+scan one representative per class, the first in closure order, so the first
+failure found and its certificate are those of the full scan:
+
+* STD and NS_PROB: one class.  The plain order reads the sign of
+  ``w*(v_p - v_q)`` alone, and taking the standard part is additive and
+  multiplicative on finite values, which every NS_PROB value and weight is.
+* NS_UTIL with every value >= 0, or every value <= 0: one class per leading
+  exponent (zero its own class).  Without cancellation the leading exponent
+  of ``w*v + (1-w)*v_r`` is the smaller of the two, so the qualitative
+  verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
+* NS_UTIL with values of both signs: every lottery is its own class.
 """
 
 from __future__ import annotations
@@ -39,7 +55,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .acts import Act, AAModel, act_prefers, act_utility, is_null
-from .errors import ClosureTooLarge, MissingModel, MissingUtility, RegimeMismatch
+from .errors import (
+    ClosureTooLarge,
+    ConsistencyError,
+    MissingModel,
+    MissingUtility,
+    RegimeMismatch,
+)
 from .nsreal import EPS, NSReal, ONE, QOrdering
 from .prefcore import (
     Lottery,
@@ -216,13 +238,15 @@ _Chain = tuple[int, int, int]
 @dataclass
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
-    expected utility, the regime's comparison of every two of them, and the
+    expected utility, the regime's comparison of every two of them, the
+    first index of each class of interchangeable third lotteries, and the
     witness weights of the strict chains solved so far."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
     matrix: tuple[tuple[PrefOrdering, ...], ...]
+    third_lotteries: tuple[int, ...]
     # Per chain, a witness weight for each relation with a nonempty weight
     # set; whole partitions would cost several times the memory.
     chain_weights: dict[_Chain, dict[QOrdering, Fraction]] = field(default_factory=dict)
@@ -256,7 +280,22 @@ def _build_context(structure: PrefStructure) -> _Context:
     matrix = tuple(
         tuple(compare_values(vi, vj, structure.regime) for vj in values) for vi in values
     )
-    return _Context(structure.regime, lotteries, values, matrix)
+    # Third lotteries k of one class give one verdict for w*v_i + (1-w)*v_k
+    # against w*v_j + (1-w)*v_k, for every pair and weight (module docstring).
+    # STD and NS_PROB: the verdict is the sign of w*(v_i - v_j), or of its
+    # standard part, so k never matters.  NS_UTIL of one weak sign: no
+    # cancellation, so both sides lead at min(lead v_i or v_j, lead v_k) and
+    # only lead v_k matters.  Mixed signs can cancel: every k stands alone.
+    if structure.regime is not Regime.NS_UTIL:
+        third_lotteries: tuple[int, ...] = (0,)
+    elif {1, -1} <= {value.sign() for value in values}:
+        third_lotteries = tuple(range(len(values)))
+    else:
+        firsts: dict[int | None, int] = {}
+        for k, value in enumerate(values):
+            firsts.setdefault(value.leading_exponent(), k)
+        third_lotteries = tuple(firsts.values())
+    return _Context(structure.regime, lotteries, values, matrix, third_lotteries)
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -395,11 +434,12 @@ def _independence_scan(
     postulate: str, context: _Context, domain: str, weights: Sequence[NSReal | Fraction]
 ) -> Verdict:
     """Mixing every strict pair with every closure lottery at every weight
-    keeps the pair strict; otherwise the first violation in scan order."""
+    keeps the pair strict; otherwise the first violation in scan order.  One
+    third lottery per class stands for its class."""
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
             continue
-        for k in range(context.size):
+        for k in context.third_lotteries:
             for w in weights:
                 failure = _independence_failure(postulate, context, domain, (i, j, k), w)
                 if failure is not None:
@@ -529,7 +569,9 @@ def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> N
 def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for every weight, provided the third lottery does not
     override the preferred one.  Decided exactly: the preserving weight set
-    must be the whole open interval."""
+    must be the whole open interval.  One third lottery per class stands for
+    its class; whether it overrides also depends on its leading exponent
+    alone."""
     _require_unsigned_qualitative(structure, "A2p")
     context = context or _build_context(structure)
     domain = _domain(structure, context, "all eligible triples, every weight in (0, 1)")
@@ -537,7 +579,7 @@ def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) 
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
             continue
-        for k in range(context.size):
+        for k in context.third_lotteries:
             if overrides_values(values[k], values[i]):
                 continue
             parts = partition_affine_comparison(
@@ -546,12 +588,24 @@ def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) 
                 structure.regime.comparison,
             )
             preserving = parts.get(QOrdering.GREATER, RationalIntervalSet())
-            if not preserving.is_entire_unit_interval():
-                bad = preserving.complement_witness()
-                assert bad is not None
+            if preserving.is_entire_unit_interval():
+                continue
+            bad = preserving.complement_witness()
+            failure = None
+            if bad is not None:
                 failure = _independence_failure("A2p", context, domain, (i, j, k), bad)
-                assert failure is not None
-                return failure
+            if failure is None:
+                reason = (
+                    "no weight in (0, 1) lies outside it"
+                    if bad is None
+                    else f"the weight {bad} outside it keeps p above q"
+                )
+                raise ConsistencyError(
+                    f"A2p: the preserving set {preserving.render()} of closure triple "
+                    f"({i}, {j}, {k}) with values ({values[i]!r}, {values[j]!r}, "
+                    f"{values[k]!r}) is not all of (0, 1), yet {reason}"
+                )
+            return failure
     return Verdict("A2p", True, domain)
 
 

@@ -20,6 +20,7 @@ from qualutil import (
     ONE,
     AAModel,
     Act,
+    AffineValue,
     Counterexample,
     Lottery,
     MixtureWitness,
@@ -27,6 +28,7 @@ from qualutil import (
     PrefOrdering,
     PrefStructure,
     QOrdering,
+    RationalIntervalSet,
     Regime,
     UtilityAssignment,
     Verdict,
@@ -37,6 +39,7 @@ from qualutil import (
     is_negligible,
     mixture_closure,
     overrides_values,
+    partition_affine_comparison,
     qcompare,
     rational,
     solve_mixture_relation,
@@ -223,30 +226,39 @@ class _Closure:
         )
         return Verdict(postulate, False, self.domain, certificate)
 
+    def independence_failure(self, postulate, triple, w):
+        """The failing verdict when mixing lotteries i and j of the triple
+        (i, j, k) with lottery k at weight w leaves i not above j, else None."""
+        i, j, k = triple
+        values = self.values
+        left = w * values[i] + (1 - w) * values[k]
+        right = w * values[j] + (1 - w) * values[k]
+        actual = compare_values(left, right, self.structure.regime)
+        if actual is BETTER:
+            return None
+        certificate = Counterexample(
+            kind="independence",
+            payload=(
+                ("p", self.lotteries[i]),
+                ("q", self.lotteries[j]),
+                ("r", self.lotteries[k]),
+                ("lambda", w),
+                ("left", left),
+                ("right", right),
+                ("actual", actual.value),
+            ),
+        )
+        return Verdict(postulate, False, self.domain, certificate)
+
 
 def _independence_oracle(postulate, structure, weights, extra) -> Verdict:
     closure = _Closure(structure, extra)
-    values = closure.values
     for i, j in closure.pairs():
-        for k in range(len(values)):
+        for k in range(len(closure.values)):
             for w in weights:
-                left = w * values[i] + (1 - w) * values[k]
-                right = w * values[j] + (1 - w) * values[k]
-                actual = compare_values(left, right, structure.regime)
-                if actual is not BETTER:
-                    certificate = Counterexample(
-                        kind="independence",
-                        payload=(
-                            ("p", closure.lotteries[i]),
-                            ("q", closure.lotteries[j]),
-                            ("r", closure.lotteries[k]),
-                            ("lambda", w),
-                            ("left", left),
-                            ("right", right),
-                            ("actual", actual.value),
-                        ),
-                    )
-                    return Verdict(postulate, False, closure.domain, certificate)
+                failure = closure.independence_failure(postulate, (i, j, k), w)
+                if failure is not None:
+                    return failure
     return Verdict(postulate, True, closure.domain)
 
 
@@ -276,6 +288,30 @@ def oracle_B2(structure: PrefStructure) -> Verdict:
     return _independence_oracle(
         "B2", structure, relevant, "all strict pairs x closure x (grid + nonstandard) weights"
     )
+
+
+def oracle_A2prime(structure: PrefStructure) -> Verdict:
+    """Every eligible triple on its own: one weight partition per strict pair
+    and third lottery that does not override the preferred one."""
+    closure = _Closure(structure, "all eligible triples, every weight in (0, 1)")
+    values = closure.values
+    for i, j in closure.pairs():
+        for k in range(len(values)):
+            if overrides_values(values[k], values[i]):
+                continue
+            parts = partition_affine_comparison(
+                AffineValue(values[i], values[k]),
+                AffineValue(values[j], values[k]),
+                structure.regime.comparison,
+            )
+            preserving = parts.get(QOrdering.GREATER, RationalIntervalSet())
+            if not preserving.is_entire_unit_interval():
+                failure = closure.independence_failure(
+                    "A2p", (i, j, k), preserving.complement_witness()
+                )
+                assert failure is not None
+                return failure
+    return Verdict("A2p", True, closure.domain)
 
 
 def oracle_A3(structure: PrefStructure) -> Verdict:
@@ -337,6 +373,7 @@ def oracle_gamma(structure: PrefStructure) -> Verdict:
 AUDIT_ORACLES = {
     "A2": oracle_A2,
     "B2": oracle_B2,
+    "A2p": oracle_A2prime,
     "A3": oracle_A3,
     "A3p": oracle_A3prime,
     "A3pp": oracle_A3doubleprime,
@@ -378,6 +415,19 @@ def _nonstandard_utility_pool(rng: random.Random) -> list[NSReal]:
         eps(-1),
     ]
     return rng.sample(candidates, 4)
+
+
+def _signed_utility_pool(rng: random.Random, signs: str) -> list[NSReal]:
+    """Negated nonstandard utilities: all four for "nonpositive", two drawn
+    at random for "mixed"."""
+    pool = _nonstandard_utility_pool(rng)
+    if signs == "nonpositive":
+        negated = range(len(pool))
+    elif signs == "mixed":
+        negated = rng.sample(range(len(pool)), 2)
+    else:
+        raise ValueError(f"unknown sign kind {signs!r}")
+    return [-value if index in negated else value for index, value in enumerate(pool)]
 
 
 def _random_simplex(rng: random.Random, size: int, denominator: int) -> list[Fraction]:
@@ -423,16 +473,25 @@ def random_structure(
     generator_count: int = 3,
     grid_denominator: int = 4,
     closure_depth: int = 1,
+    signs: str | None = None,
 ) -> PrefStructure:
-    """A small random preference structure suitable for exhaustive audits."""
+    """A small random preference structure suitable for exhaustive audits.
+
+    ``signs`` opts an NS_UTIL structure into signed utilities: "mixed"
+    negates two of the four, "nonpositive" all of them.  Left at None, it
+    draws nothing more from ``rng``."""
 
     outcomes = ["a", "b", "c", "d"]
-    if regime is Regime.NS_UTIL:
+    if signs is not None:
+        if regime is not Regime.NS_UTIL:
+            raise ValueError("signed random utilities are drawn for NS_UTIL only")
+        pool = _signed_utility_pool(rng, signs)
+    elif regime is Regime.NS_UTIL:
         pool = _nonstandard_utility_pool(rng)
     else:
         pool = _standard_utility_pool(rng)
     utilities = UtilityAssignment.from_mapping(
-        {outcome: value for outcome, value in zip(outcomes, pool)}
+        {outcome: value for outcome, value in zip(outcomes, pool)}, signed=signs is not None
     )
     builder = (
         random_nonstandard_lottery if regime is Regime.NS_PROB else random_lottery

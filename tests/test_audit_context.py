@@ -1,26 +1,40 @@
 """The audit engine against the definitional checks, and the work and memory
 one audit takes: one closure, at most one weight partition per strict chain,
-and nothing kept once the audit returns."""
+one independence partition per strict pair and class of third lotteries, and
+nothing kept once the audit returns."""
 
 import gc
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import qualutil.auditor
+from conftest import nonnegative_nsreals, nsreals, unit_weights
 from oracles import AUDIT_ORACLES, random_structure
 from qualutil import (
+    EPS,
+    ONE,
+    AffineValue,
     PrefOrdering,
+    QOrdering,
     Regime,
     audit,
     compare_values,
+    eps,
     expected_utility,
     load_model,
     mixture_closure,
+    partition_affine_comparison,
+    qcompare,
 )
 from qualutil.fixtures import fixture_path
+from qualutil.solver import compare
 
 MODELS = ("dice", "consolation", "surgery", "maximin3")
 
@@ -58,57 +72,143 @@ def test_audit_matches_oracles_on_bundled_models(name, depth, grid):
     assert_matches_oracles(bundled(name, **changes))
 
 
+# Signed kinds: "mixed" closures scan every third lottery, "nonpositive" ones
+# one per leading exponent of negative values.  Explicit ids keep the names of
+# the unsigned cases as pytest would derive them from (regime, seed).
 @pytest.mark.parametrize(
-    "regime, seed", [(Regime.STD, 501), (Regime.NS_UTIL, 502), (Regime.NS_PROB, 701)]
+    "regime, seed, signs",
+    [
+        pytest.param(Regime.STD, 501, None, id="Regime.STD-501"),
+        pytest.param(Regime.NS_UTIL, 502, None, id="Regime.NS_UTIL-502"),
+        pytest.param(Regime.NS_PROB, 701, None, id="Regime.NS_PROB-701"),
+        pytest.param(Regime.NS_UTIL, 503, "mixed", id="Regime.NS_UTIL-503-mixed"),
+        pytest.param(Regime.NS_UTIL, 504, "nonpositive", id="Regime.NS_UTIL-504-nonpositive"),
+    ],
 )
-def test_audit_matches_oracles_on_random_structures(regime, seed):
+def test_audit_matches_oracles_on_random_structures(regime, seed, signs):
     rng = random.Random(seed)
     for _ in range(20):
         assert_matches_oracles(
-            random_structure(rng, regime, grid_denominator=3, closure_depth=1)
+            random_structure(rng, regime, grid_denominator=3, closure_depth=1, signs=signs)
         )
 
 
-def strict_chain_count(structure):
+def strict_better(structure):
     values = [expected_utility(l, structure.utilities) for l in mixture_closure(structure)]
     better = [
         [compare_values(vi, vj, structure.regime) is PrefOrdering.BETTER for vj in values]
         for vi in values
     ]
-    n = len(values)
+    return values, better
+
+
+def strict_chain_count(structure):
+    _, better = strict_better(structure)
+    n = len(better)
     return sum(better[i][j] and better[j][k] for i in range(n) for j in range(n) for k in range(n))
 
 
-def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(monkeypatch):
-    structure = bundled("consolation", closure_depth=1, grid_denominator=3)
-    counts = {"closures": 0, "solvability_partitions": 0}
-    solving = []
+def audit_counting_partitions(monkeypatch, structure, checks):
+    """Audit ``structure``, counting its closures and, per name in
+    ``checks``, the weight partitions made inside that check."""
+    counts = Counter()
+    active = []
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
             if name == "mixture_closure":
                 counts["closures"] += 1
-            elif name == "partition_affine_comparison" and solving:
-                counts["solvability_partitions"] += 1
-            elif name in SOLVABILITY_CHECKS:
-                solving.append(name)
+            elif name == "partition_affine_comparison" and active:
+                counts[active[-1]] += 1
+            elif name in checks:
+                active.append(name)
             try:
                 return original(*args, **kwargs)
             finally:
-                if name in SOLVABILITY_CHECKS:
-                    solving.pop()
+                if name in checks:
+                    active.pop()
 
         return wrapper
 
-    for name in ("mixture_closure", "partition_affine_comparison", *SOLVABILITY_CHECKS):
+    for name in ("mixture_closure", "partition_affine_comparison", *checks):
         monkeypatch.setattr(qualutil.auditor, name, counted(name, getattr(qualutil.auditor, name)))
+    return audit(structure), counts
 
-    report = audit(structure)
+
+def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(monkeypatch):
+    structure = bundled("consolation", closure_depth=1, grid_denominator=3)
+    report, counts = audit_counting_partitions(monkeypatch, structure, SOLVABILITY_CHECKS)
     assert [v.postulate for v in report.verdicts] == ["A1", "A2", "A2p", "A3p", "A3pp", "gamma"]
     assert counts["closures"] == 1
-    assert 0 < counts["solvability_partitions"] <= strict_chain_count(structure)
+    solvability_partitions = sum(counts[name] for name in SOLVABILITY_CHECKS)
+    assert 0 < solvability_partitions <= strict_chain_count(structure)
 
     audited = weakref.ref(structure)
     del structure, report
     gc.collect()
     assert audited() is None
+
+
+def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatch):
+    structure = bundled("consolation", closure_depth=1, grid_denominator=3)
+    _, counts = audit_counting_partitions(monkeypatch, structure, ("check_A2prime",))
+    values, better = strict_better(structure)
+    pairs = sum(map(sum, better))
+    leads = {value.leading_exponent() for value in values}
+    assert (pairs, len(leads)) == (215, 3)
+    assert 0 < counts["check_A2prime"] <= pairs * len(leads)
+
+
+# --- the class rule ----------------------------------------------------------
+#
+# Mixing both sides of a comparison with one third value vk: the verdict
+# depends on vk not at all under the quantitative and standard-part orders,
+# and only through its leading exponent under the qualitative order when no
+# operand changes sign.
+
+finite_nsreals = nsreals.filter(lambda value: value.is_finite())
+
+# The standard grid weights and the nonstandard weights B2 mixes at.
+mixing_weights = st.one_of(unit_weights, st.sampled_from([EPS, Fraction(1, 2) * EPS, ONE - EPS]))
+
+
+@given(finite_nsreals, finite_nsreals, finite_nsreals, finite_nsreals, mixing_weights)
+def test_third_value_never_changes_quantitative_or_standard_part_verdicts(vi, vj, vk, vl, w):
+    for comparison in ("quantitative", "standard-part"):
+        verdicts = {
+            compare(w * vi + (1 - w) * v, w * vj + (1 - w) * v, comparison) for v in (vk, vl)
+        }
+        assert len(verdicts) == 1, comparison
+
+
+@st.composite
+def same_lead_pairs(draw):
+    """Two nonnegative values with the same leading exponent: a positive
+    multiple of the first plus terms of higher order."""
+    first = draw(nonnegative_nsreals)
+    lead = first.leading_exponent()
+    if lead is None:
+        return first, first
+    scale = draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8))
+    tail = draw(nonnegative_nsreals) * eps(lead + 4)
+    return first, scale * first + tail
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@given(nonnegative_nsreals, nonnegative_nsreals, same_lead_pairs())
+def test_qualitative_verdict_sees_third_value_only_through_its_leading_exponent(
+    sign, vi, vj, third_values
+):
+    vi, vj = sign * vi, sign * vj
+    if qcompare(vi, vj) is QOrdering.LESS:
+        vi, vj = vj, vi
+    assume(qcompare(vi, vj) is QOrdering.GREATER)
+    labels = []
+    for vk in third_values:
+        parts = partition_affine_comparison(
+            AffineValue(vi, sign * vk), AffineValue(vj, sign * vk), "qualitative"
+        )
+        ((label, weights),) = parts.items()
+        assert weights.is_entire_unit_interval()
+        labels.append(label)
+    assert labels[0] is labels[1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qualutil.auditor
 from oracles import negative_transitivity_scan, random_acts_structure, random_structure
 from qualutil import (
     AAModel,
@@ -14,6 +15,7 @@ from qualutil import (
     AuditReport,
     AUDIT_SIZE_LIMIT,
     ClosureTooLarge,
+    ConsistencyError,
     EPS,
     Lottery,
     MissingModel,
@@ -22,6 +24,8 @@ from qualutil import (
     PrefOrdering,
     PrefStructure,
     QOrdering,
+    RationalInterval,
+    RationalIntervalSet,
     Regime,
     RegimeMismatch,
     UtilityAssignment,
@@ -281,6 +285,32 @@ def test_A2prime_exempts_overriding_third_lotteries():
     verdict = check_A2prime(OVERRIDING)
     assert verdict.holds
     assert "eligible" in verdict.domain
+
+
+@pytest.mark.parametrize(
+    "pieces, reason",
+    [
+        (
+            ((F(0), F(1, 2), True, False), (F(1, 2), F(1), True, True)),
+            "no weight in (0, 1) lies outside it",
+        ),
+        (((F(0), F(1, 2), True, True),), "the weight 3/4 outside it keeps p above q"),
+    ],
+)
+def test_A2prime_guard_names_the_triple_and_the_preserving_set(monkeypatch, pieces, reason):
+    # A preserving set that is not all of (0, 1) must yield a failing weight;
+    # the guard holds under python -O, where an assert would not.
+    preserving = RationalIntervalSet(tuple(RationalInterval(*piece) for piece in pieces))
+    monkeypatch.setattr(
+        qualutil.auditor,
+        "partition_affine_comparison",
+        lambda *args: {QOrdering.GREATER: preserving},
+    )
+    with pytest.raises(ConsistencyError) as raised:
+        check_A2prime(COMMENSURATE)
+    message = str(raised.value)
+    assert f"the preserving set {preserving.render()} of closure triple (" in message
+    assert message.endswith(reason)
 
 
 def test_A2prime_requires_unsigned_qualitative_setting():
