@@ -7,7 +7,8 @@ regime), ``witness`` (solve for mixture weights realizing a relation),
 and ``examples`` (re-check every built-in example model).
 
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
-comparison disagrees, 2 on load or usage errors, 3 on unknown identifiers.
+comparison disagrees, 2 on load or usage errors (a maximin sweep past
+``MAXIMIN_SWEEP_LIMIT`` comparisons among them), 3 on unknown identifiers.
 Other exceptions, ``ConsistencyError`` among them, are bugs and propagate.
 Output is human-oriented by default; ``--output machine`` switches to
 stable token-prefixed lines.
@@ -19,6 +20,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .acts import act_prefers, act_utility
@@ -29,7 +31,7 @@ from .criteria import (
     maximin_utilities,
     two_point_lottery,
 )
-from .errors import ConsistencyError, QualUtilError, UnknownIdentifier
+from .errors import ConsistencyError, QualUtilError, SweepTooLarge, UnknownIdentifier
 from .formats import (
     ModelDocument,
     display_name,
@@ -48,7 +50,13 @@ from .prefcore import (
 )
 from .fixtures import run_examples
 
-__all__ = ["build_parser", "main", "console_main"]
+__all__ = ["MAXIMIN_SWEEP_LIMIT", "build_parser", "main", "console_main"]
+
+# Most comparisons an exhaustive ``maximin N --grid-denominator D`` sweep may
+# make: it compares every two-point bet with every other, (C(N,2)*(D-1))**2
+# comparisons, and is refused before any bet is built past this point.
+# ``maximin 10`` at the default grid (99,225 comparisons) fits.
+MAXIMIN_SWEEP_LIMIT = 250_000
 
 _RELATIONS = {
     "greater": QOrdering.GREATER,
@@ -246,8 +254,20 @@ def _parse_maximin_pair(spec: MaximinSpec, raw: Sequence[str]):
     return (low, weight, high), two_point_lottery(spec, low, weight, high)
 
 
+def _check_sweep_size(n: int, denominator: int) -> None:
+    # A denominator below 2 makes no grid; grid_weights says so.
+    comparisons = (comb(n, 2) * max(denominator - 1, 0)) ** 2
+    if comparisons > MAXIMIN_SWEEP_LIMIT:
+        raise SweepTooLarge(
+            f"maximin sweep of n={n}, grid={denominator} needs {comparisons} comparisons, "
+            f"more than the limit of {MAXIMIN_SWEEP_LIMIT}"
+        )
+
+
 def _run_maximin(args: argparse.Namespace) -> int:
     spec = MaximinSpec(args.n)
+    if not args.compare:
+        _check_sweep_size(spec.n, args.grid_denominator)
     assignment = maximin_utilities(spec)
     machine = args.output == "machine"
     disagreements = 0

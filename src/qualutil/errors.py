@@ -81,6 +81,12 @@ class ClosureTooLarge(QualUtilError):
     denominator, or audit fewer generators."""
 
 
+class SweepTooLarge(QualUtilError):
+    """An exhaustive maximin sweep would make more comparisons than the
+    documented limit allows.  Use fewer outcomes or a smaller grid
+    denominator, or compare chosen bets with ``--compare``."""
+
+
 class ConsistencyError(QualUtilError):
     """An analytic decision rule disagreed with the definitional check that
     guards it.  Indicates a bug, not bad input."""

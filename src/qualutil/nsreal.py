@@ -12,6 +12,16 @@ values form an ordered commutative ring (not a field; no division is
 defined), and every quantity in this package lives in it.  Floats are
 rejected outright.
 
+Every value is held in one canonical form: a tuple of ``(exponent,
+coefficient)`` pairs with plain ``int`` exponents in strictly increasing
+order and nonzero ``Fraction`` coefficients, the empty tuple being zero.
+Inputs are validated where they enter: :meth:`NSReal.from_terms`,
+:func:`rational`, :func:`eps`, and the coercion of ``int``/``Fraction``
+operands.  Every operation keeps the form by construction -- addition and
+subtraction merge the two sorted term tuples in one walk, a scalar scales
+the coefficients or touches exponent 0 only -- and so wraps its result
+without checking or sorting it again.
+
 Two comparisons are provided.  The ordinary total order (``<``, ``<=`` and
 friends) is decided by the sign of the difference, i.e. by the sign of the
 leading coefficient.  The *qualitative* order :func:`qcompare` is coarser: it
@@ -21,7 +31,9 @@ ignores differences that are infinitesimal relative to the operands, so
 qualitatively exceeds ``y`` (both nonnegative) exactly when ``x - y`` is
 positive and its leading exponent equals the leading exponent of ``x``.
 Opposite-sign operands are ordered by sign, and negative operands reduce to
-the nonnegative case through ``x ~> y  iff  -y ~> -x``.
+the nonnegative case through ``x ~> y  iff  -y ~> -x``.  Both comparisons
+read the leading term of the difference off the two term tuples, walking
+them to the first exponent where they differ, without building it.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
+Terms = tuple[tuple[int, Fraction], ...]
 
 
 @unique
@@ -63,13 +76,22 @@ class QOrdering(Enum):
         return self
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact arithmetic only, got {type(value).__name__}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+def _scalar(value: object) -> Fraction | None:
+    """``value`` as an exact ``Fraction`` if it is an int or a Fraction (but
+    not a bool), else None."""
+    if type(value) is Fraction:
         return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    return None
+
+
+def _as_fraction(value: Scalar) -> Fraction:
+    c = _scalar(value)
+    if c is not None:
+        return c
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"exact arithmetic only, got {type(value).__name__}")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -77,13 +99,19 @@ def _as_fraction(value: Scalar) -> Fraction:
 class NSReal:
     """An immutable ring element.
 
-    ``terms`` holds ``(exponent, coefficient)`` pairs sorted by strictly
-    increasing exponent with no zero coefficients; the empty tuple is zero.
-    Use :meth:`from_terms`, :func:`rational` or :func:`eps` rather than the
-    raw constructor, which trusts its argument.
+    ``terms`` holds ``(exponent, coefficient)`` pairs with plain ``int``
+    exponents in strictly increasing order and nonzero ``Fraction``
+    coefficients; the empty tuple is zero.  Every operation returns a value
+    in this form.  Use :meth:`from_terms`, :func:`rational` or :func:`eps`,
+    which validate their input, rather than the raw constructor, which
+    trusts its argument.
+
+    Costs: comparisons build no difference and no ``Fraction``, and
+    ``int``/``Fraction`` operands are used as they are rather than wrapped
+    in an ``NSReal``.
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    terms: Terms = ()
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[int, Scalar]]) -> "NSReal":
@@ -93,7 +121,7 @@ class NSReal:
                 raise TypeError("exponents must be plain ints")
             c = _as_fraction(coefficient)
             acc[exponent] = acc.get(exponent, Fraction(0)) + c
-        return NSReal(tuple(sorted((e, c) for e, c in acc.items() if c)))
+        return _wrap(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     # -- queries ---------------------------------------------------------
 
@@ -104,7 +132,7 @@ class NSReal:
         """-1, 0 or +1: the sign of the value, i.e. of its leading coefficient."""
         if not self.terms:
             return 0
-        return 1 if self.terms[0][1] > 0 else -1
+        return 1 if self.terms[0][1].numerator > 0 else -1
 
     def leading(self) -> tuple[int, Fraction] | None:
         """The dominant ``(exponent, coefficient)`` pair, or None for zero."""
@@ -140,46 +168,56 @@ class NSReal:
 
     # -- ring operations -------------------------------------------------
 
-    def _coerce(self, other: object) -> "NSReal | None":
-        if isinstance(other, NSReal):
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return NSReal.from_terms([(0, other)])
-        return None
-
     def __add__(self, other: object) -> "NSReal":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, NSReal):
+            return _wrap(_merged(self.terms, other.terms, False))
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
-        return NSReal.from_terms(list(self.terms) + list(rhs.terms))
+        return _wrap(_plus_scalar(self.terms, s))
 
     __radd__ = __add__
 
     def __neg__(self) -> "NSReal":
-        return NSReal(tuple((e, -c) for e, c in self.terms))
+        return _wrap(_negated(self.terms))
 
     def __sub__(self, other: object) -> "NSReal":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, NSReal):
+            return _wrap(_merged(self.terms, other.terms, True))
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
-        return self + (-rhs)
+        return _wrap(_plus_scalar(self.terms, -s))
 
     def __rsub__(self, other: object) -> "NSReal":
-        rhs = self._coerce(other)
-        if rhs is None:
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
-        return rhs + (-self)
+        return _wrap(_plus_scalar(_negated(self.terms), s))
 
     def __mul__(self, other: object) -> "NSReal":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, NSReal):
+            left, right = self.terms, other.terms
+            if len(left) > len(right):
+                left, right = right, left
+            if not left:
+                return ZERO
+            if len(left) == 1:
+                # A monomial shifts the exponents and scales the coefficients.
+                (e1, c1), = left
+                return _wrap(tuple([(e1 + e2, c1 * c2) for e2, c2 in right]))
+            acc: dict[int, Fraction] = {}
+            for e1, c1 in left:
+                for e2, c2 in right:
+                    e = e1 + e2
+                    acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+            return _wrap(tuple(sorted((e, c) for e, c in acc.items() if c)))
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in rhs.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return NSReal(tuple(sorted((e, c) for e, c in acc.items() if c)))
+        if not s:
+            return ZERO
+        return _wrap(tuple([(e, c * s) for e, c in self.terms]))
 
     __rmul__ = __mul__
 
@@ -197,10 +235,12 @@ class NSReal:
     # -- total (quantitative) order --------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, NSReal):
+            return self.terms == other.terms
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
-        return self.terms == rhs.terms
+        return self.terms == _scalar_terms(s)
 
     def __hash__(self) -> int:
         # Values equal to a plain rational hash like that rational, keeping
@@ -212,10 +252,13 @@ class NSReal:
         return hash(self.terms)
 
     def _compare_sign(self, other: object) -> int | None:
-        rhs = self._coerce(other)
-        if rhs is None:
+        """The sign of ``self - other``, or None for an unsupported operand."""
+        if isinstance(other, NSReal):
+            return _first_difference(self.terms, other.terms)[1]
+        s = _scalar(other)
+        if s is None:
             return None
-        return (self - rhs).sign()
+        return _first_difference(self.terms, _scalar_terms(s))[1]
 
     def __lt__(self, other: object) -> bool:
         s = self._compare_sign(other)
@@ -247,18 +290,101 @@ class NSReal:
         return f"NSReal({render_nsreal(self)!r})"
 
 
+# -- the kernel: operations on canonical term tuples ------------------------
+
+_new_nsreal = object.__new__
+_set_terms = NSReal.terms.__set__  # the slot's own setter, past the frozen guard
+
+
+def _wrap(terms: Terms) -> NSReal:
+    """The value of an already-canonical term tuple, taken as it is."""
+    value = _new_nsreal(NSReal)
+    _set_terms(value, terms)
+    return value
+
+
+def _scalar_terms(s: Fraction) -> Terms:
+    return ((0, s),) if s else ()
+
+
+def _negated(terms: Terms) -> Terms:
+    return tuple([(e, -c) for e, c in terms])
+
+
+def _merged(a: Terms, b: Terms, subtract: bool) -> Terms:
+    """The terms of ``a + b``, or of ``a - b`` when ``subtract`` is set, in
+    one walk over both sorted tuples."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append(a[i])
+            i += 1
+        elif eb < ea:
+            out.append((eb, -cb) if subtract else b[j])
+            j += 1
+        else:
+            c = ca - cb if subtract else ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    if i < na:
+        out.extend(a[i:])
+    if j < nb:
+        out.extend(_negated(b[j:]) if subtract else b[j:])
+    return tuple(out)
+
+
+def _plus_scalar(terms: Terms, s: Fraction) -> Terms:
+    """The terms of ``terms + s``: only exponent 0 changes."""
+    if not s:
+        return terms
+    for k, (e, c) in enumerate(terms):
+        if e == 0:
+            c = c + s
+            return terms[:k] + ((0, c),) + terms[k + 1:] if c else terms[:k] + terms[k + 1:]
+        if e > 0:
+            return terms[:k] + ((0, s),) + terms[k:]
+    return terms + ((0, s),)
+
+
+def _first_difference(a: Terms, b: Terms) -> tuple[int | None, int]:
+    """``(exponent, sign)`` of the leading term of ``a - b``, read off the
+    first exponent where the two term tuples differ; ``(None, 0)`` when they
+    are equal."""
+    for (ea, ca), (eb, cb) in zip(a, b):
+        if ea != eb:
+            if ea < eb:
+                return ea, 1 if ca.numerator > 0 else -1
+            return eb, -1 if cb.numerator > 0 else 1
+        if ca != cb:
+            return ea, 1 if ca > cb else -1
+    na, nb = len(a), len(b)
+    if na > nb:
+        e, c = a[nb]
+        return e, 1 if c.numerator > 0 else -1
+    if nb > na:
+        e, c = b[na]
+        return e, -1 if c.numerator > 0 else 1
+    return None, 0
+
+
 def rational(value: Scalar | str) -> NSReal:
     """Embed a rational (int, Fraction, or a string like ``"5/6"``)."""
     if isinstance(value, str):
         value = Fraction(value)
-    return NSReal.from_terms([(0, value)])
+    return _wrap(_scalar_terms(_as_fraction(value)))
 
 
 def eps(exponent: int = 1) -> NSReal:
     """The basis element ``eps**exponent``; negative exponents are infinite."""
     if not isinstance(exponent, int) or isinstance(exponent, bool):
         raise TypeError("exponent must be a plain int")
-    return NSReal(((exponent, Fraction(1)),))
+    return _wrap(((exponent, Fraction(1)),))
 
 
 ZERO = NSReal()
@@ -266,20 +392,21 @@ ONE = rational(1)
 EPS = eps()
 
 
-def _qcompare_nonnegative(x: NSReal, y: NSReal) -> QOrdering:
-    # Both operands >= 0.  Division-free test: x exceeds y exactly when the
-    # difference is positive and as large in order of magnitude as x itself.
-    diff = x - y
-    s = diff.sign()
-    if s == 0:
-        return QOrdering.EQUIVALENT
-    if s > 0:
-        if diff.leading_exponent() == x.leading_exponent():
-            return QOrdering.GREATER
-        return QOrdering.EQUIVALENT
-    if diff.leading_exponent() == y.leading_exponent():
-        return QOrdering.LESS
+def _gap_verdict(exponent: int | None, sign: int, upper: NSReal, lower: NSReal) -> QOrdering:
+    # ``upper - lower`` has its leading term at ``exponent`` with ``sign``;
+    # both operands are >= 0.  Division-free test: upper exceeds lower
+    # exactly when the difference is positive and as large in order of
+    # magnitude as upper itself.
+    if sign > 0:
+        return QOrdering.GREATER if exponent == upper.terms[0][0] else QOrdering.EQUIVALENT
+    if sign < 0:
+        return QOrdering.LESS if exponent == lower.terms[0][0] else QOrdering.EQUIVALENT
     return QOrdering.EQUIVALENT
+
+
+def _qcompare_nonnegative(x: NSReal, y: NSReal) -> QOrdering:
+    # Both operands >= 0.
+    return _gap_verdict(*_first_difference(x.terms, y.terms), x, y)
 
 
 def qcompare(x: NSReal, y: NSReal) -> QOrdering:
@@ -298,5 +425,7 @@ def qcompare(x: NSReal, y: NSReal) -> QOrdering:
     if sx < 0 and sy >= 0:
         return QOrdering.LESS
     if sx < 0:
-        return qcompare(-y, -x)
+        # x ~> y iff -y ~> -x, and (-y) - (-x) = x - y: the same first
+        # difference, with -y (led where y is) as the upper operand.
+        return _gap_verdict(*_first_difference(x.terms, y.terms), y, x)
     return _qcompare_nonnegative(x, y)

@@ -191,7 +191,7 @@ class UtilityAssignment:
 
 
 def _check_unit_weight(weight: NSReal) -> None:
-    if weight.sign() <= 0 or (ONE - weight).sign() <= 0:
+    if weight.sign() <= 0 or weight >= ONE:
         raise InvalidWeight("mixture weight must lie strictly between 0 and 1")
 
 
@@ -379,8 +379,11 @@ def is_negligible(
 
     parts = {value.standard_part() for value in values}
     if len(parts) > 1 and definitional != w.is_infinitesimal():
+        verdict = "negligible" if definitional else "not negligible"
         raise ConsistencyError(
-            "negligibility sweep disagrees with the infinitesimal test on a separating set"
+            "negligibility sweep disagrees with the infinitesimal test on a separating set: "
+            f"the sweep finds weight {w!r} {verdict}; standard parts of the pool's values: "
+            + ", ".join(str(part) for part in sorted(parts))
         )
     return definitional
 

@@ -202,7 +202,7 @@ class AffineValue:
 
 
 def _quantitative(left: NSReal, right: NSReal) -> QOrdering:
-    s = (left - right).sign()
+    s = left._compare_sign(right)
     if s > 0:
         return QOrdering.GREATER
     if s < 0:

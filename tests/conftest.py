@@ -27,3 +27,7 @@ standard_fractions = st.fractions(
 unit_weights = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1), max_denominator=16
 ).filter(lambda f: 0 < f < 1)
+
+scalars = st.one_of(st.integers(min_value=-4, max_value=4), standard_fractions)
+
+operands = st.one_of(nsreals, scalars)

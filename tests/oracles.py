@@ -119,6 +119,71 @@ def ratio_compare(left: NSReal, right: NSReal) -> QOrdering:
     return QOrdering.LESS if ratio > 0 else QOrdering.EQUIVALENT
 
 
+# --- definitional NSReal operations ------------------------------------------
+#
+# The ring and order operations as the kernel first computed them: every
+# result rebuilt by ``NSReal.from_terms`` from the raw terms, every order
+# decided by the sign of a difference built that way.  Operands may be
+# NSReal, int or Fraction.
+
+
+def _value(operand: NSReal | int | Fraction) -> NSReal:
+    if isinstance(operand, NSReal):
+        return operand
+    return NSReal.from_terms([(0, operand)])
+
+
+def _negative(value: NSReal) -> NSReal:
+    return NSReal.from_terms((e, -c) for e, c in value.terms)
+
+
+def oracle_add(x, y) -> NSReal:
+    return NSReal.from_terms(list(_value(x).terms) + list(_value(y).terms))
+
+
+def oracle_sub(x, y) -> NSReal:
+    return oracle_add(x, _negative(_value(y)))
+
+
+def oracle_mul(x, y) -> NSReal:
+    return NSReal.from_terms(
+        (e1 + e2, c1 * c2) for e1, c1 in _value(x).terms for e2, c2 in _value(y).terms
+    )
+
+
+def oracle_compare_sign(x, y) -> int:
+    """The sign of ``x - y``, read off the from_terms-built difference."""
+    return oracle_sub(x, y).sign()
+
+
+def oracle_qcompare_nonnegative(x: NSReal, y: NSReal) -> QOrdering:
+    """Both operands >= 0: x exceeds y when the difference is positive and
+    led at x's own exponent."""
+    diff = oracle_sub(x, y)
+    s = diff.sign()
+    if s == 0:
+        return QOrdering.EQUIVALENT
+    if s > 0:
+        if diff.leading_exponent() == x.leading_exponent():
+            return QOrdering.GREATER
+        return QOrdering.EQUIVALENT
+    if diff.leading_exponent() == y.leading_exponent():
+        return QOrdering.LESS
+    return QOrdering.EQUIVALENT
+
+
+def oracle_qcompare(x: NSReal, y: NSReal) -> QOrdering:
+    """Ordered by sign class; negatives through ``x ~> y iff -y ~> -x``."""
+    sx, sy = x.sign(), y.sign()
+    if sx >= 0 and sy < 0:
+        return QOrdering.GREATER
+    if sx < 0 and sy >= 0:
+        return QOrdering.LESS
+    if sx < 0:
+        return oracle_qcompare_nonnegative(_negative(y), _negative(x))
+    return oracle_qcompare_nonnegative(x, y)
+
+
 # --- brute-force overriding oracle ------------------------------------------
 
 

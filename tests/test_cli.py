@@ -324,6 +324,43 @@ def test_maximin_unparseable_argument_exits_2(capsys):
     assert code == 2
 
 
+class _WorkStarted(Exception):
+    pass
+
+
+def _forbid_sweep_work(monkeypatch):
+    def refuse(*args):
+        raise _WorkStarted
+
+    monkeypatch.setattr(qualutil.cli, "two_point_lottery", refuse)
+    monkeypatch.setattr(qualutil.cli, "grid_weights", refuse)
+
+
+def test_oversized_maximin_sweep_is_refused_before_any_work(capsys, monkeypatch):
+    _forbid_sweep_work(monkeypatch)
+    code, out, err = run(capsys, "maximin", "10", "--grid-denominator", "16")
+    assert code == 2
+    assert out == ""
+    assert "455625 comparisons" in err
+    assert f"limit of {qualutil.cli.MAXIMIN_SWEEP_LIMIT}" in err
+    assert qualutil.cli.MAXIMIN_SWEEP_LIMIT == 250_000
+
+
+def test_maximin_sweep_limit_admits_ten_outcomes_at_the_default_grid(capsys, monkeypatch):
+    # (C(10,2)*7)**2 = 99,225 comparisons: past the guard, into the sweep.
+    _forbid_sweep_work(monkeypatch)
+    with pytest.raises(_WorkStarted):
+        main(["maximin", "10"])
+    with pytest.raises(_WorkStarted):
+        main(["maximin", "3", "--compare", "0", "1/2", "2", "0", "1/4", "1"])
+
+
+def test_maximin_grid_below_two_is_still_a_weight_error(capsys):
+    code, _, err = run(capsys, "maximin", "3", "--grid-denominator", "-1000")
+    assert code == 2
+    assert "grid denominator must be at least 2" in err
+
+
 def _audit_raising(monkeypatch, error):
     def broken(structure):
         raise error

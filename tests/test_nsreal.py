@@ -1,11 +1,20 @@
 """Unit tests for the exact number type and its qualitative comparison."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
-from conftest import nonnegative_nsreals, nsreals, positive_nsreals
+from conftest import nonnegative_nsreals, nsreals, operands, positive_nsreals, scalars
+from oracles import (
+    oracle_add,
+    oracle_compare_sign,
+    oracle_mul,
+    oracle_qcompare,
+    oracle_qcompare_nonnegative,
+    oracle_sub,
+)
 from qualutil import (
     EPS,
     InfiniteValue,
@@ -17,6 +26,7 @@ from qualutil import (
     qcompare,
     rational,
 )
+from qualutil.nsreal import _qcompare_nonnegative
 
 HALF = Fraction(1, 2)
 
@@ -213,3 +223,131 @@ def test_qcompare_antisymmetric(x, y):
 def test_qcompare_greater_implies_quantitative_greater(x, y):
     if qcompare(x, y) is QOrdering.GREATER:
         assert x > y
+
+
+# --- the kernel against the definitional operations in oracles.py -----------
+
+BINARY_OPERATIONS = [
+    (operator.add, oracle_add),
+    (operator.sub, oracle_sub),
+    (operator.mul, oracle_mul),
+]
+
+ORDER_RELATIONS = [
+    (operator.lt, lambda s: s < 0),
+    (operator.le, lambda s: s <= 0),
+    (operator.gt, lambda s: s > 0),
+    (operator.ge, lambda s: s >= 0),
+    (operator.eq, lambda s: s == 0),
+    (operator.ne, lambda s: s != 0),
+]
+
+
+def assert_canonical(value):
+    assert isinstance(value, NSReal)
+    exponents = [exponent for exponent, _ in value.terms]
+    assert all(type(exponent) is int for exponent in exponents)
+    assert all(a < b for a, b in zip(exponents, exponents[1:]))
+    for _, coefficient in value.terms:
+        assert type(coefficient) is Fraction
+        assert coefficient != 0
+    if value.is_standard():
+        assert hash(value) == hash(value.standard_part())
+
+
+@given(operands, operands)
+def test_ring_operations_match_from_terms_oracles(x, y):
+    assume(isinstance(x, NSReal) or isinstance(y, NSReal))
+    for operation, oracle in BINARY_OPERATIONS:
+        result = operation(x, y)
+        assert_canonical(result)
+        assert result.terms == oracle(x, y).terms
+
+
+@given(operands, operands)
+def test_order_relations_match_the_sign_of_the_from_terms_difference(x, y):
+    assume(isinstance(x, NSReal) or isinstance(y, NSReal))
+    s = oracle_compare_sign(x, y)
+    for relation, expected in ORDER_RELATIONS:
+        assert relation(x, y) is expected(s)
+
+
+@given(nsreals, nsreals)
+def test_results_that_cancel_match_the_oracles(x, y):
+    # x + y - y walks a shared tail of y; (x + y) - x and x - x cancel
+    # whole terms, and x against x + y shares a prefix before differing.
+    total = x + y
+    for left, right in [(total, y), (total, x), (x, x), (x, -x)]:
+        assert (left - right).terms == oracle_sub(left, right).terms
+        assert (left + right).terms == oracle_add(left, right).terms
+        assert_canonical(left - right)
+    assert (x - x) == ZERO and (x + -x).terms == ()
+    assert oracle_compare_sign(x, total) == (x - total).sign()
+    assert qcompare(x, total) is oracle_qcompare(x, total)
+
+
+@given(nsreals, scalars)
+def test_scalars_on_either_side_match_the_oracles(x, c):
+    for left, right in [(x, c), (c, x)]:
+        for operation, oracle in BINARY_OPERATIONS:
+            assert operation(left, right).terms == oracle(left, right).terms
+        s = oracle_compare_sign(left, right)
+        for relation, expected in ORDER_RELATIONS:
+            assert relation(left, right) is expected(s)
+    assert (x * 0).terms == (0 * x).terms == ()
+    assert (x + 0) == x == (0 + x)
+
+
+@given(nsreals, nsreals)
+def test_qcompare_matches_the_difference_based_oracle(x, y):
+    assert qcompare(x, y) is oracle_qcompare(x, y)
+    assert qcompare(x, ZERO) is oracle_qcompare(x, ZERO)
+    assert qcompare(ZERO, y) is oracle_qcompare(ZERO, y)
+
+
+@given(nonnegative_nsreals, nonnegative_nsreals)
+def test_qcompare_nonnegative_matches_the_difference_based_oracle(x, y):
+    assert _qcompare_nonnegative(x, y) is oracle_qcompare_nonnegative(x, y)
+
+
+@given(nsreals)
+def test_negation_and_powers_stay_canonical(x):
+    assert_canonical(-x)
+    assert (-x).terms == oracle_sub(ZERO, x).terms
+    assert_canonical(x**2)
+
+
+def test_constructors_return_canonical_values():
+    for value in [
+        ZERO,
+        ONE,
+        EPS,
+        eps(-2),
+        rational(0),
+        rational(-3),
+        rational("5/6"),
+        rational(Fraction(4, 2)),
+        NSReal.from_terms([(2, 1), (0, Fraction(1, 2)), (2, -1), (-1, 3)]),
+    ]:
+        assert_canonical(value)
+    assert rational(0).terms == ()
+    assert hash(rational(Fraction(4, 2))) == hash(2)
+
+
+def test_public_boundary_rejects_floats_bools_and_non_int_exponents():
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            rational(bad)
+        with pytest.raises(TypeError):
+            NSReal.from_terms([(0, bad)])
+        for operation in (operator.add, operator.sub, operator.mul, operator.lt, operator.ge):
+            with pytest.raises(TypeError):
+                operation(EPS, bad)
+            with pytest.raises(TypeError):
+                operation(bad, EPS)
+    for exponent in (1.0, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            NSReal.from_terms([(exponent, 1)])
+        with pytest.raises(TypeError):
+            eps(exponent)
+    assert (EPS == 0.5) is False and (ONE == True) is False  # noqa: E712

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qualutil.prefcore
 from conftest import nonnegative_nsreals, unit_weights
 from oracles import brute_force_overrides
 from qualutil import (
@@ -319,6 +320,22 @@ def test_is_negligible_trivially_true_on_indifferent_generators():
     # weight is negligible relative to this degenerate set.
     gens = [lottery(best=1), lottery(best=1)]
     assert is_negligible(F(1, 2), STANDARD_UTILITIES, gens)
+
+
+def test_is_negligible_guard_names_the_weight_verdict_and_standard_parts(monkeypatch):
+    # A comparison that finds every mixture indifferent makes the standard
+    # weight 1/2 read as negligible on a separating set.
+    monkeypatch.setattr(
+        qualutil.prefcore, "compare_values", lambda *args: PrefOrdering.INDIFFERENT
+    )
+    gens = [lottery(best=1), lottery(worst=1)]
+    with pytest.raises(ConsistencyError) as raised:
+        is_negligible(F(1, 2), STANDARD_UTILITIES, gens, denominator=2)
+    assert str(raised.value) == (
+        "negligibility sweep disagrees with the infinitesimal test on a separating set: "
+        "the sweep finds weight NSReal('1/2') negligible; "
+        "standard parts of the pool's values: 0, 1/2, 1"
+    )
 
 
 def test_is_negligible_validates_weight():
