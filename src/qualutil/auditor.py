@@ -58,6 +58,7 @@ from .acts import Act, AAModel, act_prefers, act_utility, is_null
 from .errors import (
     ClosureTooLarge,
     ConsistencyError,
+    InvalidParameter,
     MissingModel,
     MissingUtility,
     RegimeMismatch,
@@ -132,11 +133,11 @@ class PrefStructure:
 
     def __post_init__(self) -> None:
         if not self.generators:
-            raise ValueError("at least one generator lottery is required")
+            raise InvalidParameter("at least one generator lottery is required")
         if self.grid_denominator < 2:
-            raise ValueError("grid denominator must be at least 2")
+            raise InvalidParameter("grid denominator must be at least 2")
         if self.closure_depth < 0:
-            raise ValueError("closure depth must be nonnegative")
+            raise InvalidParameter("closure depth must be nonnegative")
         covered = set(self.utilities.outcomes)
         for lottery in self.generators:
             for outcome in lottery.support:
@@ -219,16 +220,21 @@ class AuditReport:
         raise KeyError(postulate)
 
 
-def mixture_closure(structure: PrefStructure, depth: int | None = None) -> tuple[Lottery, ...]:
+def mixture_closure(
+    structure: PrefStructure, depth: int | None = None, *, limit: int | None = None
+) -> tuple[Lottery, ...]:
     """The generators closed under grid-weight mixing, deduplicated exactly.
 
     Grows roughly quadratically in the current size per round; keep depth
-    small for large generator sets.
+    small for large generator sets.  With ``limit``, a closure of more than
+    ``limit`` lotteries is refused with :class:`ClosureTooLarge` as soon as
+    it grows past it.
     """
     return close_under_mixtures(
         structure.generators,
         denominator=structure.grid_denominator,
         depth=structure.closure_depth if depth is None else depth,
+        limit=limit,
     )
 
 
@@ -268,14 +274,14 @@ class _Context:
 
 
 def _build_context(structure: PrefStructure) -> _Context:
-    lotteries = mixture_closure(structure)
-    if len(lotteries) > AUDIT_SIZE_LIMIT:
+    try:
+        lotteries = mixture_closure(structure, limit=AUDIT_SIZE_LIMIT)
+    except ClosureTooLarge as error:
         raise ClosureTooLarge(
-            f"the mixture closure has {len(lotteries)} lotteries; exhaustive "
-            f"postulate checks scan all pairs and triples and are limited to "
-            f"{AUDIT_SIZE_LIMIT}. Lower closure-depth (the shipped models use 0) "
-            f"or grid-denominator, or audit fewer generators."
-        )
+            f"{error}; exhaustive postulate checks scan all pairs and triples and "
+            f"are limited to {AUDIT_SIZE_LIMIT}. Lower closure-depth (the shipped "
+            f"models use 0) or grid-denominator, or audit fewer generators."
+        ) from None
     values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
     matrix = tuple(
         tuple(compare_values(vi, vj, structure.regime) for vj in values) for vi in values

@@ -9,7 +9,9 @@ and ``examples`` (re-check every built-in example model).
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
 comparison disagrees, 2 on load or usage errors (a maximin sweep past
 ``MAXIMIN_SWEEP_LIMIT`` comparisons among them), 3 on unknown identifiers.
-Other exceptions, ``ConsistencyError`` among them, are bugs and propagate.
+Both kinds of error are ``QualUtilError``s, apart from an ``OSError`` while
+reading a model.  Other exceptions, ``ConsistencyError`` and a bare
+``ValueError`` among them, are bugs and propagate.
 Output is human-oriented by default; ``--output machine`` switches to
 stable token-prefixed lines.
 """
@@ -31,7 +33,13 @@ from .criteria import (
     maximin_utilities,
     two_point_lottery,
 )
-from .errors import ConsistencyError, QualUtilError, SweepTooLarge, UnknownIdentifier
+from .errors import (
+    ConsistencyError,
+    InvalidParameter,
+    QualUtilError,
+    SweepTooLarge,
+    UnknownIdentifier,
+)
 from .formats import (
     ModelDocument,
     display_name,
@@ -249,8 +257,16 @@ def _run_witness(args: argparse.Namespace) -> int:
 
 
 def _parse_maximin_pair(spec: MaximinSpec, raw: Sequence[str]):
-    low, high = int(raw[0]), int(raw[2])
-    weight = Fraction(raw[1])
+    try:
+        low, high = int(raw[0]), int(raw[2])
+    except ValueError:
+        raise InvalidParameter(
+            f"outcome indices must be integers, got {raw[0]!r} and {raw[2]!r}"
+        ) from None
+    try:
+        weight = Fraction(raw[1])
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameter(f"weight must be a rational like 1/4, got {raw[1]!r}") from None
     return (low, weight, high), two_point_lottery(spec, low, weight, high)
 
 
@@ -355,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except QualUtilError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3 if isinstance(error, LookupError) else 2
-    except (ValueError, OSError) as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import IndexOrder, IndexOutOfRange, InvalidWeight
+from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import NSReal, eps
 from .prefcore import Lottery, PrefOrdering, UtilityAssignment
 
@@ -43,7 +43,7 @@ class MaximinSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("need at least two ranked outcomes")
+            raise InvalidParameter("need at least two ranked outcomes")
 
     @property
     def outcome_ids(self) -> tuple[str, ...]:

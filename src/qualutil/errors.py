@@ -15,6 +15,12 @@ class InfiniteValue(QualUtilError):
     """A standard part was requested of a value with an infinite component."""
 
 
+class InvalidParameter(QualUtilError, ValueError):
+    """A size or count is outside its domain -- a grid denominator below 2,
+    a negative closure depth, no generator lotteries, fewer than two ranked
+    outcomes -- or command-line text is not the number it must be."""
+
+
 class InvalidWeight(QualUtilError, ValueError):
     """A mixture weight lies outside the open unit interval, or is
     nonstandard in a regime that requires standard weights."""

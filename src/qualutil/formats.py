@@ -463,7 +463,11 @@ def parse_model(
 
 
 def load_model(path: str | Path, regime_override: Regime | None = None) -> ModelDocument:
-    return parse_model(Path(path).read_text(encoding="utf-8"), regime_override)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise SchemaError(f"not UTF-8 text: {error}") from error
+    return parse_model(text, regime_override)
 
 
 # ---------------------------------------------------------------------------

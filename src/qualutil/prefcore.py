@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import (
+    ClosureTooLarge,
     ConsistencyError,
     InvalidWeight,
     MissingUtility,
@@ -322,19 +323,27 @@ def close_under_mixtures(
     lotteries: Iterable[Lottery],
     denominator: int = 8,
     depth: int = 2,
+    *,
+    limit: int | None = None,
 ) -> tuple[Lottery, ...]:
     """Close a finite lottery set under grid-weight mixing.
 
     Each round mixes every unordered pair of the current set with every
     weight k/denominator and adds the (exactly deduplicated) results;
     ``depth`` rounds are applied.  Deterministic: order of first appearance
-    is preserved.
+    is preserved.  With ``limit``, raises :class:`ClosureTooLarge`, naming
+    the round, as soon as the set holds more than ``limit`` lotteries, so
+    an oversized closure is refused before the rest of it is built.
     """
     weights = grid_weights(denominator)
     current: dict[Lottery, None] = dict.fromkeys(lotteries)
     if not current:
         raise ValueError("need at least one lottery to close")
-    for _ in range(depth):
+    if limit is not None and len(current) > limit:
+        raise ClosureTooLarge(
+            f"the {len(current)} distinct generators alone exceed the limit of {limit} lotteries"
+        )
+    for round_number in range(1, depth + 1):
         additions: dict[Lottery, None] = {}
         items = tuple(current)
         for i, first in enumerate(items):
@@ -343,6 +352,11 @@ def close_under_mixtures(
                     mixed = mix(w, first, second)
                     if mixed not in current:
                         additions[mixed] = None
+                        if limit is not None and len(current) + len(additions) > limit:
+                            raise ClosureTooLarge(
+                                f"the mixture closure exceeds {limit} lotteries in round "
+                                f"{round_number} of {depth}"
+                            )
         if not additions:
             break
         current.update(additions)

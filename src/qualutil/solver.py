@@ -8,6 +8,20 @@ sign at most once.  Collecting those finitely many roots as breakpoints
 partitions (0, 1) into open cells on which the comparison verdict is
 constant; one exact sample per cell plus the breakpoints themselves decide
 the whole interval.  No approximation is involved anywhere.
+
+:func:`partition_affine_comparison` reads the two operands once into
+coefficient rows: for each exponent ``e`` of either operand, ``(e, slope,
+base)``, the coefficient at weight ``a`` being ``base + a*slope``.  The rows
+give every breakpoint in the same pass: the roots ``-base/slope`` in (0, 1)
+of the left rows, of the right rows and of their difference, row by row.  A
+sample is built from the rows with one multiply-add per exponent, already
+in canonical order; a right operand that does not depend on ``a`` (the
+solvability chains, :func:`~qualutil.auditor.solve_mixture_relation`,
+property P) is taken as it is.  Each sample is then decided by the single
+comparator of the requested order: :func:`~qualutil.nsreal.qcompare`, the
+ring order, or the order of standard parts.  ``AffineValue.value_at`` and
+``AffineValue.coefficient_roots`` compute the same values and roots one
+operand at a time, through ``NSReal`` arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .nsreal import NSReal, QOrdering, qcompare
+from .nsreal import NSReal, QOrdering, _wrap, qcompare
 
 __all__ = [
     "AffineValue",
@@ -62,7 +76,7 @@ class RationalInterval:
         """Some element of the interval; the midpoint unless degenerate."""
         if self.is_point():
             return self.lo
-        return (self.lo + self.hi) / 2
+        return _midpoint(self.lo, self.hi)
 
     def render(self) -> str:
         if self.is_point():
@@ -139,36 +153,44 @@ def partition_unit_interval(
     """
     points = sorted({p for p in breakpoints if _ZERO < p < _ONE})
     # Alternating walk: open cell, breakpoint, open cell, ...
-    segments: list[tuple[Fraction, Fraction, bool]] = []  # (lo, hi, is_point)
+    labelled: list[tuple[Fraction, Fraction, bool, K]] = []  # (lo, hi, is_point, label)
     previous = _ZERO
     for p in points:
-        segments.append((previous, p, False))
-        segments.append((p, p, True))
+        labelled.append((previous, p, False, classify(_midpoint(previous, p))))
+        labelled.append((p, p, True, classify(p)))
         previous = p
-    segments.append((previous, _ONE, False))
+    labelled.append((previous, _ONE, False, classify(_midpoint(previous, _ONE))))
 
-    labelled: list[tuple[Fraction, Fraction, bool, K]] = []
-    for lo, hi, is_point in segments:
-        sample = lo if is_point else (lo + hi) / 2
-        labelled.append((lo, hi, is_point, classify(sample)))
-
+    # Merge each run of equal labels into one interval.
     result: dict[K, list[RationalInterval]] = {}
-    index = 0
-    while index < len(labelled):
-        lo, hi, is_point, label = labelled[index]
-        run_end = index
-        while run_end + 1 < len(labelled) and labelled[run_end + 1][3] == label:
-            run_end += 1
-        last_lo, last_hi, last_point, _ = labelled[run_end]
-        interval = RationalInterval(
-            lo=lo,
-            hi=last_hi,
-            lo_open=not is_point,
-            hi_open=not last_point,
-        )
-        result.setdefault(label, []).append(interval)
-        index = run_end + 1
+    run_start = 0
+    last = len(labelled) - 1
+    for index, (_, hi, is_point, label) in enumerate(labelled):
+        if index < last and labelled[index + 1][3] == label:
+            continue
+        lo, _, lo_point, _ = labelled[run_start]
+        result.setdefault(label, []).append(_interval(lo, hi, not lo_point, not is_point))
+        run_start = index + 1
     return {label: RationalIntervalSet(tuple(pieces)) for label, pieces in result.items()}
+
+
+def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
+    """``(lo + hi) / 2``, normalised once."""
+    return Fraction(
+        lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+        2 * lo.denominator * hi.denominator,
+    )
+
+
+_new_interval = object.__new__
+
+
+def _interval(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> RationalInterval:
+    """A ``RationalInterval`` whose bounds are known to be nonempty, taken
+    without the check."""
+    piece = _new_interval(RationalInterval)
+    piece.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open)
+    return piece
 
 
 @dataclass(frozen=True)
@@ -245,17 +267,90 @@ def partition_affine_comparison(
     the plain ring order, "standard-part" for comparison after collapsing
     infinitesimals.  Breakpoints come from the coefficient roots of both
     operands and of their difference, which is enough for the verdict to be
-    constant on every open cell regardless of operand signs.
+    constant on every open cell regardless of operand signs.  Both operands
+    are read once into coefficient rows (module docstring); every sample is
+    built from the rows and decided by the same comparator.
     """
     comparator = _COMPARATORS[comparison]
-    difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
-    breakpoints = (
-        difference.coefficient_roots()
-        | left.coefficient_roots()
-        | right.coefficient_roots()
-    )
+    x1, x0 = dict(left.at_one.terms), dict(left.at_zero.terms)
+    y1, y0 = dict(right.at_one.terms), dict(right.at_zero.terms)
+    left_rows: list[_Row] = []
+    right_rows: list[_Row] = []
+    breakpoints: set[Fraction] = set()
+    for e in sorted(x1.keys() | x0.keys() | y1.keys() | y0.keys()):
+        left_slope, left_base = _slope_base(x1.get(e), x0.get(e))
+        right_slope, right_base = _slope_base(y1.get(e), y0.get(e))
+        if left_slope or left_base:
+            left_rows.append((e, left_slope, left_base))
+            _add_root(breakpoints, left_slope, left_base)
+        if right_slope or right_base:
+            right_rows.append((e, right_slope, right_base))
+            _add_root(breakpoints, right_slope, right_base)
+        _add_root(
+            breakpoints, _minus(left_slope, right_slope), _minus(left_base, right_base)
+        )
 
-    def classify(a: Fraction) -> QOrdering:
-        return comparator(left.value_at(a), right.value_at(a))
+    if right.at_one == right.at_zero:
+        target = right.at_zero
+
+        def classify(a: Fraction) -> QOrdering:
+            return comparator(_value_at(left_rows, a), target)
+
+    else:
+
+        def classify(a: Fraction) -> QOrdering:
+            return comparator(_value_at(left_rows, a), _value_at(right_rows, a))
 
     return partition_unit_interval(breakpoints, classify)
+
+
+# One exponent of an affine value: (e, slope, base), the coefficient at
+# weight a being base + a*slope.
+_Row = tuple[int, Fraction, Fraction]
+
+
+def _slope_base(one: Fraction | None, zero: Fraction | None) -> tuple[Fraction, Fraction]:
+    """``(slope, base)`` of the coefficient ``a*one + (1 - a)*zero``; None
+    stands for an absent term."""
+    if zero is None:
+        return (_ZERO if one is None else one), _ZERO
+    if one is None:
+        return -zero, zero
+    return one - zero, zero
+
+
+def _minus(x: Fraction, y: Fraction) -> Fraction:
+    """``x - y``, with no Fraction arithmetic when either is zero."""
+    if not y:
+        return x
+    if not x:
+        return -y
+    return x - y
+
+
+def _add_root(roots: set[Fraction], slope: Fraction, base: Fraction) -> None:
+    """Add the root of ``base + a*slope`` when it lies in (0, 1): the two
+    must have opposite signs and ``|base| < |slope|``."""
+    s, b = slope.numerator, base.numerator
+    if s < 0 < b or b < 0 < s:
+        root = -base / slope
+        if root < _ONE:
+            roots.add(root)
+
+
+def _value_at(rows: list[_Row], a: Fraction) -> NSReal:
+    """The value of ``rows`` at weight ``a``: one multiply-add per exponent,
+    ``base + a*slope`` over one common denominator, in exponent order, zero
+    coefficients dropped."""
+    p, q = a.numerator, a.denominator
+    terms = []
+    for e, slope, base in rows:
+        if slope:
+            sn, sd = slope.numerator, slope.denominator
+            bn, bd = base.numerator, base.denominator
+            n = bn * sd * q + p * sn * bd
+            if n:
+                terms.append((e, Fraction(n, bd * sd * q)))
+        else:
+            terms.append((e, base))
+    return _wrap(tuple(terms))

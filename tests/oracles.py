@@ -6,7 +6,8 @@ raw coefficient dictionaries via Laurent long division, and the overriding
 oracle spells out the defining quantifier over mixtures instead of using the
 closed-form rule shipped in the package.  The audit oracles restate each
 postulate check as the plain loop over pairs, triples and chains, solving
-every weight set they need afresh.
+every weight set they need afresh with the definitional weight partition,
+which rebuilds each sample value through ``NSReal`` arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from qualutil import (
     PrefOrdering,
     PrefStructure,
     QOrdering,
+    RationalInterval,
     RationalIntervalSet,
     Regime,
     UtilityAssignment,
@@ -39,11 +41,10 @@ from qualutil import (
     is_negligible,
     mixture_closure,
     overrides_values,
-    partition_affine_comparison,
     qcompare,
     rational,
-    solve_mixture_relation,
 )
+from qualutil.solver import compare
 
 # --- ratio-based comparison oracle -----------------------------------------
 
@@ -184,6 +185,55 @@ def oracle_qcompare(x: NSReal, y: NSReal) -> QOrdering:
     return oracle_qcompare_nonnegative(x, y)
 
 
+# --- definitional weight partition -------------------------------------------
+#
+# The partition as first written: every sample value rebuilt by
+# ``AffineValue.value_at`` through NSReal arithmetic, the breakpoints the
+# union of the ``coefficient_roots`` of both operands and of their
+# difference, every interval built through the checking constructor.
+
+
+def oracle_partition_unit_interval(breakpoints, classify) -> dict:
+    points = sorted({p for p in breakpoints if 0 < p < 1})
+    segments = []  # (lo, hi, is_point): open cell, breakpoint, open cell, ...
+    previous = Fraction(0)
+    for p in points:
+        segments.append((previous, p, False))
+        segments.append((p, p, True))
+        previous = p
+    segments.append((previous, Fraction(1), False))
+    labelled = [
+        (lo, hi, is_point, classify(lo if is_point else (lo + hi) / 2))
+        for lo, hi, is_point in segments
+    ]
+    result: dict = {}
+    index = 0
+    while index < len(labelled):
+        lo, _, is_point, label = labelled[index]
+        run_end = index
+        while run_end + 1 < len(labelled) and labelled[run_end + 1][3] == label:
+            run_end += 1
+        _, last_hi, last_point, _ = labelled[run_end]
+        piece = RationalInterval(lo, last_hi, not is_point, not last_point)
+        result.setdefault(label, []).append(piece)
+        index = run_end + 1
+    return {label: RationalIntervalSet(tuple(pieces)) for label, pieces in result.items()}
+
+
+def oracle_partition_affine_comparison(
+    left: AffineValue, right: AffineValue, comparison: str
+) -> dict[QOrdering, RationalIntervalSet]:
+    difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
+    breakpoints = (
+        difference.coefficient_roots()
+        | left.coefficient_roots()
+        | right.coefficient_roots()
+    )
+    return oracle_partition_unit_interval(
+        breakpoints, lambda a: compare(left.value_at(a), right.value_at(a), comparison)
+    )
+
+
 # --- brute-force overriding oracle ------------------------------------------
 
 
@@ -265,9 +315,12 @@ class _Closure:
     def solve(self, chain, relation):
         i, j, k = chain
         values = self.values
-        return solve_mixture_relation(
-            values[i], values[k], values[j], relation, self.structure.regime
+        parts = oracle_partition_affine_comparison(
+            AffineValue(values[i], values[k]),
+            AffineValue(values[j], values[j]),
+            self.structure.regime.comparison,
         )
+        return parts.get(relation, RationalIntervalSet())
 
     def witness(self, label, chain, weight):
         i, j, k = chain
@@ -364,7 +417,7 @@ def oracle_A2prime(structure: PrefStructure) -> Verdict:
         for k in range(len(values)):
             if overrides_values(values[k], values[i]):
                 continue
-            parts = partition_affine_comparison(
+            parts = oracle_partition_affine_comparison(
                 AffineValue(values[i], values[k]),
                 AffineValue(values[j], values[k]),
                 structure.regime.comparison,

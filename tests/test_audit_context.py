@@ -159,6 +159,24 @@ def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatc
     assert 0 < counts["check_A2prime"] <= pairs * len(leads)
 
 
+@pytest.mark.parametrize("name, partitions", [("consolation", 1_549), ("surgery", 2_358)])
+def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions):
+    # The work of an audit is fixed: a cheaper partition must not come from
+    # solving fewer of them.
+    structure = bundled(name, closure_depth=1, grid_denominator=3)
+    calls = 0
+    original = qualutil.auditor.partition_affine_comparison
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(qualutil.auditor, "partition_affine_comparison", counted)
+    audit(structure)
+    assert calls == partitions
+
+
 # --- the class rule ----------------------------------------------------------
 #
 # Mixing both sides of a comparison with one third value vk: the verdict

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qualutil.auditor
+import qualutil.prefcore
 from oracles import negative_transitivity_scan, random_acts_structure, random_structure
 from qualutil import (
     AAModel,
@@ -570,6 +571,31 @@ def test_audit_refuses_oversized_closures():
     with pytest.raises(ClosureTooLarge, match="closure-depth"):
         audit(big)
     assert AUDIT_SIZE_LIMIT == 64
+
+
+def test_oversized_closure_is_refused_before_it_is_built(monkeypatch):
+    # Six generators, grid 8: round 1 alone makes 105 mixtures, past the
+    # limit, and round 2 would mix every pair of the 111 lotteries it leaves.
+    six = structure_over(
+        {name: rational(value) for value, name in enumerate("abcdef")},
+        regime=Regime.STD,
+        grid_denominator=8,
+        closure_depth=2,
+    )
+    mixes = 0
+    original_mix = qualutil.prefcore.mix
+
+    def counted_mix(*args):
+        nonlocal mixes
+        mixes += 1
+        return original_mix(*args)
+
+    monkeypatch.setattr(qualutil.prefcore, "mix", counted_mix)
+    with pytest.raises(ClosureTooLarge, match="round 1 of 2") as excinfo:
+        audit(six)
+    assert "closure-depth" in str(excinfo.value)
+    full_second_round = (111 * 110 // 2) * 7
+    assert mixes <= AUDIT_SIZE_LIMIT < full_second_round
 
 
 def test_replay_rejects_unknown_certificate_kind():

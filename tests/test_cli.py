@@ -5,7 +5,7 @@ import textwrap
 import pytest
 
 import qualutil.cli
-from qualutil import ConsistencyError, IndexOutOfRange, UnknownIdentifier
+from qualutil import ConsistencyError, IndexOutOfRange, InvalidParameter, UnknownIdentifier
 from qualutil.cli import main
 from qualutil.fixtures import fixture_path
 
@@ -381,7 +381,7 @@ def test_lookup_errors_of_the_package_exit_3(capsys, monkeypatch, std_model, err
 
 @pytest.mark.parametrize(
     "error",
-    [ConsistencyError("sweep disagrees"), KeyError("bug"), IndexError("bug")],
+    [ConsistencyError("sweep disagrees"), KeyError("bug"), IndexError("bug"), ValueError("bug")],
 )
 def test_bugs_propagate_instead_of_exiting(monkeypatch, std_model, error):
     # A failed internal cross-check, or a bare lookup error, is a bug in the
@@ -390,6 +390,46 @@ def test_bugs_propagate_instead_of_exiting(monkeypatch, std_model, error):
     with pytest.raises(type(error)) as excinfo:
         main(["audit", "--model", std_model])
     assert excinfo.value is error
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["maximin", "1"], "at least two ranked outcomes"),
+        (["maximin", "3", "--compare", "0", "1/0", "1", "0", "1/2", "1"], "'1/0'"),
+        (["maximin", "3", "--compare", "0", "half", "1", "0", "1/2", "1"], "'half'"),
+        (["maximin", "3", "--compare", "0", "1/2", "1", "0", "1/2", "1.0"], "'1.0'"),
+        (["audit", "--model", "{model}", "--grid-denominator", "1"], "at least 2"),
+        (["audit", "--model", "{model}", "--closure-depth", "-1"], "nonnegative"),
+    ],
+)
+def test_user_errors_are_package_errors_and_exit_2(capsys, monkeypatch, std_model, argv, message):
+    # A bare ValueError is a bug (it propagates); bad input must raise the
+    # package's own errors, which are ValueErrors too.
+    caught = []
+    original = qualutil.cli._HANDLERS[argv[0]]
+
+    def recording(args):
+        try:
+            return original(args)
+        except Exception as error:
+            caught.append(error)
+            raise
+
+    monkeypatch.setitem(qualutil.cli._HANDLERS, argv[0], recording)
+    code, _, err = run(capsys, *(arg.format(model=std_model) for arg in argv))
+    assert code == 2
+    assert message in err
+    [error] = caught
+    assert isinstance(error, InvalidParameter) and isinstance(error, ValueError)
+
+
+def test_undecodable_model_file_is_a_schema_error(capsys, tmp_path):
+    path = tmp_path / "binary.model"
+    path.write_bytes(b"\xff\xfe\x00[model]")
+    code, _, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert "not UTF-8 text" in err
 
 
 # --- model loading and overrides --------------------------------------------

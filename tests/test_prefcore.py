@@ -11,6 +11,7 @@ import qualutil.prefcore
 from conftest import nonnegative_nsreals, unit_weights
 from oracles import brute_force_overrides
 from qualutil import (
+    ClosureTooLarge,
     ConsistencyError,
     EPS,
     InvalidWeight,
@@ -297,6 +298,16 @@ def test_close_under_mixtures_deduplicates_exactly():
     a = lottery(best=F(1, 2), worst=F(1, 2))
     b = lottery(best=F(1, 2), worst=F(1, 2))
     assert close_under_mixtures([a, b], denominator=2, depth=1) == (a,)
+
+
+def test_close_under_mixtures_refuses_only_past_its_limit():
+    a, b = lottery(best=1), lottery(worst=1)
+    twice = close_under_mixtures([a, b], denominator=2, depth=2)
+    assert close_under_mixtures([a, b], denominator=2, depth=2, limit=5) == twice
+    with pytest.raises(ClosureTooLarge, match="4 lotteries in round 2 of 2"):
+        close_under_mixtures([a, b], denominator=2, depth=2, limit=4)
+    with pytest.raises(ClosureTooLarge, match="generators alone"):
+        close_under_mixtures([a, b], denominator=2, depth=0, limit=1)
 
 
 def test_close_under_mixtures_rejects_empty_input():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nonzero_coefficients, nsreals
+from conftest import exponents, nonzero_coefficients, nsreals
+from oracles import oracle_partition_affine_comparison
 from qualutil import (
     EPS,
+    InfiniteValue,
     NSReal,
     ONE,
     QOrdering,
@@ -248,3 +250,76 @@ def test_partition_labels_cover_disjointly():
         parts = partition_affine_comparison(left, right, "qualitative")
         for a in _probe_points(rng, count=10):
             assert sum(s.contains(a) for s in parts.values()) == 1
+
+
+# --- the coefficient-row kernel against the definitional partition ----------
+
+COMPARISONS = ("qualitative", "quantitative", "standard-part")
+
+multi_term_nsreals = st.builds(
+    NSReal.from_terms,
+    st.lists(st.tuples(exponents, nonzero_coefficients), min_size=2, max_size=4),
+)
+signed_operands = st.one_of(nsreals, multi_term_nsreals)
+nonnegative_operands = signed_operands.map(lambda v: -v if v.sign() < 0 else v)
+
+
+def _outcome(partition, left, right, comparison):
+    """The partition, or the type of the domain error it raised (the
+    standard-part order has none for infinite values)."""
+    try:
+        return partition(left, right, comparison)
+    except InfiniteValue:
+        return InfiniteValue
+
+
+def assert_partition_equals_oracle(left, right):
+    for comparison in COMPARISONS:
+        got = _outcome(partition_affine_comparison, left, right, comparison)
+        expected = _outcome(oracle_partition_affine_comparison, left, right, comparison)
+        assert got == expected, comparison
+
+
+@given(signed_operands, signed_operands, signed_operands, signed_operands)
+def test_partition_equals_oracle_on_signed_affine_operands(x1, x0, y1, y0):
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+
+
+@given(nonnegative_operands, nonnegative_operands, nonnegative_operands, nonnegative_operands)
+def test_partition_equals_oracle_on_nonnegative_affine_operands(x1, x0, y1, y0):
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+
+
+@given(finite_nsreals, finite_nsreals, finite_nsreals, finite_nsreals)
+def test_partition_equals_oracle_on_finite_affine_operands(x1, x0, y1, y0):
+    # Finite values keep the standard-part order from raising.
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+
+
+@given(signed_operands, signed_operands, signed_operands)
+def test_partition_equals_oracle_against_a_constant(x1, x0, y):
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y, y))
+
+
+@given(st.one_of(signed_operands, nonnegative_operands, finite_nsreals), st.data())
+def test_partition_equals_oracle_in_the_audit_shape(vj, data):
+    # A strict chain (p, q, r) of the audit: a*v_p + (1-a)*v_r against v_q,
+    # with v_p and v_r drawn near v_q so that the mixture crosses it.
+    nearby = st.builds(lambda d: vj + d, st.one_of(signed_operands, finite_nsreals))
+    vi, vk = data.draw(nearby), data.draw(nearby)
+    assert_partition_equals_oracle(AffineValue(vi, vk), AffineValue(vj, vj))
+    # A2': a*v_p + (1-a)*v_r against a*v_q + (1-a)*v_r.
+    assert_partition_equals_oracle(AffineValue(vi, vk), AffineValue(vj, vk))
+
+
+def test_partition_equals_oracle_on_hand_picked_crossings():
+    half, third = rational(F(1, 2)), rational(F(1, 3))
+    cases = [
+        (AffineValue(ONE, ZERO), AffineValue(half, half)),
+        (AffineValue(EPS, ONE), AffineValue(half, half)),
+        (AffineValue(ONE + EPS, -ONE + eps(2)), AffineValue(third - EPS, third)),
+        (AffineValue(eps(-1) - ONE, ONE - eps(-1)), AffineValue(EPS, -EPS)),
+        (AffineValue(EPS * 3, -EPS), AffineValue(ZERO, ZERO)),
+    ]
+    for left, right in cases:
+        assert_partition_equals_oracle(left, right)
