@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import ConsistencyError, MissingModel, UnknownState
+from .errors import ConsistencyError, InvalidParameter, MissingModel, UnknownState
 from .nsreal import NSReal, ONE, QOrdering, ZERO, qcompare
 from .prefcore import (
     Lottery,
@@ -73,8 +73,8 @@ class Act:
 class AAModel:
     """A finite state space, a belief over it, outcome utilities, a regime.
 
-    The belief must be a genuine probability vector.  In regimes STD and
-    NS_UTIL the belief must additionally be standard; passing
+    The belief must be a genuine probability vector.  A regime that requires
+    standard probabilities (STD, NS_UTIL) requires a standard belief; passing
     ``validate=False`` skips that regime restriction (used by the test
     suite to demonstrate audit failures, never by normal construction).
     """
@@ -87,23 +87,23 @@ class AAModel:
 
     def __post_init__(self) -> None:
         if not self.states:
-            raise ValueError("state space must be nonempty")
+            raise InvalidParameter("state space must be nonempty")
         if len(set(self.states)) != len(self.states):
-            raise ValueError("state ids must be unique")
+            raise InvalidParameter("state ids must be unique")
         belief_states = tuple(state for state, _ in self.belief)
         if sorted(belief_states) != sorted(self.states):
-            raise ValueError("belief must weigh exactly the states of the space")
+            raise InvalidParameter("belief must weigh exactly the states of the space")
         total = ZERO
         for state, weight in self.belief:
             if weight.sign() < 0:
-                raise ValueError(f"negative belief at state {state!r}")
+                raise InvalidParameter(f"negative belief at state {state!r}")
             total = total + weight
         if total != ONE:
-            raise ValueError("belief weights must sum to exactly 1")
-        if self.validate and self.regime in (Regime.STD, Regime.NS_UTIL):
+            raise InvalidParameter("belief weights must sum to exactly 1")
+        if self.validate and self.regime.standard_probabilities:
             for state, weight in self.belief:
                 if not weight.is_standard():
-                    raise ValueError(
+                    raise InvalidParameter(
                         f"regime {self.regime.value} requires a standard belief,"
                         f" state {state!r} violates it"
                     )

@@ -45,10 +45,15 @@ failure found and its certificate are those of the full scan:
   of ``w*v + (1-w)*v_r`` is the smaller of the two, so the qualitative
   verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
 * NS_UTIL with values of both signs: every lottery is its own class.
+
+The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
+then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
+weight partition encode each pair so and use those of the STD regime.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,6 +70,7 @@ from .errors import (
 )
 from .nsreal import EPS, NSReal, ONE, QOrdering
 from .prefcore import (
+    _PREF_FROM_Q,
     Lottery,
     PrefOrdering,
     Regime,
@@ -82,7 +88,6 @@ from .solver import (
     AffineValue,
     RationalIntervalSet,
     partition_affine_comparison,
-    partition_unit_interval,
 )
 
 __all__ = [
@@ -143,16 +148,11 @@ class PrefStructure:
             for outcome in lottery.support:
                 if outcome not in covered:
                     raise MissingUtility(f"generator uses unassigned outcome {outcome!r}")
-        if self.regime in (Regime.STD, Regime.NS_UTIL):
-            for lottery in self.generators:
-                if not lottery.is_standard():
-                    raise RegimeMismatch(
-                        f"regime {self.regime.value} requires standard probabilities"
-                    )
-        if self.regime is Regime.STD and not self.utilities.is_standard():
-            raise RegimeMismatch("regime std requires standard utilities")
-        if self.regime is Regime.NS_PROB and not self.utilities.is_standard():
-            raise RegimeMismatch("regime ns-prob requires standard utilities")
+        regime = self.regime
+        if regime.standard_probabilities and not all(g.is_standard() for g in self.generators):
+            raise RegimeMismatch(f"regime {regime.value} requires standard probabilities")
+        if regime.standard_utilities and not self.utilities.is_standard():
+            raise RegimeMismatch(f"regime {regime.value} requires standard utilities")
         if self.acts:
             if self.model is None:
                 raise MissingModel("acts were supplied without a model")
@@ -467,7 +467,7 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
     near-one nonstandard weights; negligible weights are exempt by the
     postulate and are skipped (the negligibility test itself is the
     definitional sweep with its analytic guard)."""
-    if structure.regime is not Regime.NS_PROB:
+    if structure.regime.standard_probabilities:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
     weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
@@ -503,6 +503,8 @@ def _strict_chains(context: _Context) -> Iterable[_Chain]:
 # level with or below q on strict chains p > q > r.  Per postulate: the
 # domain it is decided over, which chains it exempts, and the (label,
 # relation) pairs whose weight sets must be nonempty, in reporting order.
+# An exemption reads the values of p and q and a lookup from relation to
+# weights (None if none): memoised witnesses in the scan, a partition in replay.
 _SOLVABILITY = {
     "A3": (
         "all strict chains, exact weight solving",
@@ -512,14 +514,12 @@ _SOLVABILITY = {
     "A3p": ("all strict chains, exact weight solving", None, (("alpha", QOrdering.GREATER),)),
     "A3pp": (
         "strict chains with non-overriding top, exact weight solving",
-        lambda context, chain: overrides_values(
-            context.values[chain[0]], context.values[chain[1]]
-        ),
+        lambda top, middle, weight_of: overrides_values(top, middle),
         (("beta", QOrdering.LESS),),
     ),
     "gamma": (
         "strict chains with nonempty lower set",
-        lambda context, chain: context.chain_weight(chain, QOrdering.LESS) is None,
+        lambda top, middle, weight_of: weight_of(QOrdering.LESS) is None,
         (("gamma", QOrdering.EQUIVALENT),),
     ),
 }
@@ -535,7 +535,10 @@ def _solvability(
     domain = _domain(structure, context, extra)
     witnesses: list[MixtureWitness] = []
     for chain in _strict_chains(context):
-        if exempt is not None and exempt(context, chain):
+        i, j, _ = chain
+        if exempt is not None and exempt(
+            context.values[i], context.values[j], functools.partial(context.chain_weight, chain)
+        ):
             continue
         p, q, r = (context.lotteries[index] for index in chain)
         for label, relation in needed:
@@ -563,9 +566,13 @@ def check_A3(structure: PrefStructure, *, context: _Context | None = None) -> Ve
     return _solvability("A3", structure, context)
 
 
+def _require_standard_probabilities(structure: PrefStructure, subject: str) -> None:
+    if not structure.regime.standard_probabilities:
+        raise RegimeMismatch(f"{subject} applies to standard-probability regimes")
+
+
 def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> None:
-    if structure.regime not in (Regime.STD, Regime.NS_UTIL):
-        raise RegimeMismatch(f"{postulate} applies to standard-probability regimes")
+    _require_standard_probabilities(structure, postulate)
     if structure.utilities.signed:
         raise RegimeMismatch(
             f"{postulate} relies on the overriding relation, undefined for signed utilities"
@@ -617,8 +624,7 @@ def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) 
 
 def check_A3prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Upper solvability: some mixture of the endpoints beats the middle."""
-    if structure.regime not in (Regime.STD, Regime.NS_UTIL):
-        raise RegimeMismatch("A3p applies to standard-probability regimes")
+    _require_standard_probabilities(structure, "A3p")
     return _solvability("A3p", structure, context)
 
 
@@ -635,8 +641,7 @@ def check_gamma_property(
 ) -> Verdict:
     """If some endpoint mixture falls strictly below the middle of a chain,
     some endpoint mixture is exactly indifferent to it."""
-    if structure.regime not in (Regime.STD, Regime.NS_UTIL):
-        raise RegimeMismatch("the gamma property applies to standard-probability regimes")
+    _require_standard_probabilities(structure, "the gamma property")
     return _solvability("gamma", structure, context)
 
 
@@ -687,7 +692,7 @@ def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) 
     """A state where some act's own lottery overrides the whole act must be
     null."""
     model, acts = _require_acts(structure)
-    if model.regime is not Regime.NS_UTIL:
+    if model.regime.standard_utilities:
         raise RegimeMismatch("A5p applies to the nonstandard-utility regime")
     if model.utilities.signed:
         raise RegimeMismatch("A5p relies on overriding, undefined for signed utilities")
@@ -733,10 +738,11 @@ def audit(structure: PrefStructure) -> AuditReport:
         checks = [check_A1, check_A3, check_B2]
     if structure.acts:
         checks.append(check_A4)
-        if structure.regime is Regime.NS_UTIL and not structure.utilities.signed:
-            checks.append(check_A5prime)
-        elif structure.regime is Regime.NS_UTIL:
-            notes.append("A5p omitted: overriding is undefined for signed utilities")
+        if structure.regime is Regime.NS_UTIL:
+            if structure.utilities.signed:
+                notes.append("A5p omitted: overriding is undefined for signed utilities")
+            else:
+                checks.append(check_A5prime)
     context = _build_context(structure)
     verdicts = tuple(check(structure, context=context) for check in checks)
     return AuditReport(
@@ -776,8 +782,7 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
         weight = payload["lambda"]
         if prefers(p, q, assignment, regime) is not PrefOrdering.BETTER:
             return False
-        left = mix(weight, p, r, regime if regime is Regime.NS_PROB else None)
-        right = mix(weight, q, r, regime if regime is Regime.NS_PROB else None)
+        left, right = mix(weight, p, r), mix(weight, q, r)
         return prefers(left, right, assignment, regime) is not PrefOrdering.BETTER
 
     if certificate.kind == "existential":
@@ -788,13 +793,10 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
             return False
         if prefers(q, r, assignment, regime) is not PrefOrdering.BETTER:
             return False
-        value_p = expected_utility(p, assignment)
-        value_q = expected_utility(q, assignment)
-        value_r = expected_utility(r, assignment)
-        if postulate == "A3pp" and overrides_values(value_p, value_q):
-            return False
+        value_p, value_q, value_r = (expected_utility(x, assignment) for x in (p, q, r))
         parts = _mixture_partition(value_p, value_r, value_q, regime)
-        if postulate == "gamma" and QOrdering.LESS not in parts:
+        _, exempt, _ = _SOLVABILITY[postulate]
+        if exempt is not None and exempt(value_p, value_q, parts.get):
             return False
         return relation not in parts
 
@@ -825,7 +827,7 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
             return False
         return not is_null(state, model, structure.acts)
 
-    raise ValueError(f"unknown certificate kind {certificate.kind!r}")
+    raise InvalidParameter(f"unknown certificate kind {certificate.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -834,15 +836,15 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
 LexValue = tuple[Fraction, Fraction]
 
 
+def _lex_value(value: LexValue) -> NSReal:
+    return value[0] + value[1] * EPS
+
+
 def lexicographic_compare(first: LexValue, second: LexValue) -> PrefOrdering:
     """Two-coordinate lexicographic order: first coordinate decides, ties go
     to the second.  Indifference is exact equality, which is what breaks the
     gamma property for this ordering."""
-    if first[0] != second[0]:
-        return PrefOrdering.BETTER if first[0] > second[0] else PrefOrdering.WORSE
-    if first[1] != second[1]:
-        return PrefOrdering.BETTER if first[1] > second[1] else PrefOrdering.WORSE
-    return PrefOrdering.INDIFFERENT
+    return compare_values(_lex_value(first), _lex_value(second), Regime.STD)
 
 
 def lexicographic_mix(weight: Fraction, first: LexValue, second: LexValue) -> LexValue:
@@ -861,20 +863,9 @@ def lexicographic_mixture_partition(
     target: LexValue,
 ) -> dict[PrefOrdering, RationalIntervalSet]:
     """Classify every weight by comparing the endpoint mixture with the
-    target lexicographically.  Exact: breakpoints are the roots of the two
-    coordinate differences, affine in the weight."""
-    breakpoints: set[Fraction] = set()
-    for coordinate in (0, 1):
-        at_one = endpoint[coordinate] - target[coordinate]
-        at_zero = other_endpoint[coordinate] - target[coordinate]
-        if at_one != at_zero:
-            root = Fraction(at_zero, at_zero - at_one)
-            if 0 < root < 1:
-                breakpoints.add(root)
-
-    def classify(weight: Fraction) -> PrefOrdering:
-        return lexicographic_compare(
-            lexicographic_mix(weight, endpoint, other_endpoint), target
-        )
-
-    return partition_unit_interval(breakpoints, classify)
+    target lexicographically: the weight partition of the plain order on
+    the encoded values."""
+    parts = _mixture_partition(
+        _lex_value(endpoint), _lex_value(other_endpoint), _lex_value(target), Regime.STD
+    )
+    return {_PREF_FROM_Q[ordering]: weights for ordering, weights in parts.items()}

@@ -30,6 +30,7 @@ from .auditor import audit, solve_mixture_relation
 from .criteria import (
     MaximinSpec,
     maximin_compare_oracle,
+    maximin_sweep,
     maximin_utilities,
     two_point_lottery,
 )
@@ -52,7 +53,6 @@ from .nsreal import QOrdering
 from .prefcore import (
     Regime,
     expected_utility,
-    grid_weights,
     prefers,
     qualitative_prefers,
 )
@@ -186,12 +186,10 @@ def _run_eval(args: argparse.Namespace) -> int:
     machine = args.output == "machine"
     if machine:
         print(f"UTILITY {render_nsreal(value, compact=True)}")
-        if document.regime is Regime.NS_PROB:
-            print(f"STANDARD {value.standard_part()}")
     else:
         print(f"u({args.name}) = {render_nsreal(value)}")
-        if document.regime is Regime.NS_PROB:
-            print(f"standard part = {value.standard_part()}")
+    if not document.regime.standard_probabilities:
+        print(f"{'STANDARD' if machine else 'standard part ='} {value.standard_part()}")
     return 0
 
 
@@ -282,49 +280,10 @@ def _check_sweep_size(n: int, denominator: int) -> None:
 
 def _run_maximin(args: argparse.Namespace) -> int:
     spec = MaximinSpec(args.n)
+    machine = args.output == "machine"
     if not args.compare:
         _check_sweep_size(spec.n, args.grid_denominator)
-    assignment = maximin_utilities(spec)
-    machine = args.output == "machine"
-    disagreements = 0
-    if args.compare:
-        for raw in args.compare:
-            (low, w, high), left = _parse_maximin_pair(spec, raw[:3])
-            (low2, w2, high2), right = _parse_maximin_pair(spec, raw[3:])
-            got = prefers(left, right, assignment, Regime.NS_UTIL)
-            expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
-            if got is not expected:
-                disagreements += 1
-            if machine:
-                print(
-                    f"COMPARE {low},{w},{high} {low2},{w2},{high2} "
-                    f"{got.value.upper()} {expected.value.upper()}"
-                )
-            else:
-                print(
-                    f"({spec.outcome(low)} {w} {spec.outcome(high)}) vs "
-                    f"({spec.outcome(low2)} {w2} {spec.outcome(high2)}): "
-                    f"{got.value.capitalize()}  [rule: {expected.value.capitalize()}]"
-                )
-    else:
-        weights = grid_weights(args.grid_denominator)
-        pairs = [
-            (low, high) for low in range(spec.n) for high in range(low + 1, spec.n)
-        ]
-        total = 0
-        for low, high in pairs:
-            for w in weights:
-                left = two_point_lottery(spec, low, w, high)
-                for low2, high2 in pairs:
-                    for w2 in weights:
-                        right = two_point_lottery(spec, low2, w2, high2)
-                        got = prefers(left, right, assignment, Regime.NS_UTIL)
-                        expected = maximin_compare_oracle(
-                            spec, low, w, high, low2, w2, high2
-                        )
-                        total += 1
-                        if got is not expected:
-                            disagreements += 1
+        total, disagreements = maximin_sweep(spec, args.grid_denominator)
         if machine:
             print(
                 f"SWEEP n={spec.n} grid={args.grid_denominator} total={total} "
@@ -334,6 +293,27 @@ def _run_maximin(args: argparse.Namespace) -> int:
             print(
                 f"exhaustive sweep, n={spec.n}, weights k/{args.grid_denominator}: "
                 f"{total} comparisons, {disagreements} disagreements with the rule"
+            )
+        return 0 if disagreements == 0 else 1
+    assignment = maximin_utilities(spec)
+    disagreements = 0
+    for raw in args.compare:
+        (low, w, high), left = _parse_maximin_pair(spec, raw[:3])
+        (low2, w2, high2), right = _parse_maximin_pair(spec, raw[3:])
+        got = prefers(left, right, assignment, Regime.NS_UTIL)
+        expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
+        if got is not expected:
+            disagreements += 1
+        if machine:
+            print(
+                f"COMPARE {low},{w},{high} {low2},{w2},{high2} "
+                f"{got.value.upper()} {expected.value.upper()}"
+            )
+        else:
+            print(
+                f"({spec.outcome(low)} {w} {spec.outcome(high)}) vs "
+                f"({spec.outcome(low2)} {w2} {spec.outcome(high2)}): "
+                f"{got.value.capitalize()}  [rule: {expected.value.capitalize()}]"
             )
     return 0 if disagreements == 0 else 1
 

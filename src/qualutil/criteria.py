@@ -22,13 +22,14 @@ from typing import Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import NSReal, eps
-from .prefcore import Lottery, PrefOrdering, UtilityAssignment
+from .prefcore import Lottery, PrefOrdering, Regime, UtilityAssignment, grid_weights, prefers
 
 __all__ = [
     "MaximinSpec",
     "maximin_utilities",
     "best_case_power_utilities",
     "maximin_compare_oracle",
+    "maximin_sweep",
     "two_point_lottery",
 ]
 
@@ -128,3 +129,26 @@ def maximin_compare_oracle(
     if w < other_w:
         return PrefOrdering.BETTER
     return PrefOrdering.INDIFFERENT
+
+
+def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
+    """Compare every two-point bet with weight k/denominator on its low
+    outcome against every other such bet, by qualitative expected utility
+    and by :func:`maximin_compare_oracle`.  Returns the number of
+    comparisons and how many of them the two disagree on."""
+    assignment = maximin_utilities(spec)
+    weights = grid_weights(denominator)
+    pairs = [(low, high) for low in range(spec.n) for high in range(low + 1, spec.n)]
+    comparisons = disagreements = 0
+    for low, high in pairs:
+        for w in weights:
+            left = two_point_lottery(spec, low, w, high)
+            for low2, high2 in pairs:
+                for w2 in weights:
+                    right = two_point_lottery(spec, low2, w2, high2)
+                    got = prefers(left, right, assignment, Regime.NS_UTIL)
+                    expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
+                    comparisons += 1
+                    if got is not expected:
+                        disagreements += 1
+    return comparisons, disagreements

@@ -16,9 +16,10 @@ class InfiniteValue(QualUtilError):
 
 
 class InvalidParameter(QualUtilError, ValueError):
-    """A size or count is outside its domain -- a grid denominator below 2,
-    a negative closure depth, no generator lotteries, fewer than two ranked
-    outcomes -- or command-line text is not the number it must be."""
+    """A value is outside its domain -- a grid denominator below 2, a
+    negative closure depth, no lotteries, fewer than two ranked outcomes, a
+    lottery, belief or utility assignment that is not one, an unknown
+    certificate kind -- or command-line text is not the number it must be."""
 
 
 class InvalidWeight(QualUtilError, ValueError):

@@ -21,12 +21,7 @@ from .auditor import (
     LexValue,
     replay,
 )
-from .criteria import (
-    MaximinSpec,
-    maximin_compare_oracle,
-    maximin_utilities,
-    two_point_lottery,
-)
+from .criteria import MaximinSpec, maximin_sweep, maximin_utilities, two_point_lottery
 from .errors import UnknownIdentifier
 from .formats import ModelDocument, load_model, render_nsreal
 from .nsreal import EPS, NSReal, ONE, ZERO, eps, rational
@@ -37,7 +32,6 @@ from .prefcore import (
     UtilityAssignment,
     check_property_P,
     expected_utility,
-    grid_weights,
     mix,
     prefers,
     qualitative_prefers,
@@ -288,23 +282,7 @@ def _check_maximin() -> ExampleCheck:
     built = maximin_document()
     if load_fixture("maximin3") != built:
         failures.append("shipped maximin3.model disagrees with the builder")
-    spec = MaximinSpec(3)
-    u = built.utilities
-    weights = grid_weights(8)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    disagreements = 0
-    for low, high in pairs:
-        for w in weights:
-            left = two_point_lottery(spec, low, w, high)
-            for other_low, other_high in pairs:
-                for m in weights:
-                    right = two_point_lottery(spec, other_low, m, other_high)
-                    got = prefers(left, right, u, Regime.NS_UTIL)
-                    expected = maximin_compare_oracle(
-                        spec, low, w, high, other_low, m, other_high
-                    )
-                    if got is not expected:
-                        disagreements += 1
+    _, disagreements = maximin_sweep(MaximinSpec(3), 8)
     if disagreements:
         failures.append(f"{disagreements} oracle disagreements on two-point bets")
     report = audit(built.structure())

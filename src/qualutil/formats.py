@@ -346,7 +346,7 @@ def parse_model(
             raise _schema(
                 "negative utility requires signed-utilities = yes in [model]", path
             )
-        if regime in (Regime.STD, Regime.NS_PROB) and not value.is_standard():
+        if regime.standard_utilities and not value.is_standard():
             raise _schema(
                 f"regime {regime.value} requires standard utilities", path
             )
@@ -369,7 +369,7 @@ def parse_model(
             probability = _parse_literal(literal, path)
             if probability.sign() < 0:
                 raise _schema("probabilities cannot be negative", path)
-            if regime in (Regime.STD, Regime.NS_UTIL) and not probability.is_standard():
+            if regime.standard_probabilities and not probability.is_standard():
                 raise _schema(
                     f"regime {regime.value} requires standard probabilities", path
                 )
@@ -407,7 +407,7 @@ def parse_model(
             weight = _parse_literal(literal, path)
             if weight.sign() < 0:
                 raise _schema("belief weights cannot be negative", path)
-            if regime in (Regime.STD, Regime.NS_UTIL) and not weight.is_standard():
+            if regime.standard_probabilities and not weight.is_standard():
                 raise _schema(
                     f"regime {regime.value} requires a standard belief", path
                 )

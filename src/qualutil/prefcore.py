@@ -3,7 +3,10 @@
 A lottery assigns exact nonnegative probabilities summing to one to finitely
 many outcome ids; a utility assignment maps outcome ids to ring values.
 Preference between lotteries is always decided through expected utility, but
-the comparison applied to the two expected values depends on the regime:
+the comparison applied to the two expected values depends on the regime.
+Each :class:`Regime` is one row: its tag, the name of its comparison, and
+whether it requires standard probabilities and standard utilities, the two
+flags every standardness test in the package reads.
 
 * ``STD``: everything standard, plain comparison of rationals.
 * ``NS_UTIL``: standard probabilities, possibly nonstandard utilities; the
@@ -29,6 +32,7 @@ from typing import Iterable, Mapping, Union
 from .errors import (
     ClosureTooLarge,
     ConsistencyError,
+    InvalidParameter,
     InvalidWeight,
     MissingUtility,
     PreconditionViolated,
@@ -61,22 +65,21 @@ Weight = Union[int, Fraction, NSReal]
 
 @unique
 class Regime(Enum):
-    STD = "std"
-    NS_UTIL = "ns-util"
-    NS_PROB = "ns-prob"
+    """One row per regime: ``value`` is its tag, ``comparison`` the order it
+    compares expected utilities by, and ``standard_probabilities`` and
+    ``standard_utilities`` whether it requires them standard."""
 
-    @property
-    def comparison(self) -> str:
-        """The order this regime compares expected utilities by, named as
-        :func:`~qualutil.solver.partition_affine_comparison` names it."""
-        return _COMPARISON_FOR_REGIME[self]
+    STD = ("std", "quantitative", True, True)
+    NS_UTIL = ("ns-util", "qualitative", True, False)
+    NS_PROB = ("ns-prob", "standard-part", False, True)
 
-
-_COMPARISON_FOR_REGIME = {
-    Regime.STD: "quantitative",
-    Regime.NS_UTIL: "qualitative",
-    Regime.NS_PROB: "standard-part",
-}
+    def __new__(cls, tag: str, comparison: str, probabilities: bool, utilities: bool) -> "Regime":
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.comparison = comparison
+        member.standard_probabilities = probabilities
+        member.standard_utilities = utilities
+        return member
 
 
 @unique
@@ -125,14 +128,14 @@ class Lottery:
         for outcome in sorted(mapping):
             p = _coerce_weight(mapping[outcome])
             if p.sign() < 0:
-                raise ValueError(f"negative probability for outcome {outcome!r}")
+                raise InvalidParameter(f"negative probability for outcome {outcome!r}")
             total = total + p
             if not p.is_zero():
                 entries.append((outcome, p))
         if total != ONE:
-            raise ValueError("probabilities must sum to exactly 1")
+            raise InvalidParameter("probabilities must sum to exactly 1")
         if not entries:
-            raise ValueError("a lottery needs at least one outcome")
+            raise InvalidParameter("a lottery needs at least one outcome")
         return Lottery(tuple(entries))
 
     @staticmethod
@@ -168,7 +171,7 @@ class UtilityAssignment:
             if not isinstance(value, NSReal):
                 raise TypeError(f"utility of {outcome!r} must be an NSReal")
             if not signed and value.sign() < 0:
-                raise ValueError(
+                raise InvalidParameter(
                     f"negative utility for outcome {outcome!r}; pass signed=True on purpose"
                 )
             entries.append((outcome, value))
@@ -199,13 +202,13 @@ def _check_unit_weight(weight: NSReal) -> None:
 def mix(weight: Weight, first: Lottery, second: Lottery, regime: Regime | None = None) -> Lottery:
     """The compound lottery ``weight*first + (1 - weight)*second``.
 
-    In regimes STD and NS_UTIL the weight must be a standard rational;
-    NS_PROB admits nonstandard weights.  Pass ``regime=None`` to skip the
-    standardness restriction.
+    A regime that requires standard probabilities (STD, NS_UTIL) requires
+    a standard weight; NS_PROB admits nonstandard weights.  Pass
+    ``regime=None`` to skip the standardness restriction.
     """
     w = _coerce_weight(weight)
     _check_unit_weight(w)
-    if regime in (Regime.STD, Regime.NS_UTIL) and not w.is_standard():
+    if regime is not None and regime.standard_probabilities and not w.is_standard():
         raise InvalidWeight(f"regime {regime.value} requires a standard mixture weight")
     combined: dict[str, NSReal] = {}
     for outcome, p in first.probs:
@@ -338,7 +341,7 @@ def close_under_mixtures(
     weights = grid_weights(denominator)
     current: dict[Lottery, None] = dict.fromkeys(lotteries)
     if not current:
-        raise ValueError("need at least one lottery to close")
+        raise InvalidParameter("need at least one lottery to close")
     if limit is not None and len(current) > limit:
         raise ClosureTooLarge(
             f"the {len(current)} distinct generators alone exceed the limit of {limit} lotteries"

@@ -19,9 +19,7 @@ in canonical order; a right operand that does not depend on ``a`` (the
 solvability chains, :func:`~qualutil.auditor.solve_mixture_relation`,
 property P) is taken as it is.  Each sample is then decided by the single
 comparator of the requested order: :func:`~qualutil.nsreal.qcompare`, the
-ring order, or the order of standard parts.  ``AffineValue.value_at`` and
-``AffineValue.coefficient_roots`` compute the same values and roots one
-operand at a time, through ``NSReal`` arithmetic.
+ring order, or the order of standard parts.
 """
 
 from __future__ import annotations
@@ -199,28 +197,6 @@ class AffineValue:
 
     at_one: NSReal
     at_zero: NSReal
-
-    def value_at(self, a: Fraction) -> NSReal:
-        return a * self.at_one + (1 - a) * self.at_zero
-
-    def coefficient_roots(self) -> set[Fraction]:
-        """Weights in (0, 1) where some per-exponent coefficient vanishes.
-
-        The coefficient at exponent e is ``a*x_e + (1 - a)*y_e``, affine in
-        ``a``; it has a root only when x_e differs from y_e.
-        """
-        exponents = {e for e, _ in self.at_one.terms} | {e for e, _ in self.at_zero.terms}
-        x = dict(self.at_one.terms)
-        y = dict(self.at_zero.terms)
-        roots: set[Fraction] = set()
-        for e in exponents:
-            xe = x.get(e, _ZERO)
-            ye = y.get(e, _ZERO)
-            if xe != ye:
-                root = ye / (ye - xe)
-                if _ZERO < root < _ONE:
-                    roots.add(root)
-        return roots
 
 
 def _quantitative(left: NSReal, right: NSReal) -> QOrdering:

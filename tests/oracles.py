@@ -188,9 +188,32 @@ def oracle_qcompare(x: NSReal, y: NSReal) -> QOrdering:
 # --- definitional weight partition -------------------------------------------
 #
 # The partition as first written: every sample value rebuilt by
-# ``AffineValue.value_at`` through NSReal arithmetic, the breakpoints the
-# union of the ``coefficient_roots`` of both operands and of their
-# difference, every interval built through the checking constructor.
+# ``affine_value_at`` through NSReal arithmetic, the breakpoints the union of
+# the ``affine_coefficient_roots`` of both operands and of their difference,
+# every interval built through the checking constructor.
+
+
+def affine_value_at(value: AffineValue, a: Fraction) -> NSReal:
+    return a * value.at_one + (1 - a) * value.at_zero
+
+
+def affine_coefficient_roots(value: AffineValue) -> set[Fraction]:
+    """Weights in (0, 1) where some per-exponent coefficient vanishes.
+
+    The coefficient at exponent e is ``a*x_e + (1 - a)*y_e``, affine in
+    ``a``; it has a root only when x_e differs from y_e.
+    """
+    x = dict(value.at_one.terms)
+    y = dict(value.at_zero.terms)
+    roots: set[Fraction] = set()
+    for e in x.keys() | y.keys():
+        xe = x.get(e, Fraction(0))
+        ye = y.get(e, Fraction(0))
+        if xe != ye:
+            root = ye / (ye - xe)
+            if 0 < root < 1:
+                roots.add(root)
+    return roots
 
 
 def oracle_partition_unit_interval(breakpoints, classify) -> dict:
@@ -225,13 +248,41 @@ def oracle_partition_affine_comparison(
 ) -> dict[QOrdering, RationalIntervalSet]:
     difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
     breakpoints = (
-        difference.coefficient_roots()
-        | left.coefficient_roots()
-        | right.coefficient_roots()
+        affine_coefficient_roots(difference)
+        | affine_coefficient_roots(left)
+        | affine_coefficient_roots(right)
     )
     return oracle_partition_unit_interval(
-        breakpoints, lambda a: compare(left.value_at(a), right.value_at(a), comparison)
+        breakpoints,
+        lambda a: compare(affine_value_at(left, a), affine_value_at(right, a), comparison),
     )
+
+
+# --- lexicographic contrast --------------------------------------------------
+#
+# The lexicographic partition as first written: breakpoints at the roots of
+# the two coordinate differences, each affine in the weight; every sample
+# mixed coordinatewise and compared as a tuple, which Python orders
+# lexicographically.
+
+
+def oracle_lexicographic_mixture_partition(endpoint, other_endpoint, target) -> dict:
+    breakpoints: set[Fraction] = set()
+    for coordinate in (0, 1):
+        at_one = endpoint[coordinate] - target[coordinate]
+        at_zero = other_endpoint[coordinate] - target[coordinate]
+        if at_one != at_zero:
+            breakpoints.add(Fraction(at_zero) / (at_zero - at_one))
+
+    def classify(a: Fraction) -> PrefOrdering:
+        mixed = tuple(a * x + (1 - a) * y for x, y in zip(endpoint, other_endpoint))
+        if mixed > tuple(target):
+            return PrefOrdering.BETTER
+        if mixed < tuple(target):
+            return PrefOrdering.WORSE
+        return PrefOrdering.INDIFFERENT
+
+    return oracle_partition_unit_interval(breakpoints, classify)
 
 
 # --- brute-force overriding oracle ------------------------------------------

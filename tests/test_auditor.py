@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import qualutil.auditor
 import qualutil.prefcore
-from oracles import negative_transitivity_scan, random_acts_structure, random_structure
+from conftest import standard_fractions
+from oracles import (
+    negative_transitivity_scan,
+    oracle_lexicographic_mixture_partition,
+    random_acts_structure,
+    random_structure,
+)
 from qualutil import (
     AAModel,
     Act,
@@ -640,3 +646,22 @@ def test_lexicographic_partition_has_no_indifference_weight():
     assert better.contains(F(3, 4))
     assert worse.render() == "(0, 1/2]"
     assert better.render() == "(1/2, 1)"
+
+
+# Coordinates drawn often from a few values, so that ties, zero and
+# degenerate (constant) coordinates come up.
+lex_coordinates = st.one_of(st.sampled_from([F(0), F(1), F(-1)]), standard_fractions)
+lex_values = st.tuples(lex_coordinates, lex_coordinates)
+
+
+@given(lex_values, lex_values)
+def test_lexicographic_compare_is_tuple_order(first, second):
+    expected = B if first > second else W if first < second else I
+    assert lexicographic_compare(first, second) is expected
+
+
+@given(lex_values, lex_values, lex_values)
+def test_lexicographic_partition_matches_the_breakpoint_oracle(endpoint, other_endpoint, target):
+    parts = lexicographic_mixture_partition(endpoint, other_endpoint, target)
+    expected = oracle_lexicographic_mixture_partition(endpoint, other_endpoint, target)
+    assert list(parts.items()) == list(expected.items())

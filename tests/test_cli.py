@@ -5,6 +5,7 @@ import textwrap
 import pytest
 
 import qualutil.cli
+import qualutil.criteria
 from qualutil import ConsistencyError, IndexOutOfRange, InvalidParameter, UnknownIdentifier
 from qualutil.cli import main
 from qualutil.fixtures import fixture_path
@@ -333,7 +334,8 @@ def _forbid_sweep_work(monkeypatch):
         raise _WorkStarted
 
     monkeypatch.setattr(qualutil.cli, "two_point_lottery", refuse)
-    monkeypatch.setattr(qualutil.cli, "grid_weights", refuse)
+    monkeypatch.setattr(qualutil.criteria, "two_point_lottery", refuse)
+    monkeypatch.setattr(qualutil.criteria, "grid_weights", refuse)
 
 
 def test_oversized_maximin_sweep_is_refused_before_any_work(capsys, monkeypatch):

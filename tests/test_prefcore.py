@@ -11,15 +11,19 @@ import qualutil.prefcore
 from conftest import nonnegative_nsreals, unit_weights
 from oracles import brute_force_overrides
 from qualutil import (
+    AAModel,
     ClosureTooLarge,
     ConsistencyError,
+    Counterexample,
     EPS,
+    InvalidParameter,
     InvalidWeight,
     Lottery,
     MissingUtility,
     ONE,
     PreconditionViolated,
     PrefOrdering,
+    PrefStructure,
     Regime,
     UtilityAssignment,
     ZERO,
@@ -36,6 +40,7 @@ from qualutil import (
     prefers,
     qualitative_prefers,
     rational,
+    replay,
 )
 
 F = Fraction
@@ -440,3 +445,46 @@ def test_property_p_ns_prob_indifference_can_be_an_interval():
     )
     assert report.holds
     assert report.unique_weight == F(1, 3)
+
+
+# --- typed user errors -------------------------------------------------------
+
+HALF = rational(F(1, 2))
+
+
+def _model(states, belief, regime=Regime.STD):
+    return AAModel(tuple(states), tuple(belief), STANDARD_UTILITIES, regime)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: lottery(best=F(-1, 2), worst=F(3, 2)), "negative probability"),
+        (lambda: lottery(best=F(1, 2)), "sum to exactly 1"),
+        (
+            lambda: UtilityAssignment.from_mapping({"best": rational(-1)}),
+            "pass signed=True on purpose",
+        ),
+        (lambda: _model((), ()), "state space must be nonempty"),
+        (lambda: _model(("s", "s"), (("s", HALF), ("s", HALF))), "unique"),
+        (lambda: _model(("s", "t"), (("s", ONE),)), "exactly the states"),
+        (lambda: _model(("s", "t"), (("s", -ONE), ("t", ONE + ONE))), "negative belief"),
+        (lambda: _model(("s", "t"), (("s", HALF), ("t", ZERO))), "sum to exactly 1"),
+        (
+            lambda: _model(("s", "t"), (("s", ONE - EPS), ("t", EPS)), Regime.NS_UTIL),
+            "requires a standard belief",
+        ),
+        (lambda: close_under_mixtures([]), "at least one lottery"),
+        (
+            lambda: replay(
+                Counterexample("nonsense", ()),
+                PrefStructure(Regime.STD, STANDARD_UTILITIES, (Lottery.degenerate("best"),)),
+            ),
+            "unknown certificate kind 'nonsense'",
+        ),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "case",
+)
+def test_library_user_errors_are_invalid_parameters(build, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build()

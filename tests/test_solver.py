@@ -8,7 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import exponents, nonzero_coefficients, nsreals
-from oracles import oracle_partition_affine_comparison
+from oracles import (
+    affine_coefficient_roots,
+    affine_value_at,
+    oracle_partition_affine_comparison,
+)
 from qualutil import (
     EPS,
     InfiniteValue,
@@ -130,15 +134,15 @@ def test_partition_ignores_breakpoints_outside_open_interval():
 
 def test_affine_value_evaluation_and_roots():
     line = AffineValue(at_one=ONE, at_zero=-ONE)
-    assert line.value_at(F(1, 2)) == ZERO
-    assert line.coefficient_roots() == {F(1, 2)}
+    assert affine_value_at(line, F(1, 2)) == ZERO
+    assert affine_coefficient_roots(line) == {F(1, 2)}
 
     # The eps coefficient is a*1 + (1 - a)*(-3), vanishing at a = 3/4.
     mixed = AffineValue(at_one=ONE + EPS, at_zero=EPS * -3)
-    assert mixed.coefficient_roots() == {F(3, 4)}
+    assert affine_coefficient_roots(mixed) == {F(3, 4)}
 
     constant = AffineValue(at_one=EPS, at_zero=EPS)
-    assert constant.coefficient_roots() == set()
+    assert affine_coefficient_roots(constant) == set()
 
 
 def test_quantitative_partition_threshold_at_half():
@@ -189,8 +193,8 @@ def _probe_points(rng, count=25):
 
 
 def _direct_verdict(left, right, comparison, a):
-    lhs = left.value_at(a)
-    rhs = right.value_at(a)
+    lhs = affine_value_at(left, a)
+    rhs = affine_value_at(right, a)
     if comparison == "qualitative":
         return qcompare(lhs, rhs)
     if comparison == "quantitative":
