@@ -148,7 +148,7 @@ def constant_act(lottery: Lottery, states: Iterable[str]) -> Act:
     """The act paying the same lottery in every state."""
     arms = {state: lottery for state in states}
     if not arms:
-        raise ValueError("state space must be nonempty")
+        raise InvalidParameter("state space must be nonempty")
     return Act.from_mapping(arms)
 
 

@@ -153,6 +153,11 @@ class PrefStructure:
             raise RegimeMismatch(f"regime {regime.value} requires standard probabilities")
         if regime.standard_utilities and not self.utilities.is_standard():
             raise RegimeMismatch(f"regime {regime.value} requires standard utilities")
+        if self.model is not None and self.model.regime is not regime:
+            raise RegimeMismatch(
+                f"the model's regime {self.model.regime.value} differs from "
+                f"the structure's regime {regime.value}"
+            )
         if self.acts:
             if self.model is None:
                 raise MissingModel("acts were supplied without a model")
@@ -850,7 +855,7 @@ def lexicographic_compare(first: LexValue, second: LexValue) -> PrefOrdering:
 def lexicographic_mix(weight: Fraction, first: LexValue, second: LexValue) -> LexValue:
     w = Fraction(weight)
     if not 0 < w < 1:
-        raise ValueError("mixture weight must lie strictly between 0 and 1")
+        raise InvalidParameter("mixture weight must lie strictly between 0 and 1")
     return (
         w * first[0] + (1 - w) * second[0],
         w * first[1] + (1 - w) * second[1],

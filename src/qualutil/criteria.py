@@ -22,7 +22,15 @@ from typing import Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import NSReal, eps
-from .prefcore import Lottery, PrefOrdering, Regime, UtilityAssignment, grid_weights, prefers
+from .prefcore import (
+    Lottery,
+    PrefOrdering,
+    Regime,
+    UtilityAssignment,
+    compare_values,
+    expected_utility,
+    grid_weights,
+)
 
 __all__ = [
     "MaximinSpec",
@@ -120,6 +128,11 @@ def maximin_compare_oracle(
     _check_pair(spec, other_low, other_high)
     w = _check_weight(weight)
     other_w = _check_weight(other_weight)
+    return _worst_case_rule(low, w, other_low, other_w)
+
+
+def _worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -> PrefOrdering:
+    """The rule of :func:`maximin_compare_oracle` on already validated bets."""
     if low < other_low:
         return PrefOrdering.WORSE
     if low > other_low:
@@ -134,21 +147,26 @@ def maximin_compare_oracle(
 def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
     """Compare every two-point bet with weight k/denominator on its low
     outcome against every other such bet, by qualitative expected utility
-    and by :func:`maximin_compare_oracle`.  Returns the number of
-    comparisons and how many of them the two disagree on."""
+    and by the rule of :func:`maximin_compare_oracle`.  Returns the number
+    of comparisons and how many of them the two disagree on.
+
+    Each of the ``B = C(N,2)*(denominator-1)`` bets, its lottery and its
+    expected utility are built once, so a sweep costs ``B`` builds plus
+    ``B**2`` value comparisons and rule checks.  The rule reads the raw
+    ``(low, w, high)`` of each bet, never its lottery or utility; the bets
+    were validated when :func:`two_point_lottery` built them."""
     assignment = maximin_utilities(spec)
     weights = grid_weights(denominator)
-    pairs = [(low, high) for low in range(spec.n) for high in range(low + 1, spec.n)]
-    comparisons = disagreements = 0
-    for low, high in pairs:
-        for w in weights:
-            left = two_point_lottery(spec, low, w, high)
-            for low2, high2 in pairs:
-                for w2 in weights:
-                    right = two_point_lottery(spec, low2, w2, high2)
-                    got = prefers(left, right, assignment, Regime.NS_UTIL)
-                    expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
-                    comparisons += 1
-                    if got is not expected:
-                        disagreements += 1
-    return comparisons, disagreements
+    bets = [
+        ((low, w, high), expected_utility(two_point_lottery(spec, low, w, high), assignment))
+        for low in range(spec.n)
+        for high in range(low + 1, spec.n)
+        for w in weights
+    ]
+    disagreements = 0
+    for (low, w, _), value in bets:
+        for (low2, w2, _), value2 in bets:
+            got = compare_values(value, value2, Regime.NS_UTIL)
+            if got is not _worst_case_rule(low, w, low2, w2):
+                disagreements += 1
+    return len(bets) ** 2, disagreements

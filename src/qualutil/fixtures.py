@@ -22,7 +22,7 @@ from .auditor import (
     replay,
 )
 from .criteria import MaximinSpec, maximin_sweep, maximin_utilities, two_point_lottery
-from .errors import UnknownIdentifier
+from .errors import InvalidParameter, UnknownIdentifier
 from .formats import ModelDocument, load_model, render_nsreal
 from .nsreal import EPS, NSReal, ONE, ZERO, eps, rational
 from .prefcore import (
@@ -124,7 +124,7 @@ def dice_document() -> ModelDocument:
 def consolation_document(chance: Fraction = Fraction(1, 2)) -> ModelDocument:
     """Raffles for a trip whose consolation prize has infinitesimal worth."""
     if not 0 < chance < 1:
-        raise ValueError("the raffle chance must lie strictly between 0 and 1")
+        raise InvalidParameter("the raffle chance must lie strictly between 0 and 1")
     utilities = UtilityAssignment.from_mapping(
         {"hawaii": ONE, "paris": ONE, "magazine": EPS, "nothing": ZERO}
     )

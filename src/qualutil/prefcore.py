@@ -132,10 +132,10 @@ class Lottery:
             total = total + p
             if not p.is_zero():
                 entries.append((outcome, p))
-        if total != ONE:
-            raise InvalidParameter("probabilities must sum to exactly 1")
         if not entries:
             raise InvalidParameter("a lottery needs at least one outcome")
+        if total != ONE:
+            raise InvalidParameter("probabilities must sum to exactly 1")
         return Lottery(tuple(entries))
 
     @staticmethod

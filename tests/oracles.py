@@ -16,6 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import qualutil.criteria
 from qualutil import (
     EPS,
     ONE,
@@ -24,6 +25,7 @@ from qualutil import (
     AffineValue,
     Counterexample,
     Lottery,
+    MaximinSpec,
     MixtureWitness,
     NSReal,
     PrefOrdering,
@@ -39,10 +41,13 @@ from qualutil import (
     expected_utility,
     grid_weights,
     is_negligible,
+    maximin_compare_oracle,
     mixture_closure,
     overrides_values,
+    prefers,
     qcompare,
     rational,
+    two_point_lottery,
 )
 from qualutil.solver import compare
 
@@ -548,6 +553,33 @@ AUDIT_ORACLES = {
     "A3pp": oracle_A3doubleprime,
     "gamma": oracle_gamma,
 }
+
+
+# --- definitional maximin sweep ------------------------------------------------
+
+
+def oracle_maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
+    """``maximin_sweep`` as the plain loop: both lotteries and both expected
+    utilities are rebuilt for every comparison, and every comparison goes
+    through the validating ``maximin_compare_oracle``.  The assignment is
+    read through ``qualutil.criteria`` so that a test patching it there
+    reaches this loop and the library sweep alike."""
+    assignment = qualutil.criteria.maximin_utilities(spec)
+    weights = grid_weights(denominator)
+    pairs = [(low, high) for low in range(spec.n) for high in range(low + 1, spec.n)]
+    comparisons = disagreements = 0
+    for low, high in pairs:
+        for w in weights:
+            left = two_point_lottery(spec, low, w, high)
+            for low2, high2 in pairs:
+                for w2 in weights:
+                    right = two_point_lottery(spec, low2, w2, high2)
+                    got = prefers(left, right, assignment, Regime.NS_UTIL)
+                    expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
+                    comparisons += 1
+                    if got is not expected:
+                        disagreements += 1
+    return comparisons, disagreements
 
 
 # --- random model generators -------------------------------------------------

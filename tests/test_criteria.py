@@ -3,9 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import qualutil.criteria
+from oracles import oracle_maximin_sweep
 from qualutil import (
     IndexOrder,
     InvalidWeight,
@@ -18,6 +21,8 @@ from qualutil import (
     qualitative_prefers,
     two_point_lottery,
 )
+from qualutil.cli import MAXIMIN_SWEEP_LIMIT
+from qualutil.criteria import maximin_sweep
 
 F = Fraction
 
@@ -138,3 +143,40 @@ def test_positive_power_contrast_ranks_by_best_outcome_instead():
         qualitative_prefers(floor_raised, floor_low, contrast)
         is PrefOrdering.INDIFFERENT
     )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sweep_equals_the_per_comparison_oracle(n):
+    spec = MaximinSpec(n)
+    for d in range(2, 9):
+        bets = comb(n, 2) * (d - 1)
+        assert bets**2 <= MAXIMIN_SWEEP_LIMIT
+        assert maximin_sweep(spec, d) == oracle_maximin_sweep(spec, d) == (bets**2, 0)
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 6), (5, 8), (6, 3)])
+def test_sweep_and_oracle_count_the_same_contrast_disagreements(monkeypatch, n, d):
+    # Under the best-case encoding the two must still count every
+    # disagreement alike, so the sweep's fast path cannot hide one.
+    monkeypatch.setattr(qualutil.criteria, "maximin_utilities", best_case_power_utilities)
+    spec = MaximinSpec(n)
+    total, disagreements = maximin_sweep(spec, d)
+    assert disagreements > 0
+    assert (total, disagreements) == oracle_maximin_sweep(spec, d)
+
+
+def test_sweep_builds_each_bet_once(monkeypatch):
+    calls = []
+    build = qualutil.criteria.two_point_lottery
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(qualutil.criteria, "two_point_lottery", counting)
+    for n, d in [(2, 2), (4, 5), (6, 8)]:
+        calls.clear()
+        total, _ = maximin_sweep(MaximinSpec(n), d)
+        bets = comb(n, 2) * (d - 1)
+        assert len(calls) == bets
+        assert total == bets**2

@@ -30,10 +30,12 @@ from qualutil import (
     check_property_P,
     close_under_mixtures,
     compare_values,
+    constant_act,
     eps,
     expected_utility,
     grid_weights,
     is_negligible,
+    lexicographic_mix,
     mix,
     overrides,
     overrides_values,
@@ -42,6 +44,7 @@ from qualutil import (
     rational,
     replay,
 )
+from qualutil.fixtures import consolation_document
 
 F = Fraction
 
@@ -77,6 +80,14 @@ def test_lottery_requires_exact_unit_mass():
         Lottery.from_mapping({"a": rational(F(3, 2)), "b": rational(F(-1, 2))})
     with pytest.raises(ValueError):
         Lottery.from_mapping({})
+
+
+@pytest.mark.parametrize(
+    "mapping", [{}, {"a": rational(0), "b": rational(0)}], ids=["empty", "all-zero"]
+)
+def test_lottery_without_outcomes_is_refused_as_such(mapping):
+    with pytest.raises(InvalidParameter, match="a lottery needs at least one outcome"):
+        Lottery.from_mapping(mapping)
 
 
 def test_lottery_mass_can_include_infinitesimals():
@@ -481,6 +492,17 @@ def _model(states, belief, regime=Regime.STD):
                 PrefStructure(Regime.STD, STANDARD_UTILITIES, (Lottery.degenerate("best"),)),
             ),
             "unknown certificate kind 'nonsense'",
+        ),
+        # Anchored: these pin the whole message, and the first shares its
+        # text with the state-space case above.
+        (lambda: constant_act(lottery(best=1), []), "^state space must be nonempty$"),
+        (
+            lambda: lexicographic_mix(F(1), (F(1), F(0)), (F(0), F(0))),
+            "^mixture weight must lie strictly between 0 and 1$",
+        ),
+        (
+            lambda: consolation_document(F(0)),
+            "^the raffle chance must lie strictly between 0 and 1$",
         ),
     ],
     ids=lambda value: value if isinstance(value, str) else "case",

@@ -6,6 +6,7 @@ without.  The table pins, for every combination, whether the check runs or
 refuses, with which exception type and exactly which message.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -147,3 +148,32 @@ def test_guard_matrix(check, name, with_acts):
 def test_every_refusal_names_a_known_check_and_structure():
     for check, name in REFUSALS:
         assert check in CHECKS and name in STRUCTURES
+
+
+MODEL_MISMATCHES = [
+    (name, model_regime)
+    for name in sorted(STRUCTURES)
+    for model_regime in Regime
+    if model_regime is not STRUCTURES[name][0]
+]
+
+
+@pytest.mark.parametrize(
+    "name, model_regime",
+    MODEL_MISMATCHES,
+    ids=[f"{name}-{regime.value}-model" for name, regime in MODEL_MISMATCHES],
+)
+def test_a_model_of_another_regime_is_refused_at_construction(name, model_regime):
+    # Otherwise audit() would pick A5p by the structure's regime and
+    # check_A5prime would refuse by the model's, raising mid-audit.
+    structure = _structure(name, with_acts=True)
+    model = AAModel.from_mappings(
+        ("s", "t"), {"s": HALF, "t": HALF}, structure.utilities, model_regime
+    )
+    with pytest.raises(RegimeMismatch) as raised:
+        dataclasses.replace(structure, model=model)
+    assert type(raised.value) is RegimeMismatch
+    assert str(raised.value) == (
+        f"the model's regime {model_regime.value} differs from "
+        f"the structure's regime {structure.regime.value}"
+    )
