@@ -46,6 +46,16 @@ failure found and its certificate are those of the full scan:
   verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
 * NS_UTIL with values of both signs: every lottery is its own class.
 
+In the linear regimes, STD and NS_PROB, A2 and B2 also scan one weight per
+class, the first of it in scan order.  The verdict is the sign of
+``w*(v_p - v_q)`` or of its standard part ``st(w)*st(v_p - v_q)``, so it
+sees ``w`` only through whether it is infinitesimal: the grid weights and
+``1 - EPS`` are one class, ``EPS`` and ``EPS/2`` the other.  B2 first drops
+the negligible weights, each decided against one pool, the
+depth-``min(depth, 1)`` closure, whose expected utilities are computed once
+per audit.  The weight partitions of these regimes are threshold
+partitions, written down without sampling (:mod:`qualutil.solver`).
+
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
 weight partition encode each pair so and use those of the STD regime.
@@ -71,6 +81,7 @@ from .errors import (
 from .nsreal import EPS, NSReal, ONE, QOrdering
 from .prefcore import (
     _PREF_FROM_Q,
+    _is_negligible_in,
     Lottery,
     PrefOrdering,
     Regime,
@@ -79,7 +90,7 @@ from .prefcore import (
     compare_values,
     expected_utility,
     grid_weights,
-    is_negligible,
+    is_negligible,  # not called here; perfbench/tracing.py wraps this attribute
     mix,
     overrides_values,
     prefers,
@@ -250,7 +261,8 @@ _Chain = tuple[int, int, int]
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
     expected utility, the regime's comparison of every two of them, the
-    first index of each class of interchangeable third lotteries, and the
+    first index of each class of interchangeable third lotteries, whether
+    mixing weights fall into classes too (the linear regimes), and the
     witness weights of the strict chains solved so far."""
 
     regime: Regime
@@ -258,6 +270,7 @@ class _Context:
     values: tuple[NSReal, ...]
     matrix: tuple[tuple[PrefOrdering, ...], ...]
     third_lotteries: tuple[int, ...]
+    linear: bool
     # Per chain, a witness weight for each relation with a nonempty weight
     # set; whole partitions would cost several times the memory.
     chain_weights: dict[_Chain, dict[QOrdering, Fraction]] = field(default_factory=dict)
@@ -294,10 +307,12 @@ def _build_context(structure: PrefStructure) -> _Context:
     # Third lotteries k of one class give one verdict for w*v_i + (1-w)*v_k
     # against w*v_j + (1-w)*v_k, for every pair and weight (module docstring).
     # STD and NS_PROB: the verdict is the sign of w*(v_i - v_j), or of its
-    # standard part, so k never matters.  NS_UTIL of one weak sign: no
-    # cancellation, so both sides lead at min(lead v_i or v_j, lead v_k) and
-    # only lead v_k matters.  Mixed signs can cancel: every k stands alone.
-    if structure.regime is not Regime.NS_UTIL:
+    # standard part, so k never matters, and w only through whether it is
+    # infinitesimal.  NS_UTIL of one weak sign: no cancellation, so both
+    # sides lead at min(lead v_i or v_j, lead v_k) and only lead v_k
+    # matters.  Mixed signs can cancel: every k stands alone.
+    linear = structure.regime is not Regime.NS_UTIL
+    if linear:
         third_lotteries: tuple[int, ...] = (0,)
     elif {1, -1} <= {value.sign() for value in values}:
         third_lotteries = tuple(range(len(values)))
@@ -306,7 +321,7 @@ def _build_context(structure: PrefStructure) -> _Context:
         for k, value in enumerate(values):
             firsts.setdefault(value.leading_exponent(), k)
         third_lotteries = tuple(firsts.values())
-    return _Context(structure.regime, lotteries, values, matrix, third_lotteries)
+    return _Context(structure.regime, lotteries, values, matrix, third_lotteries, linear)
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -446,7 +461,14 @@ def _independence_scan(
 ) -> Verdict:
     """Mixing every strict pair with every closure lottery at every weight
     keeps the pair strict; otherwise the first violation in scan order.  One
-    third lottery per class stands for its class."""
+    third lottery per class stands for its class, and in the linear regimes
+    one weight per class too, the first of it in scan order: infinitesimal
+    weights, and all others."""
+    if context.linear:
+        firsts: dict[bool, NSReal | Fraction] = {}
+        for w in weights:
+            firsts.setdefault(isinstance(w, NSReal) and w.is_infinitesimal(), w)
+        weights = tuple(firsts.values())
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
             continue
@@ -470,23 +492,24 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 
     The weight set is the standard grid extended with infinitesimal and
     near-one nonstandard weights; negligible weights are exempt by the
-    postulate and are skipped (the negligibility test itself is the
-    definitional sweep with its analytic guard)."""
+    postulate and are skipped.  Negligibility is that of
+    :func:`~qualutil.prefcore.is_negligible` (the definitional sweep with its
+    analytic guard) against the depth-``min(depth, 1)`` closure, whose
+    expected utilities are computed once for all the weights: they are the
+    audit's own when its depth is at most 1.  The remaining weights are then
+    scanned one per class, infinitesimal or not (module docstring)."""
     if structure.regime.standard_probabilities:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
-    weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
-    relevant = [
-        w
-        for w in weights
-        if not is_negligible(
-            w,
-            structure.utilities,
-            structure.generators,
-            denominator=structure.grid_denominator,
-            depth=min(structure.closure_depth, 1),
+    if structure.closure_depth <= 1:
+        pool = context.values
+    else:
+        pool = tuple(
+            expected_utility(lottery, structure.utilities)
+            for lottery in mixture_closure(structure, 1)
         )
-    ]
+    weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
+    relevant = [w for w in weights if not _is_negligible_in(w, pool)]
     domain = _domain(
         structure, context, "all strict pairs x closure x (grid + nonstandard) weights"
     )

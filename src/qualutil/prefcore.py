@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ClosureTooLarge,
@@ -385,8 +385,15 @@ def is_negligible(
     w = _coerce_weight(weight)
     _check_unit_weight(w)
     pool = close_under_mixtures(generators, denominator=denominator, depth=depth)
-    values = [expected_utility(lottery, assignment) for lottery in pool]
+    return _is_negligible_in(w, [expected_utility(lottery, assignment) for lottery in pool])
 
+
+def _is_negligible_in(weight: Weight, values: Sequence[NSReal]) -> bool:
+    """:func:`is_negligible` of a weight in (0, 1) against the expected
+    utilities ``values`` of a pool already built: the definitional sweep,
+    cross-checked against the infinitesimal test when the pool separates.
+    A caller deciding several weights against one pool builds it once."""
+    w = _coerce_weight(weight)
     definitional = True
     for value_p, value_q in itertools.product(values, repeat=2):
         mixed_value = w * value_p + (ONE - w) * value_q

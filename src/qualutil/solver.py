@@ -20,6 +20,20 @@ solvability chains, :func:`~qualutil.auditor.solve_mixture_relation`,
 property P) is taken as it is.  Each sample is then decided by the single
 comparator of the requested order: :func:`~qualutil.nsreal.qcompare`, the
 ring order, or the order of standard parts.
+
+Two orders need no samples.  Under the order of standard parts, on finite
+operands, and under the ring order, on standard operands, the verdict at
+``a`` is the sign of one linear function ``d0 + a*(d1 - d0)``, where ``d1``
+and ``d0`` are the differences of the (standard parts of the) operands at
+``a = 1`` and ``a = 0``: taking the standard part is additive and
+multiplicative on finite values.  Its only breakpoint is the threshold
+``d0/(d0 - d1)``, so the partition is written down directly, with at most
+three cells.  These are the comparisons of the STD and NS_PROB regimes.
+The qualitative order (NS_UTIL) is not linear, and the ring order on
+nonstandard operands (the lexicographic contrast) is lexicographic in the
+exponents; both are sampled from the rows.  An infinite operand under the
+order of standard parts goes to the rows as well, whose first sample
+raises :class:`~qualutil.errors.InfiniteValue`.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, TypeVar
 
+from .errors import InvalidParameter
 from .nsreal import NSReal, QOrdering, _wrap, qcompare
 
 __all__ = [
@@ -56,7 +71,7 @@ class RationalInterval:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
-            raise ValueError(f"empty interval ({self.lo}, {self.hi})")
+            raise InvalidParameter(f"empty interval ({self.lo}, {self.hi})")
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -199,13 +214,17 @@ class AffineValue:
     at_zero: NSReal
 
 
-def _quantitative(left: NSReal, right: NSReal) -> QOrdering:
-    s = left._compare_sign(right)
-    if s > 0:
+def _sign_label(n: int) -> QOrdering:
+    """The verdict read off the sign of ``n``."""
+    if n > 0:
         return QOrdering.GREATER
-    if s < 0:
+    if n < 0:
         return QOrdering.LESS
     return QOrdering.EQUIVALENT
+
+
+def _quantitative(left: NSReal, right: NSReal) -> QOrdering:
+    return _sign_label(left._compare_sign(right))
 
 
 def _standard_part_compare(left: NSReal, right: NSReal) -> QOrdering:
@@ -245,8 +264,15 @@ def partition_affine_comparison(
     operands and of their difference, which is enough for the verdict to be
     constant on every open cell regardless of operand signs.  Both operands
     are read once into coefficient rows (module docstring); every sample is
-    built from the rows and decided by the same comparator.
+    built from the rows and decided by the same comparator.  The standard-part
+    order on finite operands and the quantitative order on standard ones
+    take the threshold partition instead (module docstring).
     """
+    operands = (left.at_one, left.at_zero, right.at_one, right.at_zero)
+    if (comparison == "standard-part" and all(x.is_finite() for x in operands)) or (
+        comparison == "quantitative" and all(x.is_standard() for x in operands)
+    ):
+        return _threshold_partition(*(x.standard_part() for x in operands))
     comparator = _COMPARATORS[comparison]
     x1, x0 = dict(left.at_one.terms), dict(left.at_zero.terms)
     y1, y0 = dict(right.at_one.terms), dict(right.at_zero.terms)
@@ -278,6 +304,34 @@ def partition_affine_comparison(
             return comparator(_value_at(left_rows, a), _value_at(right_rows, a))
 
     return partition_unit_interval(breakpoints, classify)
+
+
+_WHOLE = RationalIntervalSet((_interval(_ZERO, _ONE, True, True),))
+
+
+def _threshold_partition(
+    x1: Fraction, x0: Fraction, y1: Fraction, y0: Fraction
+) -> dict[QOrdering, RationalIntervalSet]:
+    """The partition of ``a*x1 + (1-a)*x0`` against ``a*y1 + (1-a)*y0`` in
+    the order of the rationals: the sign of ``d0 + a*(d1 - d0)``, which
+    crosses zero inside (0, 1) exactly when ``d0`` and ``d1`` have opposite
+    signs, at ``d0/(d0 - d1)``; otherwise it is the sign of ``d0 + d1``
+    throughout.  Labels are keyed in increasing order of weight.
+
+    Each difference is held as an unreduced ``n/m`` with ``m > 0``, so the
+    threshold is the only ``Fraction`` built."""
+    n1 = x1.numerator * y1.denominator - y1.numerator * x1.denominator
+    n0 = x0.numerator * y0.denominator - y0.numerator * x0.denominator
+    if (n0 > 0 > n1) or (n0 < 0 < n1):
+        m1 = x1.denominator * y1.denominator
+        m0 = x0.denominator * y0.denominator
+        t = Fraction(n0 * m1, n0 * m1 - n1 * m0)
+        return {
+            _sign_label(n0): RationalIntervalSet((_interval(_ZERO, t, True, True),)),
+            QOrdering.EQUIVALENT: RationalIntervalSet((_interval(t, t, False, False),)),
+            _sign_label(n1): RationalIntervalSet((_interval(t, _ONE, True, True),)),
+        }
+    return {_sign_label(n0 + n1): _WHOLE}
 
 
 # One exponent of an affine value: (e, slope, base), the coefficient at

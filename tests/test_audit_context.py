@@ -1,7 +1,9 @@
 """The audit engine against the definitional checks, and the work and memory
-one audit takes: one closure, at most one weight partition per strict chain,
-one independence partition per strict pair and class of third lotteries, and
-nothing kept once the audit returns."""
+one audit takes: one closure (and at most one more, the pool B2 decides
+negligibility against), at most one weight partition per strict chain, one
+independence partition per strict pair and class of third lotteries, no
+sampled partition in the linear regimes, and nothing kept once the audit
+returns."""
 
 import gc
 import random
@@ -15,8 +17,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qualutil.auditor
-from conftest import nonnegative_nsreals, nsreals, unit_weights
-from oracles import AUDIT_ORACLES, random_structure
+import qualutil.prefcore
+import qualutil.solver
+from conftest import nonnegative_nsreals, nsreals, standard_fractions, unit_weights
+from oracles import AUDIT_ORACLES, oracle_B2, random_structure
 from qualutil import (
     EPS,
     ONE,
@@ -25,6 +29,7 @@ from qualutil import (
     QOrdering,
     Regime,
     audit,
+    check_B2,
     compare_values,
     eps,
     expected_utility,
@@ -32,6 +37,7 @@ from qualutil import (
     mixture_closure,
     partition_affine_comparison,
     qcompare,
+    rational,
 )
 from qualutil.fixtures import fixture_path
 from qualutil.solver import compare
@@ -73,23 +79,29 @@ def test_audit_matches_oracles_on_bundled_models(name, depth, grid):
 
 
 # Signed kinds: "mixed" closures scan every third lottery, "nonpositive" ones
-# one per leading exponent of negative values.  Explicit ids keep the names of
-# the unsigned cases as pytest would derive them from (regime, seed).
+# one per leading exponent of negative values.  Grid 5 has four grid weights
+# where grid 3 has two, so the weight classes of A2 and B2 each stand for
+# several weights.  Explicit ids keep the names of the unsigned grid-3 cases
+# as pytest would derive them from (regime, seed).
 @pytest.mark.parametrize(
-    "regime, seed, signs",
+    "regime, seed, signs, grid, count",
     [
-        pytest.param(Regime.STD, 501, None, id="Regime.STD-501"),
-        pytest.param(Regime.NS_UTIL, 502, None, id="Regime.NS_UTIL-502"),
-        pytest.param(Regime.NS_PROB, 701, None, id="Regime.NS_PROB-701"),
-        pytest.param(Regime.NS_UTIL, 503, "mixed", id="Regime.NS_UTIL-503-mixed"),
-        pytest.param(Regime.NS_UTIL, 504, "nonpositive", id="Regime.NS_UTIL-504-nonpositive"),
+        pytest.param(Regime.STD, 501, None, 3, 20, id="Regime.STD-501"),
+        pytest.param(Regime.NS_UTIL, 502, None, 3, 20, id="Regime.NS_UTIL-502"),
+        pytest.param(Regime.NS_PROB, 701, None, 3, 20, id="Regime.NS_PROB-701"),
+        pytest.param(Regime.NS_UTIL, 503, "mixed", 3, 20, id="Regime.NS_UTIL-503-mixed"),
+        pytest.param(
+            Regime.NS_UTIL, 504, "nonpositive", 3, 20, id="Regime.NS_UTIL-504-nonpositive"
+        ),
+        pytest.param(Regime.STD, 505, None, 5, 8, id="Regime.STD-505-grid5"),
+        pytest.param(Regime.NS_PROB, 702, None, 5, 8, id="Regime.NS_PROB-702-grid5"),
     ],
 )
-def test_audit_matches_oracles_on_random_structures(regime, seed, signs):
+def test_audit_matches_oracles_on_random_structures(regime, seed, signs, grid, count):
     rng = random.Random(seed)
-    for _ in range(20):
+    for _ in range(count):
         assert_matches_oracles(
-            random_structure(rng, regime, grid_denominator=3, closure_depth=1, signs=signs)
+            random_structure(rng, regime, grid_denominator=grid, closure_depth=1, signs=signs)
         )
 
 
@@ -159,6 +171,58 @@ def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatc
     assert 0 < counts["check_A2prime"] <= pairs * len(leads)
 
 
+def test_linear_regimes_take_the_closed_form(monkeypatch):
+    # Every partition of an STD or NS_PROB audit is a threshold partition,
+    # written down without sampling; NS_UTIL still samples.
+    dice = bundled("dice", closure_depth=1, grid_denominator=3)
+    std = random_structure(random.Random(505), Regime.STD, grid_denominator=3, closure_depth=1)
+    consolation = bundled("consolation", closure_depth=1, grid_denominator=3)
+
+    def refuse(breakpoints, classify):
+        raise AssertionError("sampled partition")
+
+    monkeypatch.setattr(qualutil.solver, "partition_unit_interval", refuse)
+    assert audit(dice).all_hold
+    assert audit(std).all_hold
+    with pytest.raises(AssertionError, match="sampled partition"):
+        audit(consolation)
+
+
+def count_closures(monkeypatch, structure, check=audit):
+    """``check(structure)`` and the number of mixture closures it built."""
+    calls = 0
+    original = qualutil.prefcore.close_under_mixtures
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in (qualutil.auditor, qualutil.prefcore):
+        monkeypatch.setattr(module, "close_under_mixtures", counted)
+    return check(structure), calls
+
+
+def test_dice_audit_builds_at_most_one_closure_beyond_its_own(monkeypatch):
+    report, closures = count_closures(
+        monkeypatch, bundled("dice", closure_depth=1, grid_denominator=3)
+    )
+    assert report.verdict("B2").holds
+    assert 1 <= closures <= 2
+
+
+def test_B2_at_depth_two_decides_negligibility_on_its_own_depth_one_pool(monkeypatch):
+    # The pool is the depth-1 closure, apart from the audit's depth-2 one.
+    rng = random.Random(703)
+    for _ in range(10):
+        structure = random_structure(
+            rng, Regime.NS_PROB, generator_count=2, grid_denominator=2, closure_depth=2
+        )
+        verdict, closures = count_closures(monkeypatch, structure, check_B2)
+        assert verdict == oracle_B2(structure)
+        assert closures == 2
+
+
 @pytest.mark.parametrize("name, partitions", [("consolation", 1_549), ("surgery", 2_358)])
 def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions):
     # The work of an audit is fixed: a cheaper partition must not come from
@@ -197,6 +261,32 @@ def test_third_value_never_changes_quantitative_or_standard_part_verdicts(vi, vj
             compare(w * vi + (1 - w) * v, w * vj + (1 - w) * v, comparison) for v in (vk, vl)
         }
         assert len(verdicts) == 1, comparison
+
+
+# The weight classes of the linear orders: w*vi + (1-w)*vk against
+# w*vj + (1-w)*vk reads w only through whether it is infinitesimal.
+non_infinitesimal_weights = st.one_of(unit_weights, st.just(ONE - EPS))
+standard_nsreals = standard_fractions.map(rational)
+
+
+@given(
+    finite_nsreals,
+    finite_nsreals,
+    finite_nsreals,
+    st.tuples(standard_nsreals, standard_nsreals, standard_nsreals),
+    non_infinitesimal_weights,
+    non_infinitesimal_weights,
+)
+def test_weights_of_one_class_give_one_verdict_in_the_linear_orders(
+    vi, vj, vk, standard_values, w1, w2
+):
+    def verdicts(values, weights, comparison):
+        vi, vj, vk = values
+        return {compare(w * vi + (1 - w) * vk, w * vj + (1 - w) * vk, comparison) for w in weights}
+
+    assert len(verdicts((vi, vj, vk), (w1, w2), "standard-part")) == 1
+    assert len(verdicts((vi, vj, vk), (EPS, Fraction(1, 2) * EPS), "standard-part")) == 1
+    assert len(verdicts(standard_values, (w1, w2), "quantitative")) == 1
 
 
 @st.composite

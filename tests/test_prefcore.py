@@ -24,6 +24,7 @@ from qualutil import (
     PreconditionViolated,
     PrefOrdering,
     PrefStructure,
+    RationalInterval,
     Regime,
     UtilityAssignment,
     ZERO,
@@ -503,6 +504,10 @@ def _model(states, belief, regime=Regime.STD):
         (
             lambda: consolation_document(F(0)),
             "^the raffle chance must lie strictly between 0 and 1$",
+        ),
+        (
+            lambda: RationalInterval(F(1, 2), F(1, 3), True, True),
+            r"^empty interval \(1/2, 1/3\)$",
         ),
     ],
     ids=lambda value: value if isinstance(value, str) else "case",

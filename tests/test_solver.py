@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exponents, nonzero_coefficients, nsreals
+from conftest import exponents, nonzero_coefficients, nsreals, standard_fractions
 from oracles import (
     affine_coefficient_roots,
     affine_value_at,
@@ -269,10 +269,11 @@ nonnegative_operands = signed_operands.map(lambda v: -v if v.sign() < 0 else v)
 
 
 def _outcome(partition, left, right, comparison):
-    """The partition, or the type of the domain error it raised (the
-    standard-part order has none for infinite values)."""
+    """The partition's labels and weight sets in key order, or the type of
+    the domain error it raised (the standard-part order has none for
+    infinite values)."""
     try:
-        return partition(left, right, comparison)
+        return list(partition(left, right, comparison).items())
     except InfiniteValue:
         return InfiniteValue
 
@@ -298,6 +299,18 @@ def test_partition_equals_oracle_on_nonnegative_affine_operands(x1, x0, y1, y0):
 def test_partition_equals_oracle_on_finite_affine_operands(x1, x0, y1, y0):
     # Finite values keep the standard-part order from raising.
     assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+
+
+standard_operands = st.one_of(
+    st.sampled_from([ZERO, ONE, -ONE]), st.builds(rational, standard_fractions)
+)
+
+
+@given(standard_operands, standard_operands, standard_operands, standard_operands)
+def test_partition_equals_oracle_on_standard_affine_operands(x1, x0, y1, y0):
+    # The threshold partition of the quantitative and standard-part orders.
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y1))
 
 
 @given(signed_operands, signed_operands, signed_operands)
