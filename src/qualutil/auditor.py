@@ -53,8 +53,9 @@ sees ``w`` only through whether it is infinitesimal: the grid weights and
 ``1 - EPS`` are one class, ``EPS`` and ``EPS/2`` the other.  B2 first drops
 the negligible weights, each decided against one pool, the
 depth-``min(depth, 1)`` closure, whose expected utilities are computed once
-per audit.  The weight partitions of these regimes are threshold
-partitions, written down without sampling (:mod:`qualutil.solver`).
+per audit.  The weight partitions of these regimes, and those of NS_UTIL
+on values of one sign, are threshold partitions, written down without
+sampling (:mod:`qualutil.solver`).
 
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and

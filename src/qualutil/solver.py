@@ -9,41 +9,43 @@ partitions (0, 1) into open cells on which the comparison verdict is
 constant; one exact sample per cell plus the breakpoints themselves decide
 the whole interval.  No approximation is involved anywhere.
 
-:func:`partition_affine_comparison` reads the two operands once into
-coefficient rows: for each exponent ``e`` of either operand, ``(e, slope,
-base)``, the coefficient at weight ``a`` being ``base + a*slope``.  The rows
-give every breakpoint in the same pass: the roots ``-base/slope`` in (0, 1)
-of the left rows, of the right rows and of their difference, row by row.  A
-sample is built from the rows with one multiply-add per exponent, already
-in canonical order; a right operand that does not depend on ``a`` (the
-solvability chains, :func:`~qualutil.auditor.solve_mixture_relation`,
-property P) is taken as it is.  Each sample is then decided by the single
-comparator of the requested order: :func:`~qualutil.nsreal.qcompare`, the
-ring order, or the order of standard parts.
+:func:`partition_affine_comparison` needs those samples only in the last
+of its three routes.  The first two write the partition down directly, as
+the threshold partition of one linear function ``d0 + a*(d1 - d0)`` of the
+weight: its only breakpoint is ``d0/(d0 - d1)``, so there are at most three
+cells.
 
-Two orders need no samples.  Under the order of standard parts, on finite
-operands, and under the ring order, on standard operands, the verdict at
-``a`` is the sign of one linear function ``d0 + a*(d1 - d0)``, where ``d1``
-and ``d0`` are the differences of the (standard parts of the) operands at
-``a = 1`` and ``a = 0``: taking the standard part is additive and
-multiplicative on finite values.  Its only breakpoint is the threshold
-``d0/(d0 - d1)``, so the partition is written down directly, with at most
-three cells.  These are the comparisons of the STD and NS_PROB regimes.
-The qualitative order (NS_UTIL) is not linear, and the ring order on
-nonstandard operands (the lexicographic contrast) is lexicographic in the
-exponents; both are sampled from the rows.  An infinite operand under the
-order of standard parts goes to the rows as well, whose first sample
-raises :class:`~qualutil.errors.InfiniteValue`.
+1. *Order of standard parts; ring order on standard operands* (the STD and
+   NS_PROB regimes).  Taking the standard part is additive and
+   multiplicative on finite values, so ``d1`` and ``d0`` are the
+   differences of the standard parts of the operands at ``a = 1`` and
+   ``a = 0``.  An infinite operand has no standard part and raises
+   :class:`~qualutil.errors.InfiniteValue`.
+2. *Qualitative order on operands of one sign* (NS_UTIL).  Among values of
+   one sign the qualitative order ranks by leading term: order of magnitude
+   first, zero being of lower order than any other value, and coefficient
+   second.  A mixture of two such values cannot cancel at the smaller of
+   their leading exponents, so each side keeps one leading exponent on all
+   of (0, 1), and its coefficient there is linear in ``a``.  Sides of
+   different order take one label throughout: the larger order is the
+   greater among nonnegative values, the lesser among nonpositive ones.
+   Sides of one order compare their leading coefficients by the threshold.
+3. *Everything else*: the qualitative order on operands of mixed sign and
+   the ring order on nonstandard operands (the lexicographic contrast).
+   Each sample ``a*at_one + (1 - a)*at_zero`` is built by ``NSReal``
+   arithmetic and decided by the comparator of the order, the breakpoints
+   being the coefficient roots of both operands and of their difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, TypeVar
+from math import inf
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import InvalidParameter
-from .nsreal import NSReal, QOrdering, _wrap, qcompare
+from .nsreal import NSReal, QOrdering, qcompare
 
 __all__ = [
     "AffineValue",
@@ -260,48 +262,43 @@ def partition_affine_comparison(
     ``comparison`` selects the verdict function: "qualitative" for the
     order that discards relatively infinitesimal gaps, "quantitative" for
     the plain ring order, "standard-part" for comparison after collapsing
-    infinitesimals.  Breakpoints come from the coefficient roots of both
-    operands and of their difference, which is enough for the verdict to be
-    constant on every open cell regardless of operand signs.  Both operands
-    are read once into coefficient rows (module docstring); every sample is
-    built from the rows and decided by the same comparator.  The standard-part
-    order on finite operands and the quantitative order on standard ones
-    take the threshold partition instead (module docstring).
+    infinitesimals.  One of three routes decides (module docstring):
+
+    1. the order of standard parts, and the ring order on standard
+       operands, take the threshold partition of the standard parts; an
+       infinite operand raises :class:`~qualutil.errors.InfiniteValue`;
+    2. the qualitative order on operands of one sign takes the leading
+       terms of both sides: one label throughout when they differ in order
+       of magnitude, else the threshold partition of their coefficients;
+    3. everything else is sampled by definition, at breakpoints from the
+       coefficient roots of both operands and of their difference.
     """
     operands = (left.at_one, left.at_zero, right.at_one, right.at_zero)
-    if (comparison == "standard-part" and all(x.is_finite() for x in operands)) or (
+    if comparison == "standard-part" or (
         comparison == "quantitative" and all(x.is_standard() for x in operands)
     ):
         return _threshold_partition(*(x.standard_part() for x in operands))
+    if comparison == "qualitative":
+        signs = {x.sign() for x in operands}
+        if not {1, -1} <= signs:
+            left_exponent, l1, l0 = _leading_row(left)
+            right_exponent, r1, r0 = _leading_row(right)
+            if left_exponent == right_exponent:
+                return _threshold_partition(l1, l0, r1, r0)
+            # The larger order of magnitude is the greater among nonnegative
+            # values and the lesser among nonpositive ones.
+            larger = QOrdering.LESS if -1 in signs else QOrdering.GREATER
+            return {larger if left_exponent < right_exponent else larger.flipped(): _WHOLE}
+
     comparator = _COMPARATORS[comparison]
-    x1, x0 = dict(left.at_one.terms), dict(left.at_zero.terms)
-    y1, y0 = dict(right.at_one.terms), dict(right.at_zero.terms)
-    left_rows: list[_Row] = []
-    right_rows: list[_Row] = []
-    breakpoints: set[Fraction] = set()
-    for e in sorted(x1.keys() | x0.keys() | y1.keys() | y0.keys()):
-        left_slope, left_base = _slope_base(x1.get(e), x0.get(e))
-        right_slope, right_base = _slope_base(y1.get(e), y0.get(e))
-        if left_slope or left_base:
-            left_rows.append((e, left_slope, left_base))
-            _add_root(breakpoints, left_slope, left_base)
-        if right_slope or right_base:
-            right_rows.append((e, right_slope, right_base))
-            _add_root(breakpoints, right_slope, right_base)
-        _add_root(
-            breakpoints, _minus(left_slope, right_slope), _minus(left_base, right_base)
+    difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
+    breakpoints = {t for value in (left, right, difference) for t in _coefficient_roots(value)}
+
+    def classify(a: Fraction) -> QOrdering:
+        b = 1 - a
+        return comparator(
+            a * left.at_one + b * left.at_zero, a * right.at_one + b * right.at_zero
         )
-
-    if right.at_one == right.at_zero:
-        target = right.at_zero
-
-        def classify(a: Fraction) -> QOrdering:
-            return comparator(_value_at(left_rows, a), target)
-
-    else:
-
-        def classify(a: Fraction) -> QOrdering:
-            return comparator(_value_at(left_rows, a), _value_at(right_rows, a))
 
     return partition_unit_interval(breakpoints, classify)
 
@@ -313,7 +310,8 @@ def _threshold_partition(
     x1: Fraction, x0: Fraction, y1: Fraction, y0: Fraction
 ) -> dict[QOrdering, RationalIntervalSet]:
     """The partition of ``a*x1 + (1-a)*x0`` against ``a*y1 + (1-a)*y0`` in
-    the order of the rationals: the sign of ``d0 + a*(d1 - d0)``, which
+    the order of the rationals, for the standard parts of four operands or
+    the leading coefficients of two sides of one order: the sign of ``d0 + a*(d1 - d0)``, which
     crosses zero inside (0, 1) exactly when ``d0`` and ``d1`` have opposite
     signs, at ``d0/(d0 - d1)``; otherwise it is the sign of ``d0 + d1``
     throughout.  Labels are keyed in increasing order of weight.
@@ -334,53 +332,29 @@ def _threshold_partition(
     return {_sign_label(n0 + n1): _WHOLE}
 
 
-# One exponent of an affine value: (e, slope, base), the coefficient at
-# weight a being base + a*slope.
-_Row = tuple[int, Fraction, Fraction]
+# The leading term of zero: below every exponent's in order of magnitude.
+_NO_TERM = (inf, _ZERO)
 
 
-def _slope_base(one: Fraction | None, zero: Fraction | None) -> tuple[Fraction, Fraction]:
-    """``(slope, base)`` of the coefficient ``a*one + (1 - a)*zero``; None
-    stands for an absent term."""
-    if zero is None:
-        return (_ZERO if one is None else one), _ZERO
-    if one is None:
-        return -zero, zero
-    return one - zero, zero
+def _leading_row(value: AffineValue) -> tuple[float, Fraction, Fraction]:
+    """The leading exponent of ``value`` on (0, 1), the smaller of its two
+    endpoints' (``inf`` for zero), and that exponent's coefficients at
+    ``a = 1`` and ``a = 0``; an endpoint that does not lead there has none."""
+    e1, c1 = value.at_one.terms[0] if value.at_one.terms else _NO_TERM
+    e0, c0 = value.at_zero.terms[0] if value.at_zero.terms else _NO_TERM
+    if e1 < e0:
+        return e1, c1, _ZERO
+    if e0 < e1:
+        return e0, _ZERO, c0
+    return e0, c1, c0
 
 
-def _minus(x: Fraction, y: Fraction) -> Fraction:
-    """``x - y``, with no Fraction arithmetic when either is zero."""
-    if not y:
-        return x
-    if not x:
-        return -y
-    return x - y
-
-
-def _add_root(roots: set[Fraction], slope: Fraction, base: Fraction) -> None:
-    """Add the root of ``base + a*slope`` when it lies in (0, 1): the two
-    must have opposite signs and ``|base| < |slope|``."""
-    s, b = slope.numerator, base.numerator
-    if s < 0 < b or b < 0 < s:
-        root = -base / slope
-        if root < _ONE:
-            roots.add(root)
-
-
-def _value_at(rows: list[_Row], a: Fraction) -> NSReal:
-    """The value of ``rows`` at weight ``a``: one multiply-add per exponent,
-    ``base + a*slope`` over one common denominator, in exponent order, zero
-    coefficients dropped."""
-    p, q = a.numerator, a.denominator
-    terms = []
-    for e, slope, base in rows:
-        if slope:
-            sn, sd = slope.numerator, slope.denominator
-            bn, bd = base.numerator, base.denominator
-            n = bn * sd * q + p * sn * bd
-            if n:
-                terms.append((e, Fraction(n, bd * sd * q)))
-        else:
-            terms.append((e, base))
-    return _wrap(tuple(terms))
+def _coefficient_roots(value: AffineValue) -> Iterator[Fraction]:
+    """The weights at which a coefficient of ``value`` vanishes: ``c0/(c0 -
+    c1)`` for each exponent whose coefficients at ``a = 1`` and ``a = 0``
+    differ; those outside (0, 1) are left for the caller to drop."""
+    one, zero = dict(value.at_one.terms), dict(value.at_zero.terms)
+    for e in one.keys() | zero.keys():
+        c1, c0 = one.get(e, _ZERO), zero.get(e, _ZERO)
+        if c1 != c0:
+            yield c0 / (c0 - c1)

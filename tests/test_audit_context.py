@@ -2,8 +2,8 @@
 one audit takes: one closure (and at most one more, the pool B2 decides
 negligibility against), at most one weight partition per strict chain, one
 independence partition per strict pair and class of third lotteries, no
-sampled partition in the linear regimes, and nothing kept once the audit
-returns."""
+sampled partition in the linear regimes or on values of one sign, and nothing
+kept once the audit returns."""
 
 import gc
 import random
@@ -38,6 +38,7 @@ from qualutil import (
     partition_affine_comparison,
     qcompare,
     rational,
+    render_report,
 )
 from qualutil.fixtures import fixture_path
 from qualutil.solver import compare
@@ -172,11 +173,22 @@ def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatc
 
 
 def test_linear_regimes_take_the_closed_form(monkeypatch):
-    # Every partition of an STD or NS_PROB audit is a threshold partition,
-    # written down without sampling; NS_UTIL still samples.
+    # Every partition of an STD or NS_PROB audit, and of an NS_UTIL audit on
+    # values of one sign, is a threshold partition, written down without
+    # sampling; NS_UTIL on values of both signs still samples.
     dice = bundled("dice", closure_depth=1, grid_denominator=3)
     std = random_structure(random.Random(505), Regime.STD, grid_denominator=3, closure_depth=1)
-    consolation = bundled("consolation", closure_depth=1, grid_denominator=3)
+    mixed = random_structure(
+        random.Random(503), Regime.NS_UTIL, grid_denominator=3, closure_depth=1, signs="mixed"
+    )
+    assert strict_chain_count(mixed) > 0
+    one_signed = [
+        bundled("consolation", closure_depth=1, grid_denominator=3),
+        bundled("surgery", closure_depth=1, grid_denominator=3),
+        bundled("maximin3", closure_depth=1, grid_denominator=3),
+        bundled("maximin3", closure_depth=1, grid_denominator=4),
+    ]
+    unpatched_reports = [render_report(audit(structure)) for structure in one_signed]
 
     def refuse(breakpoints, classify):
         raise AssertionError("sampled partition")
@@ -184,8 +196,9 @@ def test_linear_regimes_take_the_closed_form(monkeypatch):
     monkeypatch.setattr(qualutil.solver, "partition_unit_interval", refuse)
     assert audit(dice).all_hold
     assert audit(std).all_hold
+    assert [render_report(audit(structure)) for structure in one_signed] == unpatched_reports
     with pytest.raises(AssertionError, match="sampled partition"):
-        audit(consolation)
+        audit(mixed)
 
 
 def count_closures(monkeypatch, structure, check=audit):

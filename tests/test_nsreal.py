@@ -2,9 +2,11 @@
 
 import operator
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import nonnegative_nsreals, nsreals, operands, positive_nsreals, scalars
 from oracles import (
@@ -308,6 +310,32 @@ def test_qcompare_matches_the_difference_based_oracle(x, y):
 @given(nonnegative_nsreals, nonnegative_nsreals)
 def test_qcompare_nonnegative_matches_the_difference_based_oracle(x, y):
     assert _qcompare_nonnegative(x, y) is oracle_qcompare_nonnegative(x, y)
+
+
+def leading_term_verdict(x, y):
+    """Two values of one weak sign ranked by their leading terms: order of
+    magnitude first (the smaller exponent; zero is of lower order than any
+    other value), the larger order being the greater among nonnegative
+    values and the lesser among nonpositive ones; coefficient second."""
+    (ex, cx), (ey, cy) = (v.leading() or (inf, 0) for v in (x, y))
+    if ex != ey:
+        nonpositive = x.sign() < 0 or y.sign() < 0
+        return QOrdering.GREATER if (ex < ey) != nonpositive else QOrdering.LESS
+    if cx != cy:
+        return QOrdering.GREATER if cx > cy else QOrdering.LESS
+    return QOrdering.EQUIVALENT
+
+
+@given(nonnegative_nsreals, st.one_of(nonnegative_nsreals, nsreals), st.booleans(), st.data())
+def test_qcompare_on_one_sign_compares_leading_terms(x, step, negate, data):
+    # The property the closed-form qualitative partitions rest on.  The
+    # second value is near the first (often of its order), apart from it,
+    # or zero.
+    y = data.draw(st.sampled_from([x + step, step, ZERO]))
+    y = -y if y.sign() < 0 else y
+    if negate:
+        x, y = -x, -y
+    assert oracle_qcompare(x, y) is leading_term_verdict(x, y)
 
 
 @given(nsreals)

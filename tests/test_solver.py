@@ -256,7 +256,7 @@ def test_partition_labels_cover_disjointly():
             assert sum(s.contains(a) for s in parts.values()) == 1
 
 
-# --- the coefficient-row kernel against the definitional partition ----------
+# --- the three routes against the definitional partition --------------------
 
 COMPARISONS = ("qualitative", "quantitative", "standard-part")
 
@@ -265,7 +265,14 @@ multi_term_nsreals = st.builds(
     st.lists(st.tuples(exponents, nonzero_coefficients), min_size=2, max_size=4),
 )
 signed_operands = st.one_of(nsreals, multi_term_nsreals)
-nonnegative_operands = signed_operands.map(lambda v: -v if v.sign() < 0 else v)
+
+
+def magnitude(value):
+    return -value if value.sign() < 0 else value
+
+
+nonnegative_operands = signed_operands.map(magnitude)
+nonpositive_operands = nonnegative_operands.map(lambda v: -v)
 
 
 def _outcome(partition, left, right, comparison):
@@ -292,6 +299,11 @@ def test_partition_equals_oracle_on_signed_affine_operands(x1, x0, y1, y0):
 
 @given(nonnegative_operands, nonnegative_operands, nonnegative_operands, nonnegative_operands)
 def test_partition_equals_oracle_on_nonnegative_affine_operands(x1, x0, y1, y0):
+    assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
+
+
+@given(nonpositive_operands, nonpositive_operands, nonpositive_operands, nonpositive_operands)
+def test_partition_equals_oracle_on_nonpositive_affine_operands(x1, x0, y1, y0):
     assert_partition_equals_oracle(AffineValue(x1, x0), AffineValue(y1, y0))
 
 
@@ -327,6 +339,20 @@ def test_partition_equals_oracle_in_the_audit_shape(vj, data):
     assert_partition_equals_oracle(AffineValue(vi, vk), AffineValue(vj, vj))
     # A2': a*v_p + (1-a)*v_r against a*v_q + (1-a)*v_r.
     assert_partition_equals_oracle(AffineValue(vi, vk), AffineValue(vj, vk))
+
+
+@given(st.one_of(st.just(ZERO), nonnegative_operands), st.data())
+def test_partition_equals_oracle_in_the_audit_shape_on_one_signed_values(vj, data):
+    # The audit shape with v_p, v_q and v_r all >= 0, then all <= 0, zero
+    # allowed: the qualitative partitions the leading terms decide.
+    nearby = st.one_of(
+        st.just(ZERO),
+        st.builds(lambda d: magnitude(vj + d), st.one_of(signed_operands, finite_nsreals)),
+    )
+    vi, vk = data.draw(nearby), data.draw(nearby)
+    for p, q, r in ((vi, vj, vk), (-vi, -vj, -vk)):
+        assert_partition_equals_oracle(AffineValue(p, r), AffineValue(q, q))
+        assert_partition_equals_oracle(AffineValue(p, r), AffineValue(q, r))
 
 
 def test_partition_equals_oracle_on_hand_picked_crossings():
