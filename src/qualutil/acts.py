@@ -123,9 +123,13 @@ class AAModel:
         validate: bool = True,
     ) -> "AAModel":
         ordered = tuple(states)
+        # In the order of the states, then any state outside them, for
+        # __post_init__ to refuse along with any state left unweighed.
+        weights = [(state, belief[state]) for state in ordered if state in belief]
+        weights += [(state, weight) for state, weight in belief.items() if state not in ordered]
         return AAModel(
             states=ordered,
-            belief=tuple((state, belief[state]) for state in ordered),
+            belief=tuple(weights),
             utilities=utilities,
             regime=regime,
             validate=validate,

@@ -151,6 +151,10 @@ class PrefStructure:
     def __post_init__(self) -> None:
         if not self.generators:
             raise InvalidParameter("at least one generator lottery is required")
+        for name in ("grid_denominator", "closure_depth"):
+            size = getattr(self, name)
+            if type(size) is not int:
+                raise InvalidParameter(f"{name} must be an int, got {size!r}")
         if self.grid_denominator < 2:
             raise InvalidParameter("grid denominator must be at least 2")
         if self.closure_depth < 0:

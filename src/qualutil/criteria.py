@@ -51,6 +51,8 @@ class MaximinSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise InvalidParameter(f"n must be an int, got {self.n!r}")
         if self.n < 2:
             raise InvalidParameter("need at least two ranked outcomes")
 

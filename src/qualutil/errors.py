@@ -16,8 +16,8 @@ class InfiniteValue(QualUtilError):
 
 
 class InvalidParameter(QualUtilError, ValueError):
-    """A value is outside its domain -- a grid denominator below 2, a
-    negative closure depth, no lotteries, fewer than two ranked outcomes, a
+    """A value is outside its domain -- a size that is not an ``int``, a
+    grid denominator below 2, a negative closure depth, no lotteries, fewer than two ranked outcomes, a
     lottery, belief or utility assignment that is not one, an unknown
     certificate kind -- or command-line text is not the number it must be."""
 

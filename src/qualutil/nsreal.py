@@ -23,17 +23,15 @@ the coefficients or touches exponent 0 only -- and so wraps its result
 without checking or sorting it again.
 
 Two comparisons are provided.  The ordinary total order (``<``, ``<=`` and
-friends) is decided by the sign of the difference, i.e. by the sign of the
-leading coefficient.  The *qualitative* order :func:`qcompare` is coarser: it
-ignores differences that are infinitesimal relative to the operands, so
-``1 + eps`` is qualitatively equivalent to ``1`` while ``eps`` still exceeds
-``eps/12``.  For values of equal sign the test is division-free: ``x``
-qualitatively exceeds ``y`` (both nonnegative) exactly when ``x - y`` is
-positive and its leading exponent equals the leading exponent of ``x``.
-Opposite-sign operands are ordered by sign, and negative operands reduce to
-the nonnegative case through ``x ~> y  iff  -y ~> -x``.  Both comparisons
-read the leading term of the difference off the two term tuples, walking
-them to the first exponent where they differ, without building it.
+friends) is decided by the sign of the difference, i.e. by the sign of its
+leading coefficient, read off the two term tuples by walking them to the
+first exponent where they differ, without building the difference.  The
+*qualitative* order :func:`qcompare` is coarser: it ignores differences
+that are infinitesimal relative to the operands, so ``1 + eps`` is
+qualitatively equivalent to ``1`` while ``eps`` still exceeds ``eps/12``.
+Opposite-sign operands are ordered by sign, and values of one sign by their
+leading terms alone: order of magnitude first, leading coefficient second.
+``qcompare`` reads one term of each operand.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Union
 
 from .errors import InfiniteValue
@@ -254,11 +253,11 @@ class NSReal:
     def _compare_sign(self, other: object) -> int | None:
         """The sign of ``self - other``, or None for an unsupported operand."""
         if isinstance(other, NSReal):
-            return _first_difference(self.terms, other.terms)[1]
+            return _difference_sign(self.terms, other.terms)
         s = _scalar(other)
         if s is None:
             return None
-        return _first_difference(self.terms, _scalar_terms(s))[1]
+        return _difference_sign(self.terms, _scalar_terms(s))
 
     def __lt__(self, other: object) -> bool:
         s = self._compare_sign(other)
@@ -352,25 +351,22 @@ def _plus_scalar(terms: Terms, s: Fraction) -> Terms:
     return terms + ((0, s),)
 
 
-def _first_difference(a: Terms, b: Terms) -> tuple[int | None, int]:
-    """``(exponent, sign)`` of the leading term of ``a - b``, read off the
-    first exponent where the two term tuples differ; ``(None, 0)`` when they
-    are equal."""
+def _difference_sign(a: Terms, b: Terms) -> int:
+    """The sign of ``a - b``: that of its leading term, read off the first
+    exponent where the two term tuples differ; 0 when they are equal."""
     for (ea, ca), (eb, cb) in zip(a, b):
         if ea != eb:
             if ea < eb:
-                return ea, 1 if ca.numerator > 0 else -1
-            return eb, -1 if cb.numerator > 0 else 1
+                return 1 if ca.numerator > 0 else -1
+            return -1 if cb.numerator > 0 else 1
         if ca != cb:
-            return ea, 1 if ca > cb else -1
+            return 1 if ca > cb else -1
     na, nb = len(a), len(b)
     if na > nb:
-        e, c = a[nb]
-        return e, 1 if c.numerator > 0 else -1
+        return 1 if a[nb][1].numerator > 0 else -1
     if nb > na:
-        e, c = b[na]
-        return e, -1 if c.numerator > 0 else 1
-    return None, 0
+        return -1 if b[na][1].numerator > 0 else 1
+    return 0
 
 
 def rational(value: Scalar | str) -> NSReal:
@@ -392,40 +388,35 @@ ONE = rational(1)
 EPS = eps()
 
 
-def _gap_verdict(exponent: int | None, sign: int, upper: NSReal, lower: NSReal) -> QOrdering:
-    # ``upper - lower`` has its leading term at ``exponent`` with ``sign``;
-    # both operands are >= 0.  Division-free test: upper exceeds lower
-    # exactly when the difference is positive and as large in order of
-    # magnitude as upper itself.
-    if sign > 0:
-        return QOrdering.GREATER if exponent == upper.terms[0][0] else QOrdering.EQUIVALENT
-    if sign < 0:
-        return QOrdering.LESS if exponent == lower.terms[0][0] else QOrdering.EQUIVALENT
-    return QOrdering.EQUIVALENT
+# The leading term of zero: below every term in order of magnitude.
+_NO_TERM = (inf, Fraction(0))
 
 
-def _qcompare_nonnegative(x: NSReal, y: NSReal) -> QOrdering:
-    # Both operands >= 0.
-    return _gap_verdict(*_first_difference(x.terms, y.terms), x, y)
+def _lead(value: NSReal) -> tuple[float, Fraction]:
+    """The leading ``(exponent, coefficient)`` of ``value``, ``(inf, 0)`` for
+    zero: the key of the qualitative order among values of one sign."""
+    return value.terms[0] if value.terms else _NO_TERM
 
 
 def qcompare(x: NSReal, y: NSReal) -> QOrdering:
     """Qualitative comparison: strict only when the gap is non-negligible
     relative to the operands.
 
-    For nonnegative operands the gap must be of the same order of magnitude
-    as the larger operand; any nonnegative value strictly exceeds any
-    negative one; comparisons among negatives mirror the nonnegative case.
-    The result refines the total order (GREATER implies ``x > y``) and the
-    induced equivalence is exactly "identical leading term, same sign class".
+    Any nonnegative value strictly exceeds any negative one.  Values of one
+    sign class are ranked by their leading terms: order of magnitude first
+    (zero being of lower order than any other value), the larger order being
+    the greater among nonnegative values and the lesser among negative ones;
+    leading coefficient second.  So the result refines the total order
+    (GREATER implies ``x > y``) and the induced equivalence is exactly
+    "identical leading term, same sign class".
     """
-    sx, sy = x.sign(), y.sign()
-    if sx >= 0 and sy < 0:
-        return QOrdering.GREATER
-    if sx < 0 and sy >= 0:
-        return QOrdering.LESS
-    if sx < 0:
-        # x ~> y iff -y ~> -x, and (-y) - (-x) = x - y: the same first
-        # difference, with -y (led where y is) as the upper operand.
-        return _gap_verdict(*_first_difference(x.terms, y.terms), y, x)
-    return _qcompare_nonnegative(x, y)
+    ex, cx = _lead(x)
+    ey, cy = _lead(y)
+    x_negative = cx.numerator < 0
+    if x_negative != (cy.numerator < 0):
+        return QOrdering.LESS if x_negative else QOrdering.GREATER
+    if ex != ey:
+        return QOrdering.GREATER if (ex < ey) != x_negative else QOrdering.LESS
+    if cx == cy:
+        return QOrdering.EQUIVALENT
+    return QOrdering.GREATER if cx > cy else QOrdering.LESS

@@ -37,7 +37,7 @@ from .errors import (
     MissingUtility,
     PreconditionViolated,
 )
-from .nsreal import NSReal, ONE, QOrdering, ZERO, qcompare, rational
+from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, qcompare, rational
 from .solver import AffineValue, RationalIntervalSet, compare, partition_affine_comparison
 
 __all__ = [
@@ -277,20 +277,14 @@ def overrides_values(dominant: NSReal, dominated: NSReal) -> bool:
     """Value-level overriding: the dominated stake is negligible besides the
     dominant one, so mixtures weighted toward ``dominant`` drown it out.
 
-    Both values must be nonnegative.  True exactly when ``dominant``
-    qualitatively exceeds ``dominated`` and ``dominated`` is either zero or
-    of strictly smaller order of magnitude.
+    Both values must be nonnegative.  True exactly when ``dominant`` is of
+    strictly larger order of magnitude than ``dominated``: its leading
+    exponent is the smaller, zero being of lower order than any other value.
+    Such a ``dominant`` also qualitatively exceeds ``dominated``.
     """
     if dominant.sign() < 0 or dominated.sign() < 0:
         raise PreconditionViolated("overriding is defined for nonnegative values only")
-    if qcompare(dominant, dominated) is not QOrdering.GREATER:
-        return False
-    if dominated.is_zero():
-        return True
-    lead_dominant = dominant.leading_exponent()
-    lead_dominated = dominated.leading_exponent()
-    assert lead_dominant is not None and lead_dominated is not None
-    return lead_dominated > lead_dominant
+    return _lead(dominant)[0] < _lead(dominated)[0]
 
 
 def overrides(

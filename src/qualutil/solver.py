@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import InvalidParameter
-from .nsreal import NSReal, QOrdering, qcompare
+from .nsreal import NSReal, QOrdering, _lead, qcompare
 
 __all__ = [
     "AffineValue",
@@ -332,16 +331,12 @@ def _threshold_partition(
     return {_sign_label(n0 + n1): _WHOLE}
 
 
-# The leading term of zero: below every exponent's in order of magnitude.
-_NO_TERM = (inf, _ZERO)
-
-
 def _leading_row(value: AffineValue) -> tuple[float, Fraction, Fraction]:
     """The leading exponent of ``value`` on (0, 1), the smaller of its two
     endpoints' (``inf`` for zero), and that exponent's coefficients at
     ``a = 1`` and ``a = 0``; an endpoint that does not lead there has none."""
-    e1, c1 = value.at_one.terms[0] if value.at_one.terms else _NO_TERM
-    e0, c0 = value.at_zero.terms[0] if value.at_zero.terms else _NO_TERM
+    e1, c1 = _lead(value.at_one)
+    e0, c0 = _lead(value.at_zero)
     if e1 < e0:
         return e1, c1, _ZERO
     if e0 < e1:

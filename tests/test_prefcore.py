@@ -19,6 +19,7 @@ from qualutil import (
     InvalidParameter,
     InvalidWeight,
     Lottery,
+    MaximinSpec,
     MissingUtility,
     ONE,
     PreconditionViolated,
@@ -468,6 +469,10 @@ def _model(states, belief, regime=Regime.STD):
     return AAModel(tuple(states), tuple(belief), STANDARD_UTILITIES, regime)
 
 
+def _structure(**sizes):
+    return PrefStructure(Regime.STD, STANDARD_UTILITIES, (Lottery.degenerate("best"),), **sizes)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -509,6 +514,25 @@ def _model(states, belief, regime=Regime.STD):
             lambda: RationalInterval(F(1, 2), F(1, 3), True, True),
             r"^empty interval \(1/2, 1/3\)$",
         ),
+        (
+            lambda: AAModel.from_mappings(("s", "t"), {"s": ONE}, STANDARD_UTILITIES, Regime.STD),
+            "^belief must weigh exactly the states of the space$",
+        ),
+        (
+            lambda: AAModel.from_mappings(
+                ("s",), {"s": ONE, "t": ZERO}, STANDARD_UTILITIES, Regime.STD
+            ),
+            "^belief must weigh exactly the states of the space$",
+        ),
+        (lambda: _structure(grid_denominator=2.5), r"^grid_denominator must be an int, got 2\.5$"),
+        (
+            lambda: _structure(grid_denominator=F(3)),
+            r"^grid_denominator must be an int, got Fraction\(3, 1\)$",
+        ),
+        (lambda: _structure(closure_depth=1.0), r"^closure_depth must be an int, got 1\.0$"),
+        (lambda: _structure(closure_depth=True), "^closure_depth must be an int, got True$"),
+        (lambda: MaximinSpec(2.5), r"^n must be an int, got 2\.5$"),
+        (lambda: MaximinSpec(True), "^n must be an int, got True$"),
     ],
     ids=lambda value: value if isinstance(value, str) else "case",
 )
