@@ -46,16 +46,16 @@ failure found and its certificate are those of the full scan:
   verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
 * NS_UTIL with values of both signs: every lottery is its own class.
 
-In the linear regimes, STD and NS_PROB, A2 and B2 also scan one weight per
-class, the first of it in scan order.  The verdict is the sign of
-``w*(v_p - v_q)`` or of its standard part ``st(w)*st(v_p - v_q)``, so it
-sees ``w`` only through whether it is infinitesimal: the grid weights and
-``1 - EPS`` are one class, ``EPS`` and ``EPS/2`` the other.  B2 first drops
-the negligible weights, each decided against one pool, the
-depth-``min(depth, 1)`` closure, whose expected utilities are computed once
-per audit.  The weight partitions of these regimes, and those of NS_UTIL
-on values of one sign, are threshold partitions, written down without
-sampling (:mod:`qualutil.solver`).
+In the linear regimes, STD and NS_PROB, A2 and B2 also scan one weight, the
+first.  The verdict is the sign of ``w*(v_p - v_q)`` or of its standard part
+``st(w)*st(v_p - v_q)``, so it sees ``w`` only through whether it is
+infinitesimal, and no weight they scan is.  B2 exempts its negligible weights
+by the closed-form rule of :func:`~qualutil.prefcore.is_negligible`: the
+infinitesimal ones, and all of them when the closure's values share one
+standard part.  Mixing keeps a common standard part, so the closure shares
+one exactly when its generators do, at any depth.  The weight partitions of
+these regimes, and those of NS_UTIL on values of one sign, are threshold
+partitions, written down without sampling (:mod:`qualutil.solver`).
 
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
@@ -82,7 +82,7 @@ from .errors import (
 from .nsreal import EPS, NSReal, ONE, QOrdering
 from .prefcore import (
     _PREF_FROM_Q,
-    _is_negligible_in,
+    _require_int,
     Lottery,
     PrefOrdering,
     Regime,
@@ -152,9 +152,7 @@ class PrefStructure:
         if not self.generators:
             raise InvalidParameter("at least one generator lottery is required")
         for name in ("grid_denominator", "closure_depth"):
-            size = getattr(self, name)
-            if type(size) is not int:
-                raise InvalidParameter(f"{name} must be an int, got {size!r}")
+            _require_int(name, getattr(self, name))
         if self.grid_denominator < 2:
             raise InvalidParameter("grid denominator must be at least 2")
         if self.closure_depth < 0:
@@ -267,8 +265,8 @@ class _Context:
     """What the checks of one audit share: the closure, each lottery's
     expected utility, the regime's comparison of every two of them, the
     first index of each class of interchangeable third lotteries, whether
-    mixing weights fall into classes too (the linear regimes), and the
-    witness weights of the strict chains solved so far."""
+    one mixing weight stands for all (the linear regimes), and the witness
+    weights of the strict chains solved so far."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
@@ -466,14 +464,11 @@ def _independence_scan(
 ) -> Verdict:
     """Mixing every strict pair with every closure lottery at every weight
     keeps the pair strict; otherwise the first violation in scan order.  One
-    third lottery per class stands for its class, and in the linear regimes
-    one weight per class too, the first of it in scan order: infinitesimal
-    weights, and all others."""
+    third lottery per class stands for its class.  In the linear regimes no
+    weight may be infinitesimal; all then give one verdict, and the first
+    stands for them all."""
     if context.linear:
-        firsts: dict[bool, NSReal | Fraction] = {}
-        for w in weights:
-            firsts.setdefault(isinstance(w, NSReal) and w.is_infinitesimal(), w)
-        weights = tuple(firsts.values())
+        weights = weights[:1]
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
             continue
@@ -497,24 +492,17 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 
     The weight set is the standard grid extended with infinitesimal and
     near-one nonstandard weights; negligible weights are exempt by the
-    postulate and are skipped.  Negligibility is that of
-    :func:`~qualutil.prefcore.is_negligible` (the definitional sweep with its
-    analytic guard) against the depth-``min(depth, 1)`` closure, whose
-    expected utilities are computed once for all the weights: they are the
-    audit's own when its depth is at most 1.  The remaining weights are then
-    scanned one per class, infinitesimal or not (module docstring)."""
+    postulate and are skipped: the infinitesimal ones, and all of them when
+    the closure's values share one standard part (module docstring).  The
+    remaining weights give one verdict, so the first stands for them all."""
     if structure.regime.standard_probabilities:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
-    if structure.closure_depth <= 1:
-        pool = context.values
-    else:
-        pool = tuple(
-            expected_utility(lottery, structure.utilities)
-            for lottery in mixture_closure(structure, 1)
-        )
     weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
-    relevant = [w for w in weights if not _is_negligible_in(w, pool)]
+    separates = len({value.standard_part() for value in context.values}) > 1
+    relevant = [
+        w for w in weights if separates and not (isinstance(w, NSReal) and w.is_infinitesimal())
+    ]
     domain = _domain(
         structure, context, "all strict pairs x closure x (grid + nonstandard) weights"
     )

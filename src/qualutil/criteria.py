@@ -23,6 +23,7 @@ from typing import Union
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import NSReal, eps
 from .prefcore import (
+    _require_int,
     Lottery,
     PrefOrdering,
     Regime,
@@ -51,8 +52,7 @@ class MaximinSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise InvalidParameter(f"n must be an int, got {self.n!r}")
+        _require_int("n", self.n)
         if self.n < 2:
             raise InvalidParameter("need at least two ranked outcomes")
 

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     ClosureTooLarge,
@@ -309,8 +309,15 @@ def overrides(
     )
 
 
+def _require_int(name: str, size: object) -> None:
+    """Refuse a size that is not an ``int`` (a ``bool`` is not one), naming it."""
+    if type(size) is not int:
+        raise InvalidParameter(f"{name} must be an int, got {size!r}")
+
+
 def grid_weights(denominator: int) -> tuple[Fraction, ...]:
     """The standard weights k/denominator, 0 < k < denominator."""
+    _require_int("denominator", denominator)
     if denominator < 2:
         raise InvalidWeight("grid denominator must be at least 2")
     return tuple(Fraction(k, denominator) for k in range(1, denominator))
@@ -333,6 +340,9 @@ def close_under_mixtures(
     an oversized closure is refused before the rest of it is built.
     """
     weights = grid_weights(denominator)
+    _require_int("depth", depth)
+    if depth < 0:
+        raise InvalidParameter(f"depth must be nonnegative, got {depth}")
     current: dict[Lottery, None] = dict.fromkeys(lotteries)
     if not current:
         raise InvalidParameter("need at least one lottery to close")
@@ -379,15 +389,7 @@ def is_negligible(
     w = _coerce_weight(weight)
     _check_unit_weight(w)
     pool = close_under_mixtures(generators, denominator=denominator, depth=depth)
-    return _is_negligible_in(w, [expected_utility(lottery, assignment) for lottery in pool])
-
-
-def _is_negligible_in(weight: Weight, values: Sequence[NSReal]) -> bool:
-    """:func:`is_negligible` of a weight in (0, 1) against the expected
-    utilities ``values`` of a pool already built: the definitional sweep,
-    cross-checked against the infinitesimal test when the pool separates.
-    A caller deciding several weights against one pool builds it once."""
-    w = _coerce_weight(weight)
+    values = [expected_utility(lottery, assignment) for lottery in pool]
     definitional = True
     for value_p, value_q in itertools.product(values, repeat=2):
         mixed_value = w * value_p + (ONE - w) * value_q

@@ -1,9 +1,8 @@
 """The audit engine against the definitional checks, and the work and memory
-one audit takes: one closure (and at most one more, the pool B2 decides
-negligibility against), at most one weight partition per strict chain, one
-independence partition per strict pair and class of third lotteries, no
-sampled partition in the linear regimes or on values of one sign, and nothing
-kept once the audit returns."""
+one audit takes: one closure, which B2 also decides negligibility on, at most
+one weight partition per strict chain, one independence partition per strict
+pair and class of third lotteries, no sampled partition in the linear regimes
+or on values of one sign, and nothing kept once the audit returns."""
 
 import gc
 import random
@@ -25,14 +24,20 @@ from qualutil import (
     EPS,
     ONE,
     AffineValue,
+    Lottery,
+    NSReal,
     PrefOrdering,
+    PrefStructure,
     QOrdering,
     Regime,
+    UtilityAssignment,
     audit,
     check_B2,
     compare_values,
     eps,
     expected_utility,
+    grid_weights,
+    is_negligible,
     load_model,
     mixture_closure,
     partition_affine_comparison,
@@ -221,11 +226,12 @@ def test_dice_audit_builds_at_most_one_closure_beyond_its_own(monkeypatch):
         monkeypatch, bundled("dice", closure_depth=1, grid_denominator=3)
     )
     assert report.verdict("B2").holds
-    assert 1 <= closures <= 2
+    assert closures == 1
 
 
-def test_B2_at_depth_two_decides_negligibility_on_its_own_depth_one_pool(monkeypatch):
-    # The pool is the depth-1 closure, apart from the audit's depth-2 one.
+def test_B2_at_depth_two_builds_no_closure_beyond_its_own(monkeypatch):
+    # Negligibility is decided on the audit's depth-2 closure, not on a
+    # depth-1 pool of its own.
     rng = random.Random(703)
     for _ in range(10):
         structure = random_structure(
@@ -233,7 +239,73 @@ def test_B2_at_depth_two_decides_negligibility_on_its_own_depth_one_pool(monkeyp
         )
         verdict, closures = count_closures(monkeypatch, structure, check_B2)
         assert verdict == oracle_B2(structure)
-        assert closures == 2
+        assert closures == 1
+
+
+def test_B2_decides_negligibility_without_the_sweep(monkeypatch):
+    # The sweep of is_negligible compares through prefcore's binding; B2's
+    # own scan goes through the auditor's.
+    def refuse(*args):
+        raise AssertionError("negligibility sweep")
+
+    monkeypatch.setattr(qualutil.prefcore, "compare_values", refuse)
+    assert check_B2(bundled("dice", closure_depth=1, grid_denominator=3)).holds
+
+
+# --- B2's negligible weights -------------------------------------------------
+#
+# A weight in (0, 1) is negligible exactly when it is infinitesimal, or when
+# the values of the set share one standard part, so that no weight moves a
+# mixture's standard part.
+
+B2_WEIGHTS = (*grid_weights(3), EPS, Fraction(1, 2) * EPS, ONE - EPS)
+
+
+def eps_bets(depth):
+    """Two bets on a prize at chances eps and eps/12: one standard part."""
+    utilities = UtilityAssignment.from_mapping({"prize": rational(1), "nothing": rational(0)})
+    generators = tuple(
+        Lottery.from_mapping({"prize": chance, "nothing": ONE - chance})
+        for chance in (EPS, Fraction(1, 12) * EPS)
+    )
+    return PrefStructure(
+        Regime.NS_PROB, utilities, generators, grid_denominator=3, closure_depth=depth
+    )
+
+
+def negligible_by_rule(weight, structure, depth):
+    values = [
+        expected_utility(lottery, structure.utilities)
+        for lottery in mixture_closure(structure, depth)
+    ]
+    infinitesimal = isinstance(weight, NSReal) and weight.is_infinitesimal()
+    return infinitesimal or len({value.standard_part() for value in values}) == 1
+
+
+def test_is_negligible_is_the_closed_form_rule():
+    rng = random.Random(811)
+    structures = [eps_bets(0)] + [
+        random_structure(rng, Regime.NS_PROB, generator_count=2 + index % 2, grid_denominator=3)
+        for index in range(30)
+    ]
+    separating = 0
+    for structure in structures:
+        separating += not negligible_by_rule(Fraction(1, 2), structure, 0)
+        for depth in (0, 1):
+            for weight in B2_WEIGHTS:
+                negligible = is_negligible(
+                    weight, structure.utilities, structure.generators, denominator=3, depth=depth
+                )
+                assert negligible == negligible_by_rule(weight, structure, depth)
+    assert 0 < separating < len(structures)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_B2_holds_on_a_set_that_does_not_separate(depth):
+    structure = eps_bets(depth)
+    verdict = check_B2(structure)
+    assert verdict.holds
+    assert verdict == oracle_B2(structure)
 
 
 @pytest.mark.parametrize("name, partitions", [("consolation", 1_549), ("surgery", 2_358)])

@@ -46,6 +46,7 @@ from qualutil import (
     rational,
     replay,
 )
+from qualutil.criteria import maximin_sweep
 from qualutil.fixtures import consolation_document
 
 F = Fraction
@@ -469,6 +470,9 @@ def _model(states, belief, regime=Regime.STD):
     return AAModel(tuple(states), tuple(belief), STANDARD_UTILITIES, regime)
 
 
+TWO_GENERATORS = (Lottery.degenerate("best"), Lottery.degenerate("worst"))
+
+
 def _structure(**sizes):
     return PrefStructure(Regime.STD, STANDARD_UTILITIES, (Lottery.degenerate("best"),), **sizes)
 
@@ -533,6 +537,22 @@ def _structure(**sizes):
         (lambda: _structure(closure_depth=True), "^closure_depth must be an int, got True$"),
         (lambda: MaximinSpec(2.5), r"^n must be an int, got 2\.5$"),
         (lambda: MaximinSpec(True), "^n must be an int, got True$"),
+        (lambda: grid_weights(2.5), r"^denominator must be an int, got 2\.5$"),
+        (lambda: grid_weights(F(3)), r"^denominator must be an int, got Fraction\(3, 1\)$"),
+        (lambda: grid_weights(True), "^denominator must be an int, got True$"),
+        (
+            lambda: close_under_mixtures(TWO_GENERATORS, 2.5, 1),
+            r"^denominator must be an int, got 2\.5$",
+        ),
+        (
+            lambda: close_under_mixtures(TWO_GENERATORS, 3, 1.5),
+            r"^depth must be an int, got 1\.5$",
+        ),
+        (
+            lambda: close_under_mixtures(TWO_GENERATORS, 3, -1),
+            "^depth must be nonnegative, got -1$",
+        ),
+        (lambda: maximin_sweep(MaximinSpec(3), 2.5), r"^denominator must be an int, got 2\.5$"),
     ],
     ids=lambda value: value if isinstance(value, str) else "case",
 )
