@@ -27,8 +27,10 @@ The checks:
 
 :func:`audit` builds one context (closure, expected utilities, comparison
 matrix) and passes it to every ``check_*`` as ``context``; called alone, a
-check builds its own.  A3, A3p, A3pp and gamma read their weights off one
-partition per strict chain, solved at most once per audit.
+check builds its own.  The solvability family, A3, A3p, A3pp and gamma, is
+decided in one ordered pass over the strict chains: each chain gets one
+weight partition, read by every postulate still undecided, and nothing is
+kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
 difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  The
@@ -46,16 +48,18 @@ failure found and its certificate are those of the full scan:
   verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
 * NS_UTIL with values of both signs: every lottery is its own class.
 
-In the linear regimes, STD and NS_PROB, A2 and B2 also scan one weight, the
-first.  The verdict is the sign of ``w*(v_p - v_q)`` or of its standard part
-``st(w)*st(v_p - v_q)``, so it sees ``w`` only through whether it is
-infinitesimal, and no weight they scan is.  B2 exempts its negligible weights
-by the closed-form rule of :func:`~qualutil.prefcore.is_negligible`: the
+Unless NS_UTIL values mix signs, one third lottery per class and the first
+weight stand for all, so A2 and B2 scan one weight.  In STD and NS_PROB the
+verdict sees ``w`` only through whether it is infinitesimal, and none they
+scan is.  On NS_UTIL values of one sign no standard ``w`` moves a mixture's
+leading exponent, and where both lead at one, their leading coefficients
+differ by ``w`` times a constant.  B2 exempts its negligible weights by the
+closed-form rule of :func:`~qualutil.prefcore.is_negligible`: the
 infinitesimal ones, and all of them when the closure's values share one
-standard part.  Mixing keeps a common standard part, so the closure shares
-one exactly when its generators do, at any depth.  The weight partitions of
-these regimes, and those of NS_UTIL on values of one sign, are threshold
-partitions, written down without sampling (:mod:`qualutil.solver`).
+standard part, which mixing keeps, so the closure shares one exactly when
+its generators do.  The weight partitions of STD, NS_PROB and one-signed
+NS_UTIL are threshold partitions, written without sampling
+(:mod:`qualutil.solver`).
 
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
@@ -64,9 +68,8 @@ weight partition encode each pair so and use those of the STD regime.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -257,41 +260,24 @@ def mixture_closure(
     )
 
 
-_Chain = tuple[int, int, int]
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
     expected utility, the regime's comparison of every two of them, the
-    first index of each class of interchangeable third lotteries, whether
-    one mixing weight stands for all (the linear regimes), and the witness
-    weights of the strict chains solved so far."""
+    first index of each class of interchangeable third lotteries, and
+    whether NS_UTIL values mix signs.  Unless they do, one third lottery per
+    class and the first weight stand for all."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
     matrix: tuple[tuple[PrefOrdering, ...], ...]
     third_lotteries: tuple[int, ...]
-    linear: bool
-    # Per chain, a witness weight for each relation with a nonempty weight
-    # set; whole partitions would cost several times the memory.
-    chain_weights: dict[_Chain, dict[QOrdering, Fraction]] = field(default_factory=dict)
+    mixed_signs: bool
 
     @property
     def size(self) -> int:
         return len(self.lotteries)
-
-    def chain_weight(self, chain: _Chain, relation: QOrdering) -> Fraction | None:
-        """A weight a putting a*p + (1-a)*r in ``relation`` to q on the chain
-        (p, q, r), or None; the chain is partitioned on its first request."""
-        weights = self.chain_weights.get(chain)
-        if weights is None:
-            i, j, k = chain
-            parts = _mixture_partition(self.values[i], self.values[k], self.values[j], self.regime)
-            weights = {ordering: weight_set.witness() for ordering, weight_set in parts.items()}
-            self.chain_weights[chain] = weights
-        return weights.get(relation)
 
 
 def _build_context(structure: PrefStructure) -> _Context:
@@ -312,19 +298,19 @@ def _build_context(structure: PrefStructure) -> _Context:
     # STD and NS_PROB: the verdict is the sign of w*(v_i - v_j), or of its
     # standard part, so k never matters, and w only through whether it is
     # infinitesimal.  NS_UTIL of one weak sign: no cancellation, so both
-    # sides lead at min(lead v_i or v_j, lead v_k) and only lead v_k
-    # matters.  Mixed signs can cancel: every k stands alone.
-    linear = structure.regime is not Regime.NS_UTIL
-    if linear:
+    # sides lead at min(lead v_i or v_j, lead v_k): only lead v_k matters,
+    # and no standard w.  Mixed signs can cancel: every k and w stands alone.
+    mixed_signs = structure.regime is Regime.NS_UTIL and {1, -1} <= {v.sign() for v in values}
+    if structure.regime is not Regime.NS_UTIL:
         third_lotteries: tuple[int, ...] = (0,)
-    elif {1, -1} <= {value.sign() for value in values}:
+    elif mixed_signs:
         third_lotteries = tuple(range(len(values)))
     else:
         firsts: dict[int | None, int] = {}
         for k, value in enumerate(values):
             firsts.setdefault(value.leading_exponent(), k)
         third_lotteries = tuple(firsts.values())
-    return _Context(structure.regime, lotteries, values, matrix, third_lotteries, linear)
+    return _Context(structure.regime, lotteries, values, matrix, third_lotteries, mixed_signs)
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -464,10 +450,10 @@ def _independence_scan(
 ) -> Verdict:
     """Mixing every strict pair with every closure lottery at every weight
     keeps the pair strict; otherwise the first violation in scan order.  One
-    third lottery per class stands for its class.  In the linear regimes no
-    weight may be infinitesimal; all then give one verdict, and the first
-    stands for them all."""
-    if context.linear:
+    third lottery per class stands for its class.  Unless NS_UTIL values mix
+    signs, every weight gives one verdict (none may be infinitesimal in STD
+    and NS_PROB), and the first stands for them all."""
+    if not context.mixed_signs:
         weights = weights[:1]
     for i, j in itertools.product(range(context.size), repeat=2):
         if context.matrix[i][j] is not PrefOrdering.BETTER:
@@ -513,7 +499,7 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 # Solvability family
 
 
-def _strict_chains(context: _Context) -> Iterable[_Chain]:
+def _strict_chains(context: _Context) -> Iterable[tuple[int, int, int]]:
     better = PrefOrdering.BETTER
     for i, j, k in itertools.product(range(context.size), repeat=3):
         if context.matrix[i][j] is better and context.matrix[j][k] is better:
@@ -524,8 +510,7 @@ def _strict_chains(context: _Context) -> Iterable[_Chain]:
 # level with or below q on strict chains p > q > r.  Per postulate: the
 # domain it is decided over, which chains it exempts, and the (label,
 # relation) pairs whose weight sets must be nonempty, in reporting order.
-# An exemption reads the values of p and q and a lookup from relation to
-# weights (None if none): memoised witnesses in the scan, a partition in replay.
+# An exemption reads the values of p and q and the chain's weight partition.
 _SOLVABILITY = {
     "A3": (
         "all strict chains, exact weight solving",
@@ -535,56 +520,66 @@ _SOLVABILITY = {
     "A3p": ("all strict chains, exact weight solving", None, (("alpha", QOrdering.GREATER),)),
     "A3pp": (
         "strict chains with non-overriding top, exact weight solving",
-        lambda top, middle, weight_of: overrides_values(top, middle),
+        lambda top, middle, parts: overrides_values(top, middle),
         (("beta", QOrdering.LESS),),
     ),
     "gamma": (
         "strict chains with nonempty lower set",
-        lambda top, middle, weight_of: weight_of(QOrdering.LESS) is None,
+        lambda top, middle, parts: QOrdering.LESS not in parts,
         (("gamma", QOrdering.EQUIVALENT),),
     ),
 }
 
 
 def _solvability(
-    postulate: str, structure: PrefStructure, context: _Context | None
-) -> Verdict:
-    """Scan the strict chains in order for the weights ``postulate`` needs:
-    a witness per needed weight, or a certificate for the first one missing."""
-    extra, exempt, needed = _SOLVABILITY[postulate]
+    postulates: Sequence[str], structure: PrefStructure, context: _Context | None
+) -> tuple[Verdict, ...]:
+    """Decide ``postulates`` in one pass over the strict chains, partitioning
+    each chain once while some postulate is undecided.  Each postulate gets
+    a witness per needed weight on every chain it does not exempt, or a
+    certificate for the first one missing, as a scan of its own would."""
     context = context or _build_context(structure)
-    domain = _domain(structure, context, extra)
-    witnesses: list[MixtureWitness] = []
+    values = context.values
+    domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
+    failed: dict[str, Counterexample] = {}
+    live: dict[str, list[MixtureWitness]] = {postulate: [] for postulate in postulates}
     for chain in _strict_chains(context):
-        i, j, _ = chain
-        if exempt is not None and exempt(
-            context.values[i], context.values[j], functools.partial(context.chain_weight, chain)
-        ):
-            continue
+        if not live:
+            break
+        i, j, k = chain
+        parts = _mixture_partition(values[i], values[k], values[j], context.regime)
         p, q, r = (context.lotteries[index] for index in chain)
-        for label, relation in needed:
-            weight = context.chain_weight(chain, relation)
-            if weight is None:
-                certificate = Counterexample(
-                    kind="existential",
-                    payload=(
-                        ("p", p),
-                        ("q", q),
-                        ("r", r),
-                        ("postulate", postulate),
-                        ("missing", label),
-                        ("relation", relation.value),
-                        ("set", RationalIntervalSet()),
-                    ),
-                )
-                return Verdict(postulate, False, domain, certificate)
-            witnesses.append(MixtureWitness(label, p, q, r, weight))
-    return Verdict(postulate, True, domain, witnesses=tuple(witnesses))
+        for postulate, witnesses in list(live.items()):
+            _, exempt, needed = _SOLVABILITY[postulate]
+            if exempt is not None and exempt(values[i], values[j], parts):
+                continue
+            for label, relation in needed:
+                weights = parts.get(relation)
+                if weights is None:
+                    failed[postulate] = Counterexample(
+                        kind="existential",
+                        payload=(
+                            ("p", p),
+                            ("q", q),
+                            ("r", r),
+                            ("postulate", postulate),
+                            ("missing", label),
+                            ("relation", relation.value),
+                            ("set", RationalIntervalSet()),
+                        ),
+                    )
+                    del live[postulate]
+                    break
+                witnesses.append(MixtureWitness(label, p, q, r, weights.witness()))
+    return tuple(
+        Verdict(name, name in live, domains[name], failed.get(name), tuple(live.get(name, ())))
+        for name in postulates
+    )
 
 
 def check_A3(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Both-sided solvability on every strict chain of the closure."""
-    return _solvability("A3", structure, context)
+    return _solvability(("A3",), structure, context)[0]
 
 
 def _require_standard_probabilities(structure: PrefStructure, subject: str) -> None:
@@ -646,7 +641,7 @@ def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) 
 def check_A3prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Upper solvability: some mixture of the endpoints beats the middle."""
     _require_standard_probabilities(structure, "A3p")
-    return _solvability("A3p", structure, context)
+    return _solvability(("A3p",), structure, context)[0]
 
 
 def check_A3doubleprime(
@@ -654,7 +649,7 @@ def check_A3doubleprime(
 ) -> Verdict:
     """Lower solvability on chains whose top does not override the middle."""
     _require_unsigned_qualitative(structure, "A3pp")
-    return _solvability("A3pp", structure, context)
+    return _solvability(("A3pp",), structure, context)[0]
 
 
 def check_gamma_property(
@@ -663,7 +658,7 @@ def check_gamma_property(
     """If some endpoint mixture falls strictly below the middle of a chain,
     some endpoint mixture is exactly indifferent to it."""
     _require_standard_probabilities(structure, "the gamma property")
-    return _solvability("gamma", structure, context)
+    return _solvability(("gamma",), structure, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -745,18 +740,18 @@ def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) 
 def audit(structure: PrefStructure) -> AuditReport:
     """Run every postulate check that applies to the structure's regime."""
     notes: list[str] = []
-    checks: list[Callable[..., Verdict]]
+    checks: list[Callable[..., Verdict] | str]
     if structure.regime is Regime.STD:
-        checks = [check_A1, check_A2, check_A3, check_gamma_property]
+        checks = [check_A1, check_A2, "A3", "gamma"]
     elif structure.regime is Regime.NS_UTIL:
         checks = [check_A1, check_A2]
         if structure.utilities.signed:
             notes.append("A2p and A3pp omitted: overriding is undefined for signed utilities")
-            checks += [check_A3prime, check_gamma_property]
+            checks += ["A3p", "gamma"]
         else:
-            checks += [check_A2prime, check_A3prime, check_A3doubleprime, check_gamma_property]
+            checks += [check_A2prime, "A3p", "A3pp", "gamma"]
     else:
-        checks = [check_A1, check_A3, check_B2]
+        checks = [check_A1, "A3", check_B2]
     if structure.acts:
         checks.append(check_A4)
         if structure.regime is Regime.NS_UTIL:
@@ -765,7 +760,10 @@ def audit(structure: PrefStructure) -> AuditReport:
             else:
                 checks.append(check_A5prime)
     context = _build_context(structure)
-    verdicts = tuple(check(structure, context=context) for check in checks)
+    # The solvability postulates, named by their labels, in one pass.
+    postulates = [check for check in checks if isinstance(check, str)]
+    solved = dict(zip(postulates, _solvability(postulates, structure, context)))
+    verdicts = tuple(solved[c] if c in solved else c(structure, context=context) for c in checks)
     return AuditReport(
         regime=structure.regime,
         generator_count=len(structure.generators),
@@ -817,7 +815,7 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
         value_p, value_q, value_r = (expected_utility(x, assignment) for x in (p, q, r))
         parts = _mixture_partition(value_p, value_r, value_q, regime)
         _, exempt, _ = _SOLVABILITY[postulate]
-        if exempt is not None and exempt(value_p, value_q, parts.get):
+        if exempt is not None and exempt(value_p, value_q, parts):
             return False
         return relation not in parts
 

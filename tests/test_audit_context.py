@@ -1,8 +1,9 @@
 """The audit engine against the definitional checks, and the work and memory
-one audit takes: one closure, which B2 also decides negligibility on, at most
-one weight partition per strict chain, one independence partition per strict
-pair and class of third lotteries, no sampled partition in the linear regimes
-or on values of one sign, and nothing kept once the audit returns."""
+one audit takes: one closure, which B2 also decides negligibility on, one
+weight partition per strict chain in the one pass that decides the
+solvability family, one independence partition per strict pair and class of
+third lotteries, no sampled partition in the linear regimes or on values of
+one sign, and nothing kept once the audit returns."""
 
 import gc
 import random
@@ -32,7 +33,11 @@ from qualutil import (
     Regime,
     UtilityAssignment,
     audit,
+    check_A3,
+    check_A3doubleprime,
+    check_A3prime,
     check_B2,
+    check_gamma_property,
     compare_values,
     eps,
     expected_utility,
@@ -45,17 +50,18 @@ from qualutil import (
     rational,
     render_report,
 )
+from qualutil.auditor import _build_context
 from qualutil.fixtures import fixture_path
 from qualutil.solver import compare
 
 MODELS = ("dice", "consolation", "surgery", "maximin3")
 
-SOLVABILITY_CHECKS = (
-    "check_A3",
-    "check_A3prime",
-    "check_A3doubleprime",
-    "check_gamma_property",
-)
+SOLVABILITY_CHECKS = {
+    "A3": check_A3,
+    "A3p": check_A3prime,
+    "A3pp": check_A3doubleprime,
+    "gamma": check_gamma_property,
+}
 
 
 def bundled(name, **changes):
@@ -86,9 +92,10 @@ def test_audit_matches_oracles_on_bundled_models(name, depth, grid):
 
 # Signed kinds: "mixed" closures scan every third lottery, "nonpositive" ones
 # one per leading exponent of negative values.  Grid 5 has four grid weights
-# where grid 3 has two, so the weight classes of A2 and B2 each stand for
-# several weights.  Explicit ids keep the names of the unsigned grid-3 cases
-# as pytest would derive them from (regime, seed).
+# where grid 3 has two, so the first weight A2 and B2 scan stands for four:
+# in STD and NS_PROB, and on NS_UTIL values of one sign, nonnegative or
+# nonpositive.  Explicit ids keep the names of the unsigned grid-3 cases as
+# pytest would derive them from (regime, seed).
 @pytest.mark.parametrize(
     "regime, seed, signs, grid, count",
     [
@@ -101,6 +108,10 @@ def test_audit_matches_oracles_on_bundled_models(name, depth, grid):
         ),
         pytest.param(Regime.STD, 505, None, 5, 8, id="Regime.STD-505-grid5"),
         pytest.param(Regime.NS_PROB, 702, None, 5, 8, id="Regime.NS_PROB-702-grid5"),
+        pytest.param(Regime.NS_UTIL, 506, None, 5, 6, id="Regime.NS_UTIL-506-grid5"),
+        pytest.param(
+            Regime.NS_UTIL, 507, "nonpositive", 5, 6, id="Regime.NS_UTIL-507-nonpositive-grid5"
+        ),
     ],
 )
 def test_audit_matches_oracles_on_random_structures(regime, seed, signs, grid, count):
@@ -127,8 +138,8 @@ def strict_chain_count(structure):
 
 
 def audit_counting_partitions(monkeypatch, structure, checks):
-    """Audit ``structure``, counting its closures and, per name in
-    ``checks``, the weight partitions made inside that check."""
+    """Audit ``structure``, counting its closures and, per auditor function
+    named in ``checks``, the weight partitions made inside it."""
     counts = Counter()
     active = []
 
@@ -154,17 +165,31 @@ def audit_counting_partitions(monkeypatch, structure, checks):
 
 
 def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(monkeypatch):
+    # Every solvability postulate holds, so the one pass partitions every
+    # strict chain, and each exactly once.
     structure = bundled("consolation", closure_depth=1, grid_denominator=3)
-    report, counts = audit_counting_partitions(monkeypatch, structure, SOLVABILITY_CHECKS)
+    report, counts = audit_counting_partitions(monkeypatch, structure, ("_solvability",))
     assert [v.postulate for v in report.verdicts] == ["A1", "A2", "A2p", "A3p", "A3pp", "gamma"]
+    assert all(report.verdict(name).holds for name in ("A3p", "A3pp", "gamma"))
     assert counts["closures"] == 1
-    solvability_partitions = sum(counts[name] for name in SOLVABILITY_CHECKS)
-    assert 0 < solvability_partitions <= strict_chain_count(structure)
+    assert counts["_solvability"] == strict_chain_count(structure) == 910
 
     audited = weakref.ref(structure)
     del structure, report
     gc.collect()
     assert audited() is None
+
+
+@pytest.mark.parametrize("name, grid", [(name, 3) for name in MODELS] + [("maximin3", 4)])
+def test_each_solvability_check_alone_matches_the_joint_pass(name, grid):
+    structure = bundled(name, closure_depth=1, grid_denominator=grid)
+    report = audit(structure)
+    decided = [v.postulate for v in report.verdicts if v.postulate in SOLVABILITY_CHECKS]
+    assert decided
+    for postulate in decided:
+        check = SOLVABILITY_CHECKS[postulate]
+        assert check(structure) == report.verdict(postulate), postulate
+        assert check(structure, context=_build_context(structure)) == report.verdict(postulate)
 
 
 def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatch):

@@ -3,9 +3,10 @@
 Each case runs ``cli.main`` in process and compares what it printed with
 ``golden/<case>.stdout`` and its exit code with ``golden/exit_codes.txt``.
 The cases are the audits of the four bundled models at closure depth 0 and
-1, grid 3, and the ``examples`` gate and ``maximin 4``, each in human and
-machine mode.  Regenerate the files, after a deliberate change of output,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+1, grid 3, the audit of maximin3 at depth 1, grid 4, and the ``examples``
+gate and ``maximin 4``, each in human and machine mode.  Regenerate the
+files, after a deliberate change of output, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -22,22 +23,27 @@ MODELS = ("consolation", "dice", "maximin3", "surgery")
 MODES = ("human", "machine")
 
 
+def _audit(model: str, depth: int, grid: int, mode: str) -> list[str]:
+    return [
+        "audit",
+        "--model",
+        str(fixture_path(model)),
+        "--closure-depth",
+        str(depth),
+        "--grid-denominator",
+        str(grid),
+        "--output",
+        mode,
+    ]
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for mode in MODES:
         for model in MODELS:
             for depth in (0, 1):
-                cases[f"audit-{model}-d{depth}-{mode}"] = [
-                    "audit",
-                    "--model",
-                    str(fixture_path(model)),
-                    "--closure-depth",
-                    str(depth),
-                    "--grid-denominator",
-                    "3",
-                    "--output",
-                    mode,
-                ]
+                cases[f"audit-{model}-d{depth}-{mode}"] = _audit(model, depth, 3, mode)
+        cases[f"audit-maximin3-d1-g4-{mode}"] = _audit("maximin3", 1, 4, mode)
         cases[f"examples-{mode}"] = ["examples", "--output", mode]
         cases[f"maximin4-{mode}"] = ["maximin", "4", "--output", mode]
     return cases
