@@ -28,9 +28,15 @@ The checks:
 :func:`audit` builds one context (closure, expected utilities, comparison
 matrix) and passes it to every ``check_*`` as ``context``; called alone, a
 check builds its own.  The solvability family, A3, A3p, A3pp and gamma, is
-decided in one ordered pass over the strict chains: each chain gets one
-weight partition, read by every postulate still undecided, and nothing is
-kept per chain.
+decided in one ordered pass over the strict chains p > q > r.  Every
+postulate still undecided reads the set of relations in which
+``a*p + (1-a)*r`` stands to q.  Outside NS_UTIL values of both signs that
+set follows from leading exponents (:func:`_relation_rule`): under
+nonstandard utilities solvability fails only through overriding, which the
+primed postulates exempt.  Where values mix signs, each chain's weight
+partition is solved.  A holding verdict counts its witnesses and keeps the
+first four, each weight read off its own chain's partition, solved at most
+once per chain; nothing else is kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
 difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  The
@@ -82,7 +88,7 @@ from .errors import (
     MissingUtility,
     RegimeMismatch,
 )
-from .nsreal import EPS, NSReal, ONE, QOrdering
+from .nsreal import EPS, NSReal, ONE, ZERO, QOrdering, _lead
 from .prefcore import (
     _PREF_FROM_Q,
     _require_int,
@@ -212,13 +218,25 @@ class MixtureWitness:
     weight: Fraction
 
 
+# How many witnesses a holding verdict keeps, and the human report prints.
+_WITNESS_DISPLAY_CAP = 4
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """One postulate's outcome over its stated domain.
+
+    A failing verdict carries a replayable ``counterexample``.  A holding
+    existential verdict counts its witnesses, one per needed weight on each
+    chain it covers, in ``witness_count``, and keeps only the first four in
+    scan order in ``witnesses``; a failing one keeps none and counts 0."""
+
     postulate: str
     holds: bool
     domain: str
     counterexample: Counterexample | None = None
     witnesses: tuple[MixtureWitness, ...] = ()
+    witness_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -500,17 +518,47 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 
 
 def _strict_chains(context: _Context) -> Iterable[tuple[int, int, int]]:
+    """Every (i, j, k) with i above j above k, in lexicographic order."""
     better = PrefOrdering.BETTER
-    for i, j, k in itertools.product(range(context.size), repeat=3):
-        if context.matrix[i][j] is better and context.matrix[j][k] is better:
-            yield (i, j, k)
+    below = [[k for k, ordering in enumerate(row) if ordering is better] for row in context.matrix]
+    for i, lower in enumerate(below):
+        for j in lower:
+            for k in below[j]:
+                yield (i, j, k)
+
+
+_ALL_RELATIONS = frozenset(QOrdering)
+
+
+def _relation_rule(context: _Context) -> Callable[[int, int, int], frozenset[QOrdering]] | None:
+    """The relations present in the weight partition of a*p + (1-a)*r
+    against q on a strict chain p > q > r, read off leading exponents; None
+    when NS_UTIL values mix signs, where only the partition decides.
+
+    STD and NS_PROB: the threshold ``(v_q - v_r)/(v_p - v_r)`` of the
+    values, or of their standard parts, lies inside (0, 1), so all three
+    relations occur.  NS_UTIL with every value >= 0: a*p + (1-a)*r leads at
+    p's order of magnitude, so it crosses q iff p and q share one, and lies
+    above q throughout otherwise.  With every value <= 0 it leads at r's,
+    so it crosses q iff q and r share one, and lies below q otherwise."""
+    if context.regime is not Regime.NS_UTIL:
+        return lambda i, j, k: _ALL_RELATIONS
+    if context.mixed_signs:
+        return None
+    leads = [_lead(value)[0] for value in context.values]
+    greater, less = frozenset((QOrdering.GREATER,)), frozenset((QOrdering.LESS,))
+    if any(value.sign() < 0 for value in context.values):
+        return lambda i, j, k: _ALL_RELATIONS if leads[j] == leads[k] else less
+    return lambda i, j, k: _ALL_RELATIONS if leads[i] == leads[j] else greater
 
 
 # Each solvability postulate asks which weights a put a*p + (1-a)*r above,
 # level with or below q on strict chains p > q > r.  Per postulate: the
 # domain it is decided over, which chains it exempts, and the (label,
 # relation) pairs whose weight sets must be nonempty, in reporting order.
-# An exemption reads the values of p and q and the chain's weight partition.
+# An exemption reads the values of p and q and the relations present in the
+# chain's weight partition: the partition itself, or the set of its keys
+# that _relation_rule gives.
 _SOLVABILITY = {
     "A3": (
         "all strict chains, exact weight solving",
@@ -534,28 +582,36 @@ _SOLVABILITY = {
 def _solvability(
     postulates: Sequence[str], structure: PrefStructure, context: _Context | None
 ) -> tuple[Verdict, ...]:
-    """Decide ``postulates`` in one pass over the strict chains, partitioning
-    each chain once while some postulate is undecided.  Each postulate gets
-    a witness per needed weight on every chain it does not exempt, or a
-    certificate for the first one missing, as a scan of its own would."""
+    """Decide ``postulates`` in one pass over the strict chains.  Each chain
+    gets the relations present in its weight partition from
+    :func:`_relation_rule`, or, where NS_UTIL values mix signs, from the
+    partition itself.  Each postulate counts a witness per needed weight on
+    every chain it does not exempt and keeps the first
+    ``_WITNESS_DISPLAY_CAP`` of them, or gets a certificate for the first one
+    missing, as a scan of its own would.  A kept witness's weight comes from
+    its chain's partition, solved at most once per chain."""
     context = context or _build_context(structure)
-    values = context.values
+    values, lotteries = context.values, context.lotteries
+    rule = _relation_rule(context)
     domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
     failed: dict[str, Counterexample] = {}
     live: dict[str, list[MixtureWitness]] = {postulate: [] for postulate in postulates}
+    counts = dict.fromkeys(postulates, 0)
     for chain in _strict_chains(context):
         if not live:
             break
         i, j, k = chain
-        parts = _mixture_partition(values[i], values[k], values[j], context.regime)
-        p, q, r = (context.lotteries[index] for index in chain)
+        if rule is None:
+            parts = partition = _mixture_partition(values[i], values[k], values[j], context.regime)
+        else:
+            parts, partition = rule(i, j, k), None
         for postulate, witnesses in list(live.items()):
             _, exempt, needed = _SOLVABILITY[postulate]
             if exempt is not None and exempt(values[i], values[j], parts):
                 continue
             for label, relation in needed:
-                weights = parts.get(relation)
-                if weights is None:
+                if relation not in parts:
+                    p, q, r = (lotteries[index] for index in chain)
                     failed[postulate] = Counterexample(
                         kind="existential",
                         payload=(
@@ -570,9 +626,25 @@ def _solvability(
                     )
                     del live[postulate]
                     break
-                witnesses.append(MixtureWitness(label, p, q, r, weights.witness()))
+                counts[postulate] += 1
+                if len(witnesses) < _WITNESS_DISPLAY_CAP:
+                    if partition is None:
+                        partition = _mixture_partition(
+                            values[i], values[k], values[j], context.regime
+                        )
+                    p, q, r = (lotteries[index] for index in chain)
+                    witnesses.append(
+                        MixtureWitness(label, p, q, r, partition[relation].witness())
+                    )
     return tuple(
-        Verdict(name, name in live, domains[name], failed.get(name), tuple(live.get(name, ())))
+        Verdict(
+            name,
+            name in live,
+            domains[name],
+            failed.get(name),
+            tuple(live.get(name, ())),
+            counts[name] if name in live else 0,
+        )
         for name in postulates
     )
 
@@ -673,29 +745,39 @@ def _require_acts(structure: PrefStructure) -> tuple[AAModel, tuple[Act, ...]]:
 
 def check_A4(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Acts agreeing everywhere but one state: strict preference between
-    them forces the same strict preference between their lotteries there."""
+    them forces the same strict preference between their lotteries there.
+
+    Each arm's expected utility, its belief-weighted share and each act's
+    utility are computed once: patching ``base`` at a state with ``other``'s
+    arm swaps one share, exactly."""
     model, acts = _require_acts(structure)
     domain = (
         f"all ordered act pairs ({len(acts)}) patched to agree off each of "
         f"{len(model.states)} states"
     )
-    for base in acts:
-        for other in acts:
-            for state in model.states:
-                patched = base.replacing(state, other.arm(state))
-                if act_prefers(base, patched, model) is not PrefOrdering.BETTER:
+    better, regime = PrefOrdering.BETTER, model.regime
+    arm_values = [
+        [expected_utility(act.arm(state), model.utilities) for state in model.states]
+        for act in acts
+    ]
+    shares = [
+        [model.belief_at(state) * value for state, value in zip(model.states, row)]
+        for row in arm_values
+    ]
+    totals = [sum(row, ZERO) for row in shares]
+    for b, base in enumerate(acts):
+        for o, other in enumerate(acts):
+            for s, state in enumerate(model.states):
+                patched_value = totals[b] - shares[b][s] + shares[o][s]
+                if compare_values(totals[b], patched_value, regime) is not better:
                     continue
-                arm_comparison = compare_values(
-                    expected_utility(base.arm(state), model.utilities),
-                    expected_utility(patched.arm(state), model.utilities),
-                    model.regime,
-                )
-                if arm_comparison is not PrefOrdering.BETTER:
+                arm_comparison = compare_values(arm_values[b][s], arm_values[o][s], regime)
+                if arm_comparison is not better:
                     certificate = Counterexample(
                         kind="act-independence",
                         payload=(
                             ("a", base),
-                            ("b", patched),
+                            ("b", base.replacing(state, other.arm(state))),
                             ("state", state),
                             ("arm_comparison", arm_comparison.value),
                         ),

@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .acts import AAModel, Act
-from .auditor import AuditReport, Counterexample, PrefStructure, Verdict
+from .auditor import _WITNESS_DISPLAY_CAP, AuditReport, Counterexample, PrefStructure, Verdict
 from .errors import ParseError, SchemaError, UnknownIdentifier, ZeroDenominator
 from .nsreal import NSReal
 from .prefcore import Lottery, Regime, UtilityAssignment
@@ -534,9 +534,6 @@ def _render_counterexample_machine(certificate: Counterexample) -> str:
     return " ".join(parts)
 
 
-_WITNESS_DISPLAY_CAP = 4
-
-
 def render_report(report: AuditReport, machine: bool = False) -> str:
     """Deterministic text for an audit report.
 
@@ -571,7 +568,7 @@ def render_report(report: AuditReport, machine: bool = False) -> str:
                     f"{render_lottery(witness.first)} > {render_lottery(witness.middle)}"
                     f" > {render_lottery(witness.second)}"
                 )
-            hidden = len(verdict.witnesses) - len(shown)
+            hidden = verdict.witness_count - len(shown)
             if hidden > 0:
                 lines.append(f"  ({hidden} further witnesses omitted)")
     for note in report.notes:

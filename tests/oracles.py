@@ -36,6 +36,7 @@ from qualutil import (
     Regime,
     UtilityAssignment,
     Verdict,
+    act_prefers,
     compare_values,
     eps,
     expected_utility,
@@ -541,6 +542,39 @@ def oracle_gamma(structure: PrefStructure) -> Verdict:
             return closure.existential("gamma", chain, "gamma", QOrdering.EQUIVALENT, level)
         witnesses.append(closure.witness("gamma", chain, level.witness()))
     return Verdict("gamma", True, closure.domain, witnesses=tuple(witnesses))
+
+
+def oracle_A4(structure: PrefStructure) -> Verdict:
+    """Every act patched at every state with every act's arm there, both
+    acts' utilities recomputed for each patch through ``act_prefers``."""
+    model, acts = structure.model, structure.acts
+    domain = (
+        f"all ordered act pairs ({len(acts)}) patched to agree off each of "
+        f"{len(model.states)} states"
+    )
+    for base in acts:
+        for other in acts:
+            for state in model.states:
+                patched = base.replacing(state, other.arm(state))
+                if act_prefers(base, patched, model) is not BETTER:
+                    continue
+                arm_comparison = compare_values(
+                    expected_utility(base.arm(state), model.utilities),
+                    expected_utility(patched.arm(state), model.utilities),
+                    model.regime,
+                )
+                if arm_comparison is not BETTER:
+                    certificate = Counterexample(
+                        kind="act-independence",
+                        payload=(
+                            ("a", base),
+                            ("b", patched),
+                            ("state", state),
+                            ("arm_comparison", arm_comparison.value),
+                        ),
+                    )
+                    return Verdict("A4", False, domain, certificate)
+    return Verdict("A4", True, domain)
 
 
 # Postulate name -> its definitional check.

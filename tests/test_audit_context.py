@@ -1,11 +1,14 @@
 """The audit engine against the definitional checks, and the work and memory
-one audit takes: one closure, which B2 also decides negligibility on, one
-weight partition per strict chain in the one pass that decides the
-solvability family, one independence partition per strict pair and class of
-third lotteries, no sampled partition in the linear regimes or on values of
-one sign, and nothing kept once the audit returns."""
+one audit takes: one closure, which B2 also decides negligibility on; in the
+one pass that decides the solvability family, a weight partition only for
+the chains of the four witnesses each postulate keeps, except on NS_UTIL
+values of both signs, where every strict chain gets one; one independence
+partition per strict pair and class of third lotteries; no sampled
+partition in the linear regimes or on values of one sign; and nothing kept
+once the audit returns.  A4 is checked against its patch-by-patch loop."""
 
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -20,10 +23,12 @@ import qualutil.auditor
 import qualutil.prefcore
 import qualutil.solver
 from conftest import nonnegative_nsreals, nsreals, standard_fractions, unit_weights
-from oracles import AUDIT_ORACLES, oracle_B2, random_structure
+from oracles import AUDIT_ORACLES, oracle_A4, oracle_B2, random_acts_structure, random_structure
 from qualutil import (
     EPS,
     ONE,
+    AAModel,
+    Act,
     AffineValue,
     Lottery,
     NSReal,
@@ -36,6 +41,7 @@ from qualutil import (
     check_A3,
     check_A3doubleprime,
     check_A3prime,
+    check_A4,
     check_B2,
     check_gamma_property,
     compare_values,
@@ -49,8 +55,9 @@ from qualutil import (
     qcompare,
     rational,
     render_report,
+    replay,
 )
-from qualutil.auditor import _build_context
+from qualutil.auditor import _Context, _build_context, _mixture_partition, _relation_rule
 from qualutil.fixtures import fixture_path
 from qualutil.solver import compare
 
@@ -69,10 +76,18 @@ def bundled(name, **changes):
 
 
 def assert_matches_oracles(structure):
+    # The oracles keep every witness; a verdict keeps the first four and
+    # counts them all.
     compared = 0
     for verdict in audit(structure).verdicts:
         if verdict.postulate in AUDIT_ORACLES:
-            assert verdict == AUDIT_ORACLES[verdict.postulate](structure), verdict.postulate
+            oracle = AUDIT_ORACLES[verdict.postulate](structure)
+            expected = replace(
+                oracle,
+                witnesses=oracle.witnesses[:4],
+                witness_count=len(oracle.witnesses),
+            )
+            assert verdict == expected, verdict.postulate
             compared += 1
     assert compared
 
@@ -165,14 +180,21 @@ def audit_counting_partitions(monkeypatch, structure, checks):
 
 
 def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(monkeypatch):
-    # Every solvability postulate holds, so the one pass partitions every
-    # strict chain, and each exactly once.
+    # Every solvability postulate holds on values of one sign, so the one
+    # pass decides all 910 strict chains by rule and partitions only the
+    # chains of the witnesses it keeps, each once.
     structure = bundled("consolation", closure_depth=1, grid_denominator=3)
     report, counts = audit_counting_partitions(monkeypatch, structure, ("_solvability",))
     assert [v.postulate for v in report.verdicts] == ["A1", "A2", "A2p", "A3p", "A3pp", "gamma"]
     assert all(report.verdict(name).holds for name in ("A3p", "A3pp", "gamma"))
+    assert strict_chain_count(structure) == report.verdict("A3p").witness_count == 910
     assert counts["closures"] == 1
-    assert counts["_solvability"] == strict_chain_count(structure) == 910
+    kept_chains = {
+        (witness.first, witness.middle, witness.second)
+        for verdict in report.verdicts
+        for witness in verdict.witnesses
+    }
+    assert counts["_solvability"] == len(kept_chains) == 7
 
     audited = weakref.ref(structure)
     del structure, report
@@ -333,7 +355,7 @@ def test_B2_holds_on_a_set_that_does_not_separate(depth):
     assert verdict == oracle_B2(structure)
 
 
-@pytest.mark.parametrize("name, partitions", [("consolation", 1_549), ("surgery", 2_358)])
+@pytest.mark.parametrize("name, partitions", [("consolation", 646), ("surgery", 739)])
 def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions):
     # The work of an audit is fixed: a cheaper partition must not come from
     # solving fewer of them.
@@ -349,6 +371,112 @@ def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions
     monkeypatch.setattr(qualutil.auditor, "partition_affine_comparison", counted)
     audit(structure)
     assert calls == partitions
+
+
+def test_mixed_sign_closure_partitions_every_strict_chain(monkeypatch):
+    # No rule covers values of both signs: while some solvability postulate
+    # holds, the pass partitions each strict chain once, and a kept witness
+    # reads the same partition.
+    rng = random.Random(503)
+    checked = 0
+    for _ in range(20):
+        structure = random_structure(
+            rng, Regime.NS_UTIL, grid_denominator=3, closure_depth=1, signs="mixed"
+        )
+        if not _build_context(structure).mixed_signs:
+            continue
+        report, counts = audit_counting_partitions(monkeypatch, structure, ("_solvability",))
+        if not report.verdict("A3p").holds:
+            continue
+        assert counts["_solvability"] == strict_chain_count(structure) > 0
+        checked += 1
+    assert checked >= 5
+
+
+def test_holding_solvability_verdicts_keep_four_witnesses_and_count_all():
+    # The human report prints "(1622 / 1508 further witnesses omitted)".
+    report = audit(bundled("surgery", closure_depth=1, grid_denominator=3))
+    counts = {
+        v.postulate: (len(v.witnesses), v.witness_count)
+        for v in report.verdicts
+        if v.postulate in SOLVABILITY_CHECKS
+    }
+    assert counts == {"A3p": (4, 1_626), "A3pp": (4, 1_512), "gamma": (4, 1_512)}
+    assert "  (1622 further witnesses omitted)" in render_report(report).splitlines()
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_A4_matches_the_patch_by_patch_oracle(regime):
+    rng = random.Random(404)
+    for _ in range(12):
+        structure = random_acts_structure(rng, regime, state_count=rng.randint(2, 4))
+        assert check_A4(structure) == oracle_A4(structure)
+
+
+def test_A4_certificate_matches_the_oracle_on_signed_utilities():
+    # a pays eps/2 and b nothing, yet their arms at s, 1 and 1 - eps, are
+    # indifferent in the qualitative order.
+    utilities = UtilityAssignment.from_mapping(
+        {"one": rational(1), "nearly": ONE - EPS, "debt": EPS - ONE}, signed=True
+    )
+    sure = {name: Lottery.from_mapping({name: ONE}) for name in ("one", "nearly", "debt")}
+    half = rational(Fraction(1, 2))
+    model = AAModel.from_mappings(["s", "t"], {"s": half, "t": half}, utilities, Regime.NS_UTIL)
+    acts = (
+        Act.from_mapping({"s": sure["one"], "t": sure["debt"]}),
+        Act.from_mapping({"s": sure["nearly"], "t": sure["debt"]}),
+    )
+    structure = PrefStructure(
+        Regime.NS_UTIL, utilities, tuple(sure.values()), closure_depth=0, model=model, acts=acts
+    )
+    verdict = check_A4(structure)
+    assert not verdict.holds
+    assert verdict == oracle_A4(structure)
+    assert replay(verdict.counterexample, structure)
+
+
+# --- the solvability rule ----------------------------------------------------
+#
+# On a strict chain p > q > r, the relations in which a*p + (1-a)*r stands to
+# q follow from leading exponents outside NS_UTIL values of both signs.
+
+
+def relation_rule_on(regime, values):
+    """The rule of a context holding only what it reads: the regime and
+    values of one sign."""
+    return _relation_rule(_Context(regime, (), tuple(values), (), (), mixed_signs=False))
+
+
+# A standard part plus an infinitesimal tail: every finite value, drawn
+# without filtering.
+finite_nsreals_with_tails = st.builds(
+    lambda standard, tail: rational(standard) + tail * eps(4), standard_fractions, nsreals
+)
+
+
+@pytest.mark.parametrize(
+    "regime, values",
+    [
+        pytest.param(Regime.STD, standard_fractions.map(rational), id="std"),
+        pytest.param(Regime.NS_PROB, finite_nsreals_with_tails, id="ns-prob"),
+        pytest.param(Regime.NS_UTIL, nonnegative_nsreals, id="ns-util-nonnegative"),
+        pytest.param(
+            Regime.NS_UTIL, nonnegative_nsreals.map(lambda v: -v), id="ns-util-nonpositive"
+        ),
+    ],
+)
+@given(data=st.data())
+def test_relation_rule_is_the_set_of_partition_labels(regime, values, data):
+    drawn = data.draw(st.lists(values, min_size=3, max_size=3))
+    chains = [
+        chain
+        for chain in itertools.permutations(drawn)
+        if compare_values(chain[0], chain[1], regime) is PrefOrdering.BETTER
+        and compare_values(chain[1], chain[2], regime) is PrefOrdering.BETTER
+    ]
+    assume(chains)
+    p, q, r = chains[0]
+    assert relation_rule_on(regime, (p, q, r))(0, 1, 2) == set(_mixture_partition(p, r, q, regime))
 
 
 # --- the class rule ----------------------------------------------------------
