@@ -26,42 +26,43 @@ The checks:
   and that state being null.
 
 :func:`audit` builds one context (closure, expected utilities, comparison
-matrix) and passes it to every ``check_*`` as ``context``; called alone, a
-check builds its own.  The solvability family, A3, A3p, A3pp and gamma, is
-decided in one ordered pass over the strict chains p > q > r.  Every
-postulate still undecided reads the set of relations in which
-``a*p + (1-a)*r`` stands to q.  Outside NS_UTIL values of both signs that
-set follows from leading exponents (:func:`_relation_rule`): under
-nonstandard utilities solvability fails only through overriding, which the
-primed postulates exempt.  Where values mix signs, each chain's weight
-partition is solved.  A holding verdict counts its witnesses and keeps the
-first four, each weight read off its own chain's partition, solved at most
-once per chain; nothing else is kept per chain.
+matrix, leading exponents) and passes it to every ``check_*`` as
+``context``; called alone, a check builds its own.  The solvability family,
+A3, A3p, A3pp and gamma, is decided in one ordered pass over the strict
+pairs p > q, each standing for its chains p > q > r.  Every postulate still
+undecided reads the set of relations in which ``a*p + (1-a)*r`` stands to q.
+Outside NS_UTIL values of both signs that set follows from leading exponents
+(:func:`_relation_rule`), and it reads r only through whether r shares q's:
+under nonstandard utilities solvability fails only through overriding,
+which the primed postulates exempt.  So a pair counts its chains in bulk and
+visits one only to keep a witness or to name the first failure.  Where
+values mix signs, each chain's weight partition is solved.  A holding
+verdict counts its witnesses and keeps the first four, each weight read off
+its own chain's partition, solved at most once per chain; nothing else is
+kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
-difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  The
-context therefore sorts the closure into classes of third lotteries that
-give the same verdict for every strict pair and weight, and these checks
-scan one representative per class, the first in closure order, so the first
-failure found and its certificate are those of the full scan:
+difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  Outside
+NS_UTIL values of both signs they are decided by rule, with no weight
+partition and no mixture arithmetic beyond a failing certificate's:
 
-* STD and NS_PROB: one class.  The plain order reads the sign of
-  ``w*(v_p - v_q)`` alone, and taking the standard part is additive and
-  multiplicative on finite values, which every NS_PROB value and weight is.
-* NS_UTIL with every value >= 0, or every value <= 0: one class per leading
-  exponent (zero its own class).  Without cancellation the leading exponent
-  of ``w*v + (1-w)*v_r`` is the smaller of the two, so the qualitative
-  verdict and whether ``r`` overrides ``p`` see ``r`` only through it.
-* NS_UTIL with values of both signs: every lottery is its own class.
+* STD and NS_PROB: they hold.  Every weight scanned is standard, or, under
+  B2, not negligible, so not infinitesimal; taking the standard part is
+  additive and multiplicative on finite values, which every NS_PROB value
+  and weight is, so ``w*(v_p - v_q)`` keeps every strict pair strict.
+* NS_UTIL with every value >= 0, or every value <= 0: without cancellation
+  both mixtures lead at the smaller of their two leading exponents, at every
+  standard weight alike.  So a triple fails exactly when ``r`` is of larger
+  order of magnitude than both ``p`` and ``q``, ``e(r) < min(e(p), e(q))``,
+  and the mixtures share their leading term.  A2 names the first such triple
+  in scan order, with its certificate at the first weight.  A2p exempts the
+  triples whose ``r`` overrides ``p``, ``e(r) < e(p)``; on the values >= 0 of
+  its unsigned utilities those are all of them, so it holds.
 
-Unless NS_UTIL values mix signs, one third lottery per class and the first
-weight stand for all, so A2 and B2 scan one weight.  In STD and NS_PROB the
-verdict sees ``w`` only through whether it is infinitesimal, and none they
-scan is.  On NS_UTIL values of one sign no standard ``w`` moves a mixture's
-leading exponent, and where both lead at one, their leading coefficients
-differ by ``w`` times a constant.  B2 exempts its negligible weights by the
-closed-form rule of :func:`~qualutil.prefcore.is_negligible`: the
-infinitesimal ones, and all of them when the closure's values share one
+NS_UTIL values of both signs can cancel: A2 then mixes every strict pair
+with every closure lottery at every grid weight.  B2 exempts its negligible
+weights by the closed-form rule of :func:`~qualutil.prefcore.is_negligible`:
+the infinitesimal ones, and all of them when the closure's values share one
 standard part, which mixing keeps, so the closure shares one exactly when
 its generators do.  The weight partitions of STD, NS_PROB and one-signed
 NS_UTIL are threshold partitions, written without sampling
@@ -75,11 +76,12 @@ weight partition encode each pair so and use those of the STD regime.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .acts import Act, AAModel, act_prefers, act_utility, is_null
+from .acts import Act, AAModel, act_prefers, act_utility, is_null, null_state_analytic
 from .errors import (
     ClosureTooLarge,
     ConsistencyError,
@@ -281,16 +283,16 @@ def mixture_closure(
 @dataclass(frozen=True)
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
-    expected utility, the regime's comparison of every two of them, the
-    first index of each class of interchangeable third lotteries, and
-    whether NS_UTIL values mix signs.  Unless they do, one third lottery per
-    class and the first weight stand for all."""
+    expected utility, the regime's comparison of every two of them, each
+    value's leading exponent (``inf`` for zero), and whether NS_UTIL values
+    mix signs.  Unless they do, the checks read the exponents, not the
+    values."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
     matrix: tuple[tuple[PrefOrdering, ...], ...]
-    third_lotteries: tuple[int, ...]
+    leads: tuple[float, ...]
     mixed_signs: bool
 
     @property
@@ -311,24 +313,20 @@ def _build_context(structure: PrefStructure) -> _Context:
     matrix = tuple(
         tuple(compare_values(vi, vj, structure.regime) for vj in values) for vi in values
     )
-    # Third lotteries k of one class give one verdict for w*v_i + (1-w)*v_k
-    # against w*v_j + (1-w)*v_k, for every pair and weight (module docstring).
-    # STD and NS_PROB: the verdict is the sign of w*(v_i - v_j), or of its
-    # standard part, so k never matters, and w only through whether it is
-    # infinitesimal.  NS_UTIL of one weak sign: no cancellation, so both
-    # sides lead at min(lead v_i or v_j, lead v_k): only lead v_k matters,
-    # and no standard w.  Mixed signs can cancel: every k and w stands alone.
+    leads = tuple(_lead(value)[0] for value in values)
     mixed_signs = structure.regime is Regime.NS_UTIL and {1, -1} <= {v.sign() for v in values}
-    if structure.regime is not Regime.NS_UTIL:
-        third_lotteries: tuple[int, ...] = (0,)
-    elif mixed_signs:
-        third_lotteries = tuple(range(len(values)))
-    else:
-        firsts: dict[int | None, int] = {}
-        for k, value in enumerate(values):
-            firsts.setdefault(value.leading_exponent(), k)
-        third_lotteries = tuple(firsts.values())
-    return _Context(structure.regime, lotteries, values, matrix, third_lotteries, mixed_signs)
+    return _Context(structure.regime, lotteries, values, matrix, leads, mixed_signs)
+
+
+def _below(context: _Context) -> list[list[int]]:
+    """For each closure index, the indices strictly below it, ascending."""
+    better = PrefOrdering.BETTER
+    return [[j for j, ordering in enumerate(row) if ordering is better] for row in context.matrix]
+
+
+def _strict_pairs(below: Sequence[Sequence[int]]) -> Iterable[tuple[int, int]]:
+    """Every (i, j) with i above j, in lexicographic order."""
+    return ((i, j) for i, lower in enumerate(below) for j in lower)
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -464,23 +462,57 @@ def _independence_failure(
 
 
 def _independence_scan(
-    postulate: str, context: _Context, domain: str, weights: Sequence[NSReal | Fraction]
+    postulate: str,
+    context: _Context,
+    domain: str,
+    weights: Sequence[NSReal | Fraction],
+    *,
+    exempt_overriding: bool = False,
 ) -> Verdict:
     """Mixing every strict pair with every closure lottery at every weight
-    keeps the pair strict; otherwise the first violation in scan order.  One
-    third lottery per class stands for its class.  Unless NS_UTIL values mix
-    signs, every weight gives one verdict (none may be infinitesimal in STD
-    and NS_PROB), and the first stands for them all."""
-    if not context.mixed_signs:
-        weights = weights[:1]
-    for i, j in itertools.product(range(context.size), repeat=2):
-        if context.matrix[i][j] is not PrefOrdering.BETTER:
+    keeps the pair strict; otherwise the first violation in scan order.
+
+    In STD and NS_PROB it holds, for none of ``weights`` may be
+    infinitesimal there (module docstring).  Where NS_UTIL values mix signs,
+    every triple and weight is mixed.  On NS_UTIL values of one sign the
+    leading-exponent rule decides: the first strict pair (i, j) with
+    some k of ``e(k) < min(e(i), e(j))`` fails, at its first such k and the
+    first weight.  With ``exempt_overriding`` (A2p, whose values are all
+    >= 0), a k with ``e(k) < e(i)`` overrides i and is exempt."""
+    if context.regime is not Regime.NS_UTIL:
+        return Verdict(postulate, True, domain)
+    pairs = _strict_pairs(_below(context))
+    if context.mixed_signs:
+        for i, j in pairs:
+            for k in range(context.size):
+                for w in weights:
+                    failure = _independence_failure(postulate, context, domain, (i, j, k), w)
+                    if failure is not None:
+                        return failure
+        return Verdict(postulate, True, domain)
+    leads = context.leads
+    # The first failing k of a pair depends on the pair's exponent bounds
+    # alone, and the closure has few leading exponents.
+    first_failing: dict[tuple[float, float], int | None] = {}
+    for i, j in pairs:
+        bounds = (leads[i] if exempt_overriding else -math.inf, min(leads[i], leads[j]))
+        if bounds not in first_failing:
+            low, high = bounds
+            first_failing[bounds] = next(
+                (k for k, lead in enumerate(leads) if low <= lead < high), None
+            )
+        k = first_failing[bounds]
+        if k is None:
             continue
-        for k in context.third_lotteries:
-            for w in weights:
-                failure = _independence_failure(postulate, context, domain, (i, j, k), w)
-                if failure is not None:
-                    return failure
+        failure = _independence_failure(postulate, context, domain, (i, j, k), weights[0])
+        if failure is None:
+            values = context.values
+            raise ConsistencyError(
+                f"{postulate}: closure triple ({i}, {j}, {k}) with values ({values[i]!r}, "
+                f"{values[j]!r}, {values[k]!r}) meets the leading-exponent rule for a "
+                f"failure, yet mixing at {weights[0]} keeps p above q"
+            )
+        return failure
     return Verdict(postulate, True, domain)
 
 
@@ -497,8 +529,9 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
     The weight set is the standard grid extended with infinitesimal and
     near-one nonstandard weights; negligible weights are exempt by the
     postulate and are skipped: the infinitesimal ones, and all of them when
-    the closure's values share one standard part (module docstring).  The
-    remaining weights give one verdict, so the first stands for them all."""
+    the closure's values share one standard part (module docstring).  No
+    remaining weight is infinitesimal, so B2 holds by the rule of
+    :func:`_independence_scan`."""
     if structure.regime.standard_probabilities:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
@@ -517,23 +550,14 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 # Solvability family
 
 
-def _strict_chains(context: _Context) -> Iterable[tuple[int, int, int]]:
-    """Every (i, j, k) with i above j above k, in lexicographic order."""
-    better = PrefOrdering.BETTER
-    below = [[k for k, ordering in enumerate(row) if ordering is better] for row in context.matrix]
-    for i, lower in enumerate(below):
-        for j in lower:
-            for k in below[j]:
-                yield (i, j, k)
-
-
 _ALL_RELATIONS = frozenset(QOrdering)
 
 
 def _relation_rule(context: _Context) -> Callable[[int, int, int], frozenset[QOrdering]] | None:
     """The relations present in the weight partition of a*p + (1-a)*r
     against q on a strict chain p > q > r, read off leading exponents; None
-    when NS_UTIL values mix signs, where only the partition decides.
+    when NS_UTIL values mix signs, where only the partition decides.  The
+    rule reads r only through whether r and q share a leading exponent.
 
     STD and NS_PROB: the threshold ``(v_q - v_r)/(v_p - v_r)`` of the
     values, or of their standard parts, lies inside (0, 1), so all three
@@ -545,7 +569,7 @@ def _relation_rule(context: _Context) -> Callable[[int, int, int], frozenset[QOr
         return lambda i, j, k: _ALL_RELATIONS
     if context.mixed_signs:
         return None
-    leads = [_lead(value)[0] for value in context.values]
+    leads = context.leads
     greater, less = frozenset((QOrdering.GREATER,)), frozenset((QOrdering.LESS,))
     if any(value.sign() < 0 for value in context.values):
         return lambda i, j, k: _ALL_RELATIONS if leads[j] == leads[k] else less
@@ -556,9 +580,10 @@ def _relation_rule(context: _Context) -> Callable[[int, int, int], frozenset[QOr
 # level with or below q on strict chains p > q > r.  Per postulate: the
 # domain it is decided over, which chains it exempts, and the (label,
 # relation) pairs whose weight sets must be nonempty, in reporting order.
-# An exemption reads the values of p and q and the relations present in the
-# chain's weight partition: the partition itself, or the set of its keys
-# that _relation_rule gives.
+# An exemption reads the leading exponents of p and q and the relations
+# present in the chain's weight partition: the partition itself, or the set
+# of its keys that _relation_rule gives.  A3pp runs on values >= 0 only,
+# where p overrides q exactly when p's leading exponent is the smaller.
 _SOLVABILITY = {
     "A3": (
         "all strict chains, exact weight solving",
@@ -568,7 +593,7 @@ _SOLVABILITY = {
     "A3p": ("all strict chains, exact weight solving", None, (("alpha", QOrdering.GREATER),)),
     "A3pp": (
         "strict chains with non-overriding top, exact weight solving",
-        lambda top, middle, parts: overrides_values(top, middle),
+        lambda top, middle, parts: top < middle,
         (("beta", QOrdering.LESS),),
     ),
     "gamma": (
@@ -582,59 +607,88 @@ _SOLVABILITY = {
 def _solvability(
     postulates: Sequence[str], structure: PrefStructure, context: _Context | None
 ) -> tuple[Verdict, ...]:
-    """Decide ``postulates`` in one pass over the strict chains.  Each chain
-    gets the relations present in its weight partition from
-    :func:`_relation_rule`, or, where NS_UTIL values mix signs, from the
-    partition itself.  Each postulate counts a witness per needed weight on
-    every chain it does not exempt and keeps the first
-    ``_WITNESS_DISPLAY_CAP`` of them, or gets a certificate for the first one
-    missing, as a scan of its own would.  A kept witness's weight comes from
-    its chain's partition, solved at most once per chain."""
+    """Decide ``postulates`` in one pass over the strict pairs p > q, each
+    standing for its chains p > q > r in order of r.
+
+    Outside NS_UTIL values of both signs, :func:`_relation_rule` gives each
+    chain's relations and reads r only through whether it shares q's
+    leading exponent, so the chains of a pair fall into at most two kinds,
+    each decided by its first chain and counted in bulk.  Where values mix
+    signs every chain is its own kind, decided by its weight partition.
+    Each postulate counts a witness per needed weight on every chain it does
+    not exempt and keeps the first ``_WITNESS_DISPLAY_CAP`` of them, or gets
+    a certificate for the first chain missing one, as a scan of its own
+    would.  A chain is visited beyond its kind only to keep a witness, whose
+    weight comes from the chain's partition, solved at most once per chain
+    and shared by every postulate."""
     context = context or _build_context(structure)
-    values, lotteries = context.values, context.lotteries
+    values, lotteries, leads = context.values, context.lotteries, context.leads
     rule = _relation_rule(context)
+    below = _below(context)
+    # Per q: the first r below it of each kind, and how many there are.
+    kinds: list[list[list[int]]] = []
+    if rule is not None:
+        for j, lower in enumerate(below):
+            firsts: dict[bool, list[int]] = {}
+            for k in lower:
+                firsts.setdefault(leads[k] == leads[j], [k, 0])[1] += 1
+            kinds.append(list(firsts.values()))
     domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
     failed: dict[str, Counterexample] = {}
     live: dict[str, list[MixtureWitness]] = {postulate: [] for postulate in postulates}
     counts = dict.fromkeys(postulates, 0)
-    for chain in _strict_chains(context):
+    # The partitions of the current pair's chains, by r.
+    partitions: dict[int, dict[QOrdering, RationalIntervalSet]] = {}
+
+    def partition(i: int, j: int, k: int) -> dict[QOrdering, RationalIntervalSet]:
+        if k not in partitions:
+            partitions[k] = _mixture_partition(values[i], values[k], values[j], context.regime)
+        return partitions[k]
+
+    def relations(i: int, j: int, k: int) -> Iterable[QOrdering]:
+        return partition(i, j, k) if rule is None else rule(i, j, k)
+
+    for i, j in _strict_pairs(below):
         if not live:
             break
-        i, j, k = chain
-        if rule is None:
-            parts = partition = _mixture_partition(values[i], values[k], values[j], context.regime)
-        else:
-            parts, partition = rule(i, j, k), None
-        for postulate, witnesses in list(live.items()):
+        partitions.clear()
+        for k, size in [[k, 1] for k in below[j]] if rule is None else kinds[j]:
+            if not live:
+                break
+            parts = relations(i, j, k)
+            for postulate in list(live):
+                _, exempt, needed = _SOLVABILITY[postulate]
+                if exempt is not None and exempt(leads[i], leads[j], parts):
+                    continue
+                missing = [(label, relation) for label, relation in needed if relation not in parts]
+                if not missing:
+                    counts[postulate] += size * len(needed)
+                    continue
+                label, relation = missing[0]
+                failed[postulate] = Counterexample(
+                    kind="existential",
+                    payload=(
+                        ("p", lotteries[i]),
+                        ("q", lotteries[j]),
+                        ("r", lotteries[k]),
+                        ("postulate", postulate),
+                        ("missing", label),
+                        ("relation", relation.value),
+                        ("set", RationalIntervalSet()),
+                    ),
+                )
+                del live[postulate]
+        for postulate, witnesses in live.items():
             _, exempt, needed = _SOLVABILITY[postulate]
-            if exempt is not None and exempt(values[i], values[j], parts):
-                continue
-            for label, relation in needed:
-                if relation not in parts:
-                    p, q, r = (lotteries[index] for index in chain)
-                    failed[postulate] = Counterexample(
-                        kind="existential",
-                        payload=(
-                            ("p", p),
-                            ("q", q),
-                            ("r", r),
-                            ("postulate", postulate),
-                            ("missing", label),
-                            ("relation", relation.value),
-                            ("set", RationalIntervalSet()),
-                        ),
-                    )
-                    del live[postulate]
+            for k in below[j]:
+                if len(witnesses) == _WITNESS_DISPLAY_CAP:
                     break
-                counts[postulate] += 1
-                if len(witnesses) < _WITNESS_DISPLAY_CAP:
-                    if partition is None:
-                        partition = _mixture_partition(
-                            values[i], values[k], values[j], context.regime
-                        )
-                    p, q, r = (lotteries[index] for index in chain)
+                if exempt is not None and exempt(leads[i], leads[j], relations(i, j, k)):
+                    continue
+                for label, relation in needed[: _WITNESS_DISPLAY_CAP - len(witnesses)]:
+                    weight = partition(i, j, k)[relation].witness()
                     witnesses.append(
-                        MixtureWitness(label, p, q, r, partition[relation].witness())
+                        MixtureWitness(label, lotteries[i], lotteries[j], lotteries[k], weight)
                     )
     return tuple(
         Verdict(
@@ -669,45 +723,15 @@ def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> N
 
 def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for every weight, provided the third lottery does not
-    override the preferred one.  Decided exactly: the preserving weight set
-    must be the whole open interval.  One third lottery per class stands for
-    its class; whether it overrides also depends on its leading exponent
-    alone."""
+    override the preferred one.  Decided by the leading-exponent rule of
+    A2 (module docstring), exempting every third lottery of larger order of
+    magnitude than the preferred one: on the values >= 0 of unsigned
+    utilities a failing triple is always one of those, so A2p holds.  The
+    weight is that of (0, 1) as a whole, its midpoint."""
     _require_unsigned_qualitative(structure, "A2p")
     context = context or _build_context(structure)
     domain = _domain(structure, context, "all eligible triples, every weight in (0, 1)")
-    values = context.values
-    for i, j in itertools.product(range(context.size), repeat=2):
-        if context.matrix[i][j] is not PrefOrdering.BETTER:
-            continue
-        for k in context.third_lotteries:
-            if overrides_values(values[k], values[i]):
-                continue
-            parts = partition_affine_comparison(
-                AffineValue(values[i], values[k]),
-                AffineValue(values[j], values[k]),
-                structure.regime.comparison,
-            )
-            preserving = parts.get(QOrdering.GREATER, RationalIntervalSet())
-            if preserving.is_entire_unit_interval():
-                continue
-            bad = preserving.complement_witness()
-            failure = None
-            if bad is not None:
-                failure = _independence_failure("A2p", context, domain, (i, j, k), bad)
-            if failure is None:
-                reason = (
-                    "no weight in (0, 1) lies outside it"
-                    if bad is None
-                    else f"the weight {bad} outside it keeps p above q"
-                )
-                raise ConsistencyError(
-                    f"A2p: the preserving set {preserving.render()} of closure triple "
-                    f"({i}, {j}, {k}) with values ({values[i]!r}, {values[j]!r}, "
-                    f"{values[k]!r}) is not all of (0, 1), yet {reason}"
-                )
-            return failure
-    return Verdict("A2p", True, domain)
+    return _independence_scan("A2p", context, domain, (Fraction(1, 2),), exempt_overriding=True)
 
 
 def check_A3prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
@@ -788,30 +812,34 @@ def check_A4(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 
 def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """A state where some act's own lottery overrides the whole act must be
-    null."""
+    null.  A5p runs on unsigned utilities only, where the analytic rule
+    :func:`~qualutil.acts.null_state_analytic` decides nullity (the public
+    :func:`~qualutil.acts.is_null` also runs the definitional sweep, as a
+    guard); it is asked once per state, at the first overriding act."""
     model, acts = _require_acts(structure)
     if model.regime.standard_utilities:
         raise RegimeMismatch("A5p applies to the nonstandard-utility regime")
     if model.utilities.signed:
         raise RegimeMismatch("A5p relies on overriding, undefined for signed utilities")
     domain = f"{len(acts)} generator acts x {len(model.states)} states"
+    whole_values = [act_utility(act, model) for act in acts]
     for state in model.states:
-        for act in acts:
+        for act, whole_value in zip(acts, whole_values):
             arm_value = expected_utility(act.arm(state), model.utilities)
-            whole_value = act_utility(act, model)
             if not overrides_values(arm_value, whole_value):
                 continue
-            if not is_null(state, model, acts):
-                certificate = Counterexample(
-                    kind="null-state",
-                    payload=(
-                        ("a", act),
-                        ("state", state),
-                        ("arm_value", arm_value),
-                        ("act_value", whole_value),
-                    ),
-                )
-                return Verdict("A5p", False, domain, certificate)
+            if null_state_analytic(state, model, acts):
+                break
+            certificate = Counterexample(
+                kind="null-state",
+                payload=(
+                    ("a", act),
+                    ("state", state),
+                    ("arm_value", arm_value),
+                    ("act_value", whole_value),
+                ),
+            )
+            return Verdict("A5p", False, domain, certificate)
     return Verdict("A5p", True, domain)
 
 
@@ -897,7 +925,7 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
         value_p, value_q, value_r = (expected_utility(x, assignment) for x in (p, q, r))
         parts = _mixture_partition(value_p, value_r, value_q, regime)
         _, exempt, _ = _SOLVABILITY[postulate]
-        if exempt is not None and exempt(value_p, value_q, parts):
+        if exempt is not None and exempt(_lead(value_p)[0], _lead(value_q)[0], parts):
             return False
         return relation not in parts
 

@@ -23,6 +23,7 @@ from qualutil import (
     AAModel,
     Act,
     AffineValue,
+    ConsistencyError,
     Counterexample,
     Lottery,
     MaximinSpec,
@@ -37,11 +38,13 @@ from qualutil import (
     UtilityAssignment,
     Verdict,
     act_prefers,
+    act_utility,
     compare_values,
     eps,
     expected_utility,
     grid_weights,
     is_negligible,
+    is_null,
     maximin_compare_oracle,
     mixture_closure,
     overrides_values,
@@ -480,12 +483,26 @@ def oracle_A2prime(structure: PrefStructure) -> Verdict:
                 structure.regime.comparison,
             )
             preserving = parts.get(QOrdering.GREATER, RationalIntervalSet())
-            if not preserving.is_entire_unit_interval():
-                failure = closure.independence_failure(
-                    "A2p", (i, j, k), preserving.complement_witness()
+            if preserving.is_entire_unit_interval():
+                continue
+            # A preserving set short of (0, 1) must yield a failing weight;
+            # the guard holds under python -O, where an assert would not.
+            bad = preserving.complement_witness()
+            failure = None
+            if bad is not None:
+                failure = closure.independence_failure("A2p", (i, j, k), bad)
+            if failure is None:
+                reason = (
+                    "no weight in (0, 1) lies outside it"
+                    if bad is None
+                    else f"the weight {bad} outside it keeps p above q"
                 )
-                assert failure is not None
-                return failure
+                raise ConsistencyError(
+                    f"A2p: the preserving set {preserving.render()} of closure triple "
+                    f"({i}, {j}, {k}) with values ({values[i]!r}, {values[j]!r}, "
+                    f"{values[k]!r}) is not all of (0, 1), yet {reason}"
+                )
+            return failure
     return Verdict("A2p", True, closure.domain)
 
 
@@ -575,6 +592,30 @@ def oracle_A4(structure: PrefStructure) -> Verdict:
                     )
                     return Verdict("A4", False, domain, certificate)
     return Verdict("A4", True, domain)
+
+
+def oracle_A5prime(structure: PrefStructure) -> Verdict:
+    """Every (state, act) on its own, each act's utility recomputed, and
+    nullity decided by the public ``is_null``: the analytic rule, guarded by
+    the definitional sweep."""
+    model, acts = structure.model, structure.acts
+    domain = f"{len(acts)} generator acts x {len(model.states)} states"
+    for state in model.states:
+        for act in acts:
+            arm_value = expected_utility(act.arm(state), model.utilities)
+            whole_value = act_utility(act, model)
+            if overrides_values(arm_value, whole_value) and not is_null(state, model, acts):
+                certificate = Counterexample(
+                    kind="null-state",
+                    payload=(
+                        ("a", act),
+                        ("state", state),
+                        ("arm_value", arm_value),
+                        ("act_value", whole_value),
+                    ),
+                )
+                return Verdict("A5p", False, domain, certificate)
+    return Verdict("A5p", True, domain)
 
 
 # Postulate name -> its definitional check.
@@ -776,4 +817,35 @@ def random_acts_structure(
         closure_depth=0,
         model=model,
         acts=tuple(acts),
+    )
+
+
+def random_signed_acts_structure(
+    rng: random.Random, state_count: int = 3, act_count: int = 3
+) -> PrefStructure:
+    """A random NS_UTIL structure whose acts' utilities can cancel.
+
+    The signed variant of :func:`random_acts_structure`: outcome utilities
+    ``x``, ``-x``, ``x`` plus an infinitesimal, and one more drawn value
+    negated; a uniform belief; and acts paying a sure outcome at each state.
+    An act paying ``x`` and ``-x`` at two states is worth 0, so patching one
+    arm with an arm of ``x``'s order of magnitude can move the act strictly
+    while the two arms stay indifferent, and A4 fails."""
+
+    x = rng.choice([rational(1), rational(Fraction(1, 2)), rational(2)])
+    tail = rng.choice([eps(), eps() * Fraction(1, 3), eps(2), -eps()])
+    other = rng.choice(_nonstandard_utility_pool(rng))
+    utilities = UtilityAssignment.from_mapping(
+        {"a": x, "b": -x, "c": x + tail, "d": -other}, signed=True
+    )
+    states = [f"s{i}" for i in range(state_count)]
+    belief = {state: rational(Fraction(1, state_count)) for state in states}
+    model = AAModel.from_mappings(states, belief, utilities, Regime.NS_UTIL)
+    acts = [
+        Act.from_mapping({state: Lottery.degenerate(rng.choice("abcd")) for state in states})
+        for _ in range(act_count)
+    ]
+    arms = tuple(act.arm(state) for act in acts for state in states)
+    return PrefStructure(
+        Regime.NS_UTIL, utilities, arms, closure_depth=0, model=model, acts=tuple(acts)
     )

@@ -2,10 +2,11 @@
 one audit takes: one closure, which B2 also decides negligibility on; in the
 one pass that decides the solvability family, a weight partition only for
 the chains of the four witnesses each postulate keeps, except on NS_UTIL
-values of both signs, where every strict chain gets one; one independence
-partition per strict pair and class of third lotteries; no sampled
-partition in the linear regimes or on values of one sign; and nothing kept
-once the audit returns.  A4 is checked against its patch-by-patch loop."""
+values of both signs, where every strict chain gets one; for A2, B2 and A2p,
+outside values of both signs, no partition and no mixture but a failing
+certificate's; no sampled partition in the linear regimes or on values of
+one sign; and nothing kept once the audit returns.  A4 and A5p are checked
+against their loops over acts and states."""
 
 import gc
 import itertools
@@ -23,7 +24,15 @@ import qualutil.auditor
 import qualutil.prefcore
 import qualutil.solver
 from conftest import nonnegative_nsreals, nsreals, standard_fractions, unit_weights
-from oracles import AUDIT_ORACLES, oracle_A4, oracle_B2, random_acts_structure, random_structure
+from oracles import (
+    AUDIT_ORACLES,
+    oracle_A4,
+    oracle_A5prime,
+    oracle_B2,
+    random_acts_structure,
+    random_signed_acts_structure,
+    random_structure,
+)
 from qualutil import (
     EPS,
     ONE,
@@ -42,6 +51,7 @@ from qualutil import (
     check_A3doubleprime,
     check_A3prime,
     check_A4,
+    check_A5prime,
     check_B2,
     check_gamma_property,
     compare_values,
@@ -59,6 +69,7 @@ from qualutil import (
 )
 from qualutil.auditor import _Context, _build_context, _mixture_partition, _relation_rule
 from qualutil.fixtures import fixture_path
+from qualutil.nsreal import _lead
 from qualutil.solver import compare
 
 MODELS = ("dice", "consolation", "surgery", "maximin3")
@@ -76,10 +87,12 @@ def bundled(name, **changes):
 
 
 def assert_matches_oracles(structure):
-    # The oracles keep every witness; a verdict keeps the first four and
-    # counts them all.
+    """The audit of ``structure``, each verdict checked against its oracle.
+    The oracles keep every witness; a verdict keeps the first four and
+    counts them all."""
+    report = audit(structure)
     compared = 0
-    for verdict in audit(structure).verdicts:
+    for verdict in report.verdicts:
         if verdict.postulate in AUDIT_ORACLES:
             oracle = AUDIT_ORACLES[verdict.postulate](structure)
             expected = replace(
@@ -90,6 +103,7 @@ def assert_matches_oracles(structure):
             assert verdict == expected, verdict.postulate
             compared += 1
     assert compared
+    return report
 
 
 @pytest.mark.parametrize(
@@ -105,36 +119,47 @@ def test_audit_matches_oracles_on_bundled_models(name, depth, grid):
     assert_matches_oracles(bundled(name, **changes))
 
 
-# Signed kinds: "mixed" closures scan every third lottery, "nonpositive" ones
-# one per leading exponent of negative values.  Grid 5 has four grid weights
-# where grid 3 has two, so the first weight A2 and B2 scan stands for four:
-# in STD and NS_PROB, and on NS_UTIL values of one sign, nonnegative or
-# nonpositive.  Explicit ids keep the names of the unsigned grid-3 cases as
-# pytest would derive them from (regime, seed).
+# Signed kinds: on "mixed" closures A2 mixes every third lottery at every
+# weight; on "nonpositive" ones, as on unsigned ones, the leading-exponent
+# rule decides it.  Grid 5 has four grid weights where grid 3 has two, and
+# the rule's verdict stands for every one of them: in STD and NS_PROB, and
+# on NS_UTIL values of one sign, nonnegative or nonpositive.  Explicit ids
+# keep the names of the unsigned grid-3 cases as pytest would derive them
+# from (regime, seed).  A case naming a postulate in ``fails`` must see it
+# fail on some structure, so that the certificate of a rule-decided failure
+# is compared too.
 @pytest.mark.parametrize(
-    "regime, seed, signs, grid, count",
+    "regime, seed, signs, grid, count, fails",
     [
-        pytest.param(Regime.STD, 501, None, 3, 20, id="Regime.STD-501"),
-        pytest.param(Regime.NS_UTIL, 502, None, 3, 20, id="Regime.NS_UTIL-502"),
-        pytest.param(Regime.NS_PROB, 701, None, 3, 20, id="Regime.NS_PROB-701"),
-        pytest.param(Regime.NS_UTIL, 503, "mixed", 3, 20, id="Regime.NS_UTIL-503-mixed"),
+        pytest.param(Regime.STD, 501, None, 3, 20, None, id="Regime.STD-501"),
+        pytest.param(Regime.NS_UTIL, 502, None, 3, 20, None, id="Regime.NS_UTIL-502"),
+        pytest.param(Regime.NS_PROB, 701, None, 3, 20, None, id="Regime.NS_PROB-701"),
+        pytest.param(Regime.NS_UTIL, 503, "mixed", 3, 20, None, id="Regime.NS_UTIL-503-mixed"),
         pytest.param(
-            Regime.NS_UTIL, 504, "nonpositive", 3, 20, id="Regime.NS_UTIL-504-nonpositive"
+            Regime.NS_UTIL, 504, "nonpositive", 3, 20, None, id="Regime.NS_UTIL-504-nonpositive"
         ),
-        pytest.param(Regime.STD, 505, None, 5, 8, id="Regime.STD-505-grid5"),
-        pytest.param(Regime.NS_PROB, 702, None, 5, 8, id="Regime.NS_PROB-702-grid5"),
-        pytest.param(Regime.NS_UTIL, 506, None, 5, 6, id="Regime.NS_UTIL-506-grid5"),
+        pytest.param(Regime.STD, 505, None, 5, 8, None, id="Regime.STD-505-grid5"),
+        pytest.param(Regime.NS_PROB, 702, None, 5, 8, None, id="Regime.NS_PROB-702-grid5"),
+        pytest.param(Regime.NS_UTIL, 506, None, 5, 6, None, id="Regime.NS_UTIL-506-grid5"),
         pytest.param(
-            Regime.NS_UTIL, 507, "nonpositive", 5, 6, id="Regime.NS_UTIL-507-nonpositive-grid5"
+            Regime.NS_UTIL, 507, "nonpositive", 5, 6, None,
+            id="Regime.NS_UTIL-507-nonpositive-grid5",
+        ),
+        pytest.param(
+            Regime.NS_UTIL, 508, "nonpositive", 3, 20, "A2",
+            id="Regime.NS_UTIL-508-nonpositive-A2",
         ),
     ],
 )
-def test_audit_matches_oracles_on_random_structures(regime, seed, signs, grid, count):
+def test_audit_matches_oracles_on_random_structures(regime, seed, signs, grid, count, fails):
     rng = random.Random(seed)
+    failed = 0
     for _ in range(count):
-        assert_matches_oracles(
+        report = assert_matches_oracles(
             random_structure(rng, regime, grid_denominator=grid, closure_depth=1, signs=signs)
         )
+        failed += fails is not None and not report.verdict(fails).holds
+    assert (failed > 0) == (fails is not None)
 
 
 def strict_better(structure):
@@ -214,14 +239,34 @@ def test_each_solvability_check_alone_matches_the_joint_pass(name, grid):
         assert check(structure, context=_build_context(structure)) == report.verdict(postulate)
 
 
-def test_A2prime_partitions_once_per_strict_pair_and_leading_exponent(monkeypatch):
-    structure = bundled("consolation", closure_depth=1, grid_denominator=3)
-    _, counts = audit_counting_partitions(monkeypatch, structure, ("check_A2prime",))
-    values, better = strict_better(structure)
-    pairs = sum(map(sum, better))
-    leads = {value.leading_exponent() for value in values}
-    assert (pairs, len(leads)) == (215, 3)
-    assert 0 < counts["check_A2prime"] <= pairs * len(leads)
+def test_independence_checks_solve_no_partition_and_mix_only_a_certificate(monkeypatch):
+    # Outside NS_UTIL values of both signs, A2, B2 and A2p are decided by
+    # leading-exponent rules: a failing verdict mixes its certificate's
+    # triple once, and a holding one mixes nothing.
+    checks = ("check_A2", "check_B2", "check_A2prime")
+    mixed = Counter()
+    original = qualutil.auditor._independence_failure
+
+    def counted(postulate, *args):
+        mixed[postulate] += 1
+        return original(postulate, *args)
+
+    monkeypatch.setattr(qualutil.auditor, "_independence_failure", counted)
+    failing = {}
+    for name in ("consolation", "surgery", "dice"):
+        mixed.clear()
+        with monkeypatch.context() as patched:
+            report, partitions = audit_counting_partitions(
+                patched, bundled(name, closure_depth=1, grid_denominator=3), checks
+            )
+        assert not any(partitions[check] for check in checks), name
+        failing[name] = {
+            v.postulate: 1
+            for v in report.verdicts
+            if v.postulate in ("A2", "B2", "A2p") and not v.holds
+        }
+        assert mixed == failing[name], name
+    assert failing == {"consolation": {"A2": 1}, "surgery": {"A2": 1}, "dice": {}}
 
 
 def test_linear_regimes_take_the_closed_form(monkeypatch):
@@ -355,10 +400,11 @@ def test_B2_holds_on_a_set_that_does_not_separate(depth):
     assert verdict == oracle_B2(structure)
 
 
-@pytest.mark.parametrize("name, partitions", [("consolation", 646), ("surgery", 739)])
+@pytest.mark.parametrize("name, partitions", [("consolation", 7), ("surgery", 7)])
 def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions):
     # The work of an audit is fixed: a cheaper partition must not come from
-    # solving fewer of them.
+    # solving fewer of them.  Every partition left is the chain of a kept
+    # solvability witness.
     structure = bundled(name, closure_depth=1, grid_denominator=3)
     calls = 0
     original = qualutil.auditor.partition_affine_comparison
@@ -405,12 +451,53 @@ def test_holding_solvability_verdicts_keep_four_witnesses_and_count_all():
     assert "  (1622 further witnesses omitted)" in render_report(report).splitlines()
 
 
-@pytest.mark.parametrize("regime", list(Regime))
-def test_A4_matches_the_patch_by_patch_oracle(regime):
-    rng = random.Random(404)
-    for _ in range(12):
-        structure = random_acts_structure(rng, regime, state_count=rng.randint(2, 4))
-        assert check_A4(structure) == oracle_A4(structure)
+# Unsigned utilities and standard beliefs never fail A4; the signed variant's
+# act utilities cancel, and its case must see A4 fail, so that certificates
+# are compared too.
+@pytest.mark.parametrize(
+    "regime, signed, seed, count",
+    [pytest.param(regime, False, 404, 12, id=f"Regime.{regime.name}") for regime in Regime]
+    + [pytest.param(Regime.NS_UTIL, True, 405, 24, id="Regime.NS_UTIL-signed")],
+)
+def test_A4_matches_the_patch_by_patch_oracle(regime, signed, seed, count):
+    rng = random.Random(seed)
+    failed = 0
+    for _ in range(count):
+        state_count = rng.randint(2, 4)
+        if signed:
+            structure = random_signed_acts_structure(rng, state_count)
+        else:
+            structure = random_acts_structure(rng, regime, state_count=state_count)
+        verdict = check_A4(structure)
+        assert verdict == oracle_A4(structure)
+        failed += not verdict.holds
+    assert (failed > 0) == signed
+
+
+def test_A5prime_matches_the_oracle_that_asks_is_null():
+    # A5p asks the analytic nullity rule alone; the oracle asks is_null,
+    # which also runs the definitional sweep and raises on a mismatch.
+    rng = random.Random(406)
+    structures = [
+        random_acts_structure(rng, Regime.NS_UTIL, state_count=rng.randint(2, 4))
+        for _ in range(12)
+    ]
+    # A windfall at an infinitesimally likely state overrides the act that
+    # carries it, yet the state is not null: A5p fails.
+    utilities = UtilityAssignment.from_mapping({"good": rational(1), "bad": rational(0)})
+    good, bad = Lottery.degenerate("good"), Lottery.degenerate("bad")
+    model = AAModel.from_mappings(
+        ["s", "t"], {"s": ONE - EPS, "t": EPS}, utilities, Regime.NS_UTIL, validate=False
+    )
+    acts = (Act.from_mapping({"s": bad, "t": good}), Act.from_mapping({"s": bad, "t": bad}))
+    structures.append(
+        PrefStructure(
+            Regime.NS_UTIL, utilities, (good, bad), closure_depth=0, model=model, acts=acts
+        )
+    )
+    verdicts = [check_A5prime(structure) for structure in structures]
+    assert verdicts == [oracle_A5prime(structure) for structure in structures]
+    assert [verdict.holds for verdict in verdicts] == [True] * 12 + [False]
 
 
 def test_A4_certificate_matches_the_oracle_on_signed_utilities():
@@ -442,9 +529,10 @@ def test_A4_certificate_matches_the_oracle_on_signed_utilities():
 
 
 def relation_rule_on(regime, values):
-    """The rule of a context holding only what it reads: the regime and
-    values of one sign."""
-    return _relation_rule(_Context(regime, (), tuple(values), (), (), mixed_signs=False))
+    """The rule of a context holding only what it reads: the regime, values
+    of one sign and their leading exponents."""
+    leads = tuple(_lead(value)[0] for value in values)
+    return _relation_rule(_Context(regime, (), tuple(values), (), leads, mixed_signs=False))
 
 
 # A standard part plus an infinitesimal tail: every finite value, drawn
@@ -477,6 +565,42 @@ def test_relation_rule_is_the_set_of_partition_labels(regime, values, data):
     assume(chains)
     p, q, r = chains[0]
     assert relation_rule_on(regime, (p, q, r))(0, 1, 2) == set(_mixture_partition(p, r, q, regime))
+
+
+# --- the independence rule -------------------------------------------------
+#
+# Mixing both sides of a strict pair p > q with a third value r at a standard
+# weight w keeps p strictly above q in STD and NS_PROB.  On NS_UTIL values of
+# one sign it does so exactly unless r is of larger order of magnitude than
+# both, e(r) < min(e(p), e(q)), at every weight alike.
+
+
+@pytest.mark.parametrize(
+    "regime, values",
+    [
+        pytest.param(Regime.STD, standard_fractions.map(rational), id="std"),
+        pytest.param(Regime.NS_PROB, finite_nsreals_with_tails, id="ns-prob"),
+        pytest.param(Regime.NS_UTIL, nonnegative_nsreals, id="ns-util-nonnegative"),
+        pytest.param(
+            Regime.NS_UTIL, nonnegative_nsreals.map(lambda v: -v), id="ns-util-nonpositive"
+        ),
+    ],
+)
+@given(data=st.data())
+def test_independence_rule_is_the_mixed_comparison(regime, values, data):
+    drawn = data.draw(st.lists(values, min_size=3, max_size=3))
+    pairs = [
+        (p, q, r)
+        for p, q, r in itertools.permutations(drawn)
+        if compare_values(p, q, regime) is PrefOrdering.BETTER
+    ]
+    assume(pairs)
+    p, q, r = pairs[0]
+    lead = lambda value: _lead(value)[0]
+    kept = regime is not Regime.NS_UTIL or not lead(r) < min(lead(p), lead(q))
+    for w in grid_weights(8):
+        mixed = compare_values(w * p + (1 - w) * r, w * q + (1 - w) * r, regime)
+        assert (mixed is PrefOrdering.BETTER) == kept, w
 
 
 # --- the class rule ----------------------------------------------------------

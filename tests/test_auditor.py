@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import qualutil.auditor
 import qualutil.prefcore
 from conftest import standard_fractions
@@ -305,19 +306,31 @@ def test_A2prime_exempts_overriding_third_lotteries():
     ],
 )
 def test_A2prime_guard_names_the_triple_and_the_preserving_set(monkeypatch, pieces, reason):
-    # A preserving set that is not all of (0, 1) must yield a failing weight;
-    # the guard holds under python -O, where an assert would not.
+    # A2p is decided by rule; its definitional scan, the oracle, solves the
+    # preserving set of each triple, and one that is not all of (0, 1) must
+    # yield a failing weight.
     preserving = RationalIntervalSet(tuple(RationalInterval(*piece) for piece in pieces))
     monkeypatch.setattr(
-        qualutil.auditor,
-        "partition_affine_comparison",
+        oracles,
+        "oracle_partition_affine_comparison",
         lambda *args: {QOrdering.GREATER: preserving},
     )
     with pytest.raises(ConsistencyError) as raised:
-        check_A2prime(COMMENSURATE)
+        oracles.oracle_A2prime(COMMENSURATE)
     message = str(raised.value)
     assert f"the preserving set {preserving.render()} of closure triple (" in message
     assert message.endswith(reason)
+
+
+def test_A2_rule_guard_names_the_triple(monkeypatch):
+    # A triple the leading-exponent rule calls failing must fail when mixed;
+    # the guard holds under python -O, where an assert would not.
+    monkeypatch.setattr(qualutil.auditor, "_independence_failure", lambda *args: None)
+    with pytest.raises(ConsistencyError) as raised:
+        check_A2(OVERRIDING)
+    message = str(raised.value)
+    assert message.startswith("A2: closure triple (1, 2, 0) with values (")
+    assert message.endswith("yet mixing at 1/8 keeps p above q")
 
 
 def test_A2prime_requires_unsigned_qualitative_setting():
