@@ -11,7 +11,8 @@ operations alone.
 
 The checks:
 
-* A1: preference is asymmetric and negatively transitive on the closure.
+* A1: preference is asymmetric and negatively transitive on the closure,
+  as it is of the ranking that every audit builds (:func:`check_A1`).
 * A2: independence, mixing a strict preference with any third lottery at any
   grid weight preserves it.  Expected to fail when stakes override.
 * A3: solvability, a strict chain admits mixtures strictly inside the gap on
@@ -25,18 +26,20 @@ The checks:
 * A4, A5p: act-level monotonicity and the tie between overriding at a state
   and that state being null.
 
-:func:`audit` builds one context (closure, expected utilities, comparison
-matrix, leading exponents) and passes it to every ``check_*`` as
+:func:`audit` builds one context (closure, expected utilities, leading
+exponents, and the closure ranked into classes of indifferent lotteries by
+one sort of its distinct values) and passes it to every ``check_*`` as
 ``context``; called alone, a check builds its own.  The solvability family,
 A3, A3p, A3pp and gamma, is decided in one ordered pass over the strict
-pairs p > q, each standing for its chains p > q > r.  Every postulate still
-undecided reads the set of relations in which ``a*p + (1-a)*r`` stands to q.
-Outside NS_UTIL values of both signs that set follows from leading exponents
+chains p > q > r.  Every postulate still undecided reads the set of
+relations in which ``a*p + (1-a)*r`` stands to q.  Outside NS_UTIL values
+of both signs that set follows from leading exponents
 (:func:`_relation_rule`), and it reads r only through whether r shares q's:
 under nonstandard utilities solvability fails only through overriding,
-which the primed postulates exempt.  So a pair counts its chains in bulk and
-visits one only to keep a witness or to name the first failure.  Where
-values mix signs, each chain's weight partition is solved.  A holding
+which the primed postulates exempt.  So the pass walks pairs of classes,
+counts their chains from class sizes, and visits a chain only to keep a
+witness or to name the first failure.  Where values mix signs, each
+chain's weight partition is solved.  A holding
 verdict counts its witnesses and keeps the first four, each weight read off
 its own chain's partition, solved at most once per chain; nothing else is
 kept per chain.
@@ -75,11 +78,11 @@ weight partition encode each pair so and use those of the STD regime.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .acts import Act, AAModel, act_prefers, act_utility, is_null, null_state_analytic
 from .errors import (
@@ -140,10 +143,10 @@ __all__ = [
     "lexicographic_mixture_partition",
 ]
 
-# Hard bound on the closure size the postulate checks will scan.  The checks
-# are exhaustive over pairs and triples, so cost grows cubically; past this
-# point an audit would not finish in reasonable time, and the caller is told
-# to shrink the closure instead (the shipped models set closure-depth 0).
+# Hard bound on the closure size an audit takes on; past it the caller is
+# told to shrink the closure (the shipped models set closure-depth 0).  Where
+# NS_UTIL values mix signs, A2 and the solvability pass scan every strict
+# chain, so cost grows cubically; elsewhere the checks walk pairs of classes.
 AUDIT_SIZE_LIMIT = 64
 
 
@@ -283,21 +286,51 @@ def mixture_closure(
 @dataclass(frozen=True)
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
-    expected utility, the regime's comparison of every two of them, each
-    value's leading exponent (``inf`` for zero), and whether NS_UTIL values
-    mix signs.  Unless they do, the checks read the exponents, not the
-    values."""
+    expected utility and leading exponent (``inf`` for zero), whether NS_UTIL
+    values mix signs, each lottery's class in the regime's weak order, 0 the
+    lowest, so that i is above j exactly when ``rank[i] > rank[j]``, and each
+    class's members in closure order."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
-    matrix: tuple[tuple[PrefOrdering, ...], ...]
     leads: tuple[float, ...]
     mixed_signs: bool
+    rank: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.lotteries)
+
+
+def _rank(
+    values: Sequence[NSReal], regime: Regime
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Each value's class in the regime's weak order, 0 the lowest, and each
+    class's indices.  One sort of the distinct values, then a walk over
+    neighbours: one level with the value below joins its class, one above
+    opens the next, and one below proves the comparison no weak order, which
+    the paper shows it is, and raises :class:`ConsistencyError`."""
+    steps = {PrefOrdering.WORSE: -1, PrefOrdering.INDIFFERENT: 0, PrefOrdering.BETTER: 1}
+    distinct = sorted(
+        dict.fromkeys(values),
+        key=functools.cmp_to_key(lambda a, b: steps[compare_values(a, b, regime)]),
+    )
+    ranks = dict.fromkeys(distinct[:1], 0)
+    for lower, value in zip(distinct, distinct[1:]):
+        ordering = compare_values(value, lower, regime)
+        if ordering is PrefOrdering.WORSE:
+            raise ConsistencyError(
+                f"the {regime.value} comparison is no weak order: {value!r} sorts "
+                f"above {lower!r}, yet compares {ordering.value}"
+            )
+        ranks[value] = ranks[lower] + steps[ordering]
+    rank = tuple(ranks[value] for value in values)
+    classes: list[list[int]] = [[] for _ in range(max(rank, default=-1) + 1)]
+    for index, r in enumerate(rank):
+        classes[r].append(index)
+    return rank, tuple(tuple(members) for members in classes)
 
 
 def _build_context(structure: PrefStructure) -> _Context:
@@ -309,24 +342,21 @@ def _build_context(structure: PrefStructure) -> _Context:
             f"are limited to {AUDIT_SIZE_LIMIT}. Lower closure-depth (the shipped "
             f"models use 0) or grid-denominator, or audit fewer generators."
         ) from None
+    regime = structure.regime
     values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
-    matrix = tuple(
-        tuple(compare_values(vi, vj, structure.regime) for vj in values) for vi in values
-    )
     leads = tuple(_lead(value)[0] for value in values)
-    mixed_signs = structure.regime is Regime.NS_UTIL and {1, -1} <= {v.sign() for v in values}
-    return _Context(structure.regime, lotteries, values, matrix, leads, mixed_signs)
+    mixed_signs = regime is Regime.NS_UTIL and {1, -1} <= {v.sign() for v in values}
+    return _Context(regime, lotteries, values, leads, mixed_signs, *_rank(values, regime))
 
 
-def _below(context: _Context) -> list[list[int]]:
-    """For each closure index, the indices strictly below it, ascending."""
-    better = PrefOrdering.BETTER
-    return [[j for j, ordering in enumerate(row) if ordering is better] for row in context.matrix]
-
-
-def _strict_pairs(below: Sequence[Sequence[int]]) -> Iterable[tuple[int, int]]:
-    """Every (i, j) with i above j, in lexicographic order."""
-    return ((i, j) for i, lower in enumerate(below) for j in lower)
+def _strict_pairs(context: _Context) -> Iterator[tuple[int, int]]:
+    """Every (i, j) with i above j, in lexicographic order.  Unless NS_UTIL
+    values mix signs, the rules read a lottery only through its class, so
+    only each class's first member is visited: the first failure among them
+    is the first among all lotteries."""
+    rank, classes = context.rank, context.classes
+    units = range(context.size) if context.mixed_signs else sorted(c[0] for c in classes)
+    return ((i, j) for i in units for j in units if rank[i] > rank[j])
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -365,64 +395,12 @@ def solve_mixture_relation(
 # A1
 
 
-def _find_negative_transitivity_violation(
-    matrix: Sequence[Sequence[PrefOrdering]],
-) -> tuple[int, int, int] | None:
-    """The first triple (i, j, k) in scan order with i not above j and j not
-    above k, yet i above k; None when there is none."""
-    n = len(matrix)
-    better = PrefOrdering.BETTER
-    # Rank argument: when comparing beat counts decides "strictly beats" for
-    # every pair, no such triple exists (for an asymmetric relation, exactly
-    # then), so only a mismatch pays for the cubic scan.
-    beats = [sum(1 for j in range(n) if matrix[i][j] is better) for i in range(n)]
-    if all(
-        (matrix[i][j] is better) == (beats[i] > beats[j])
-        for i, j in itertools.product(range(n), repeat=2)
-    ):
-        return None
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if (
-            matrix[i][j] is not better
-            and matrix[j][k] is not better
-            and matrix[i][k] is better
-        ):
-            return (i, j, k)
-    return None
-
-
 def check_A1(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
-    """Asymmetry plus negative transitivity of strict preference."""
+    """Asymmetry plus negative transitivity of strict preference.  Both
+    hold of any ranking, and the context ranks the closure, or raises
+    :class:`ConsistencyError` where the comparison is no weak order."""
     context = context or _build_context(structure)
-    matrix = context.matrix
-    n = context.size
-    domain = _domain(structure, context, "all pairs and triples")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] is not matrix[j][i].flipped():
-                certificate = Counterexample(
-                    kind="asymmetry",
-                    payload=(
-                        ("p", context.lotteries[i]),
-                        ("q", context.lotteries[j]),
-                        ("forward", matrix[i][j].value),
-                        ("backward", matrix[j][i].value),
-                    ),
-                )
-                return Verdict("A1", False, domain, certificate)
-    violation = _find_negative_transitivity_violation(matrix)
-    if violation is not None:
-        i, j, k = violation
-        certificate = Counterexample(
-            kind="negative-transitivity",
-            payload=(
-                ("p", context.lotteries[i]),
-                ("q", context.lotteries[j]),
-                ("r", context.lotteries[k]),
-            ),
-        )
-        return Verdict("A1", False, domain, certificate)
-    return Verdict("A1", True, domain)
+    return Verdict("A1", True, _domain(structure, context, "all pairs and triples"))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +456,12 @@ def _independence_scan(
     leading-exponent rule decides: the first strict pair (i, j) with
     some k of ``e(k) < min(e(i), e(j))`` fails, at its first such k and the
     first weight.  With ``exempt_overriding`` (A2p, whose values are all
-    >= 0), a k with ``e(k) < e(i)`` overrides i and is exempt."""
+    >= 0), a k with ``e(k) < e(i)`` overrides i and is exempt.  The rule
+    reads i and j only through their classes, so the scan walks pairs of
+    classes (:func:`_strict_pairs`)."""
     if context.regime is not Regime.NS_UTIL:
         return Verdict(postulate, True, domain)
-    pairs = _strict_pairs(_below(context))
+    pairs = _strict_pairs(context)
     if context.mixed_signs:
         for i, j in pairs:
             for k in range(context.size):
@@ -607,89 +587,107 @@ _SOLVABILITY = {
 def _solvability(
     postulates: Sequence[str], structure: PrefStructure, context: _Context | None
 ) -> tuple[Verdict, ...]:
-    """Decide ``postulates`` in one pass over the strict pairs p > q, each
-    standing for its chains p > q > r in order of r.
+    """Decide ``postulates`` in one pass over the strict chains p > q > r.
 
-    Outside NS_UTIL values of both signs, :func:`_relation_rule` gives each
-    chain's relations and reads r only through whether it shares q's
-    leading exponent, so the chains of a pair fall into at most two kinds,
-    each decided by its first chain and counted in bulk.  Where values mix
-    signs every chain is its own kind, decided by its weight partition.
+    Outside NS_UTIL values of both signs, :func:`_relation_rule` reads p and
+    q only through their classes and r only through whether it shares q's
+    leading exponent, so the pass walks pairs of classes and the at most two
+    kinds of r below, each by its first member, counting chains from class
+    sizes.  Where values mix signs every chain is decided by its partition.
     Each postulate counts a witness per needed weight on every chain it does
-    not exempt and keeps the first ``_WITNESS_DISPLAY_CAP`` of them, or gets
-    a certificate for the first chain missing one, as a scan of its own
-    would.  A chain is visited beyond its kind only to keep a witness, whose
-    weight comes from the chain's partition, solved at most once per chain
-    and shared by every postulate."""
+    not exempt and keeps the first ``_WITNESS_DISPLAY_CAP`` in scan order,
+    or names the first chain missing one, as a scan of its own would.  A
+    kept weight comes from its chain's partition, solved at most once."""
     context = context or _build_context(structure)
-    values, lotteries, leads = context.values, context.lotteries, context.leads
-    rule = _relation_rule(context)
-    below = _below(context)
-    # Per q: the first r below it of each kind, and how many there are.
-    kinds: list[list[list[int]]] = []
-    if rule is not None:
-        for j, lower in enumerate(below):
-            firsts: dict[bool, list[int]] = {}
-            for k in lower:
-                firsts.setdefault(leads[k] == leads[j], [k, 0])[1] += 1
-            kinds.append(list(firsts.values()))
+    values, lotteries, leads, rank = context.values, context.lotteries, context.leads, context.rank
+    n, rule = context.size, _relation_rule(context)
     domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
     failed: dict[str, Counterexample] = {}
     live: dict[str, list[MixtureWitness]] = {postulate: [] for postulate in postulates}
     counts = dict.fromkeys(postulates, 0)
-    # The partitions of the current pair's chains, by r.
-    partitions: dict[int, dict[QOrdering, RationalIntervalSet]] = {}
+    # Per postulate, the first p of a chain it does not exempt.
+    starts: dict[str, int] = {}
 
     def partition(i: int, j: int, k: int) -> dict[QOrdering, RationalIntervalSet]:
-        if k not in partitions:
-            partitions[k] = _mixture_partition(values[i], values[k], values[j], context.regime)
-        return partitions[k]
+        return _mixture_partition(values[i], values[k], values[j], context.regime)
 
-    def relations(i: int, j: int, k: int) -> Iterable[QOrdering]:
-        return partition(i, j, k) if rule is None else rule(i, j, k)
+    def keep(postulate: str, i: int, j: int, k: int, parts: dict) -> None:
+        witnesses = live[postulate]
+        for label, relation in _SOLVABILITY[postulate][2][: _WITNESS_DISPLAY_CAP - len(witnesses)]:
+            weight = parts[relation].witness()
+            witnesses.append(MixtureWitness(label, *(lotteries[x] for x in (i, j, k)), weight))
 
-    for i, j in _strict_pairs(below):
+    if rule is None:
+        chains = (
+            (i, j, k, 1) for i, j in _strict_pairs(context) for k in range(n) if rank[k] < rank[j]
+        )
+    else:
+        # Per class q: the first r below it of each kind, and how many there are.
+        kinds = []
+        for middle, members in enumerate(context.classes):
+            firsts: dict[bool, list[int]] = {}
+            for lower in context.classes[:middle]:
+                kind = firsts.setdefault(leads[lower[0]] == leads[members[0]], [lower[0], 0])
+                kind[:] = min(kind[0], lower[0]), kind[1] + len(lower)
+            kinds.append(sorted(firsts.values()))
+        sizes = [len(members) for members in context.classes]
+        chains = (
+            (i, j, k, sizes[rank[i]] * sizes[rank[j]] * size)
+            for i, j in _strict_pairs(context)
+            for k, size in kinds[rank[j]]
+        )
+    for i, j, k, size in chains:
         if not live:
             break
-        partitions.clear()
-        for k, size in [[k, 1] for k in below[j]] if rule is None else kinds[j]:
-            if not live:
-                break
-            parts = relations(i, j, k)
-            for postulate in list(live):
-                _, exempt, needed = _SOLVABILITY[postulate]
-                if exempt is not None and exempt(leads[i], leads[j], parts):
-                    continue
-                missing = [(label, relation) for label, relation in needed if relation not in parts]
-                if not missing:
-                    counts[postulate] += size * len(needed)
-                    continue
-                label, relation = missing[0]
-                failed[postulate] = Counterexample(
-                    kind="existential",
-                    payload=(
-                        ("p", lotteries[i]),
-                        ("q", lotteries[j]),
-                        ("r", lotteries[k]),
-                        ("postulate", postulate),
-                        ("missing", label),
-                        ("relation", relation.value),
-                        ("set", RationalIntervalSet()),
-                    ),
-                )
-                del live[postulate]
-        for postulate, witnesses in live.items():
+        parts = partition(i, j, k) if rule is None else rule(i, j, k)
+        for postulate in list(live):
             _, exempt, needed = _SOLVABILITY[postulate]
-            for k in below[j]:
-                if len(witnesses) == _WITNESS_DISPLAY_CAP:
+            if exempt is not None and exempt(leads[i], leads[j], parts):
+                continue
+            missing = [(label, relation) for label, relation in needed if relation not in parts]
+            if not missing:
+                counts[postulate] += size * len(needed)
+                starts.setdefault(postulate, i)
+                if rule is None:
+                    # Every chain is met in scan order, its partition at hand.
+                    keep(postulate, i, j, k, parts)
+                continue
+            label, relation = missing[0]
+            failed[postulate] = Counterexample(
+                kind="existential",
+                payload=(
+                    ("p", lotteries[i]),
+                    ("q", lotteries[j]),
+                    ("r", lotteries[k]),
+                    ("postulate", postulate),
+                    ("missing", label),
+                    ("relation", relation.value),
+                    ("set", RationalIntervalSet()),
+                ),
+            )
+            del live[postulate]
+    if rule is not None:
+        # A holding postulate's unexempted chains in scan order from its first
+        # p, each pair tried on its kinds first, up to the last witness kept.
+        solved = functools.cache(partition)
+
+        def kept(exempt: Callable[..., bool] | None, i: int, j: int, k: int) -> bool:
+            return exempt is None or not exempt(leads[i], leads[j], rule(i, j, k))
+
+        for postulate, witnesses in live.items():
+            exempt = _SOLVABILITY[postulate][1]
+            walk = (
+                (i, j, k)
+                for i in range(starts.get(postulate, n), n)
+                for j in range(n)
+                if rank[j] < rank[i] and any(kept(exempt, i, j, r) for r, _ in kinds[rank[j]])
+                for k in range(n)
+                if rank[k] < rank[j] and kept(exempt, i, j, k)
+            )
+            for chain in walk:
+                keep(postulate, *chain, solved(*chain))
+                if len(witnesses) == min(_WITNESS_DISPLAY_CAP, counts[postulate]):
                     break
-                if exempt is not None and exempt(leads[i], leads[j], relations(i, j, k)):
-                    continue
-                for label, relation in needed[: _WITNESS_DISPLAY_CAP - len(witnesses)]:
-                    weight = partition(i, j, k)[relation].witness()
-                    witnesses.append(
-                        MixtureWitness(label, lotteries[i], lotteries[j], lotteries[k], weight)
-                    )
     return tuple(
         Verdict(
             name,

@@ -429,6 +429,42 @@ class _Closure:
         return Verdict(postulate, False, self.domain, certificate)
 
 
+def oracle_A1(structure: PrefStructure) -> Verdict:
+    """Asymmetry over every ordered pair, then negative transitivity over
+    every triple, of the comparison matrix of the closure."""
+    closure = _Closure(structure, "all pairs and triples")
+    matrix = [
+        [compare_values(vi, vj, structure.regime) for vj in closure.values]
+        for vi in closure.values
+    ]
+    n = len(matrix)
+    for i, j in itertools.product(range(n), repeat=2):
+        if matrix[i][j] is not matrix[j][i].flipped():
+            certificate = Counterexample(
+                kind="asymmetry",
+                payload=(
+                    ("p", closure.lotteries[i]),
+                    ("q", closure.lotteries[j]),
+                    ("forward", matrix[i][j].value),
+                    ("backward", matrix[j][i].value),
+                ),
+            )
+            return Verdict("A1", False, closure.domain, certificate)
+    violation = negative_transitivity_scan(matrix)
+    if violation is not None:
+        i, j, k = violation
+        certificate = Counterexample(
+            kind="negative-transitivity",
+            payload=(
+                ("p", closure.lotteries[i]),
+                ("q", closure.lotteries[j]),
+                ("r", closure.lotteries[k]),
+            ),
+        )
+        return Verdict("A1", False, closure.domain, certificate)
+    return Verdict("A1", True, closure.domain)
+
+
 def _independence_oracle(postulate, structure, weights, extra) -> Verdict:
     closure = _Closure(structure, extra)
     for i, j in closure.pairs():
@@ -620,6 +656,7 @@ def oracle_A5prime(structure: PrefStructure) -> Verdict:
 
 # Postulate name -> its definitional check.
 AUDIT_ORACLES = {
+    "A1": oracle_A1,
     "A2": oracle_A2,
     "B2": oracle_B2,
     "A2p": oracle_A2prime,

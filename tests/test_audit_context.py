@@ -67,7 +67,13 @@ from qualutil import (
     render_report,
     replay,
 )
-from qualutil.auditor import _Context, _build_context, _mixture_partition, _relation_rule
+from qualutil.auditor import (
+    _Context,
+    _build_context,
+    _mixture_partition,
+    _rank,
+    _relation_rule,
+)
 from qualutil.fixtures import fixture_path
 from qualutil.nsreal import _lead
 from qualutil.solver import compare
@@ -439,6 +445,23 @@ def test_mixed_sign_closure_partitions_every_strict_chain(monkeypatch):
     assert checked >= 5
 
 
+def test_a_failing_kind_is_named_by_its_first_lottery_in_closure_order():
+    # On values <= 0, a*p + (1-a)*r lies below q unless q and r share an
+    # order of magnitude, so A3p and gamma fail on p > q > r for r = r1 and
+    # r = r2, one kind below q.  r2's class ranks lowest, yet r1 comes first
+    # in closure order, so the certificates name r1, as a scan of the chains
+    # in order would.
+    utilities = UtilityAssignment.from_mapping(
+        {"p": -eps(), "q": rational(-1), "r1": -eps(-1), "r2": -eps(-2)}, signed=True
+    )
+    generators = tuple(Lottery.degenerate(name) for name in ("p", "q", "r1", "r2"))
+    report = assert_matches_oracles(
+        PrefStructure(Regime.NS_UTIL, utilities, generators, closure_depth=0)
+    )
+    for postulate in ("A3p", "gamma"):
+        assert report.verdict(postulate).counterexample.get("r") == generators[2]
+
+
 def test_holding_solvability_verdicts_keep_four_witnesses_and_count_all():
     # The human report prints "(1622 / 1508 further witnesses omitted)".
     report = audit(bundled("surgery", closure_depth=1, grid_denominator=3))
@@ -532,7 +555,9 @@ def relation_rule_on(regime, values):
     """The rule of a context holding only what it reads: the regime, values
     of one sign and their leading exponents."""
     leads = tuple(_lead(value)[0] for value in values)
-    return _relation_rule(_Context(regime, (), tuple(values), (), leads, mixed_signs=False))
+    return _relation_rule(
+        _Context(regime, (), tuple(values), leads, mixed_signs=False, rank=(), classes=())
+    )
 
 
 # A standard part plus an infinitesimal tail: every finite value, drawn
@@ -565,6 +590,45 @@ def test_relation_rule_is_the_set_of_partition_labels(regime, values, data):
     assume(chains)
     p, q, r = chains[0]
     assert relation_rule_on(regime, (p, q, r))(0, 1, 2) == set(_mixture_partition(p, r, q, regime))
+
+
+# --- the ranking -------------------------------------------------------------
+#
+# An audit ranks its closure once: lottery i is strictly above lottery j
+# exactly when rank[i] > rank[j], in every regime and on values of any sign.
+
+ORDERING_OF_RANKS = {1: PrefOrdering.BETTER, 0: PrefOrdering.INDIFFERENT, -1: PrefOrdering.WORSE}
+
+
+@pytest.mark.parametrize(
+    "regime, values",
+    [
+        pytest.param(Regime.STD, standard_fractions.map(rational), id="std"),
+        pytest.param(Regime.NS_PROB, finite_nsreals_with_tails, id="ns-prob"),
+        pytest.param(Regime.NS_UTIL, nonnegative_nsreals, id="ns-util-nonnegative"),
+        pytest.param(
+            Regime.NS_UTIL, nonnegative_nsreals.map(lambda v: -v), id="ns-util-nonpositive"
+        ),
+        pytest.param(Regime.NS_UTIL, nsreals, id="ns-util-mixed"),
+    ],
+)
+@given(data=st.data())
+def test_ranks_reproduce_the_comparison_on_every_pair(regime, values, data):
+    drawn = data.draw(st.lists(values, min_size=1, max_size=6))
+    ties = data.draw(st.lists(st.sampled_from(drawn), max_size=3))
+    if regime is not Regime.STD:
+        # Level with a drawn value yet not equal to it: an infinitesimal
+        # relative change moves neither a standard part nor a leading term.
+        ties += [value * (ONE + EPS) for value in ties]
+    pool = data.draw(st.permutations(drawn + ties))
+    rank, classes = _rank(pool, regime)
+    for i, j in itertools.product(range(len(pool)), repeat=2):
+        ordering = ORDERING_OF_RANKS[(rank[i] > rank[j]) - (rank[i] < rank[j])]
+        assert compare_values(pool[i], pool[j], regime) is ordering
+    assert classes == tuple(
+        tuple(i for i in range(len(pool)) if rank[i] == r) for r in range(len(classes))
+    )
+    assert all(classes)
 
 
 # --- the independence rule -------------------------------------------------

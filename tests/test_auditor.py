@@ -58,7 +58,7 @@ from qualutil import (
     replay,
     solve_mixture_relation,
 )
-from qualutil.auditor import _find_negative_transitivity_violation
+from qualutil.auditor import _build_context
 from qualutil.fixtures import dice_document, maximin_document
 
 F = Fraction
@@ -204,7 +204,7 @@ def test_negative_transitivity_violation_finder_on_crafted_matrices():
         (I, I, I),
         (W, I, I),
     )
-    assert _find_negative_transitivity_violation(matrix) == (0, 1, 2)
+    assert negative_transitivity_scan(matrix) == (0, 1, 2)
 
     # A clean total order has no violation.
     ordered = (
@@ -212,48 +212,41 @@ def test_negative_transitivity_violation_finder_on_crafted_matrices():
         (W, I, B),
         (W, W, I),
     )
-    assert _find_negative_transitivity_violation(ordered) is None
+    assert negative_transitivity_scan(ordered) is None
 
 
 def test_negative_transitivity_finder_scales_past_the_scan_limit():
-    # A large chain ordered by index: beat counts decide, no full scan.
+    # A chain of 50 ordered by index has no violation.
     n = 50
     big = tuple(
         tuple(B if i < j else W if i > j else I for j in range(n)) for i in range(n)
     )
-    assert _find_negative_transitivity_violation(big) is None
+    assert negative_transitivity_scan(big) is None
 
-    # Intransitive indifference (0 ~ 1 and 1 ~ 2, yet 0 beats 2): the rank
-    # argument notices the mismatch and the fallback scan pins the triple.
+    # Intransitive indifference (0 ~ 1 and 1 ~ 2, yet 0 beats 2): the scan
+    # pins the triple.
     rows = [list(row) for row in big]
     for a, b in ((0, 1), (1, 2)):
         rows[a][b] = I
         rows[b][a] = I
     flawed = tuple(tuple(row) for row in rows)
-    assert _find_negative_transitivity_violation(flawed) == (0, 1, 2)
+    assert negative_transitivity_scan(flawed) == (0, 1, 2)
 
 
-@st.composite
-def asymmetric_matrices(draw):
-    """Preference matrices ordered by a random score, then with a few pairs
-    overwritten (keeping asymmetry): weak orders and near misses alike."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    rows = [
-        [B if scores[i] > scores[j] else W if scores[i] < scores[j] else I for j in range(n)]
-        for i in range(n)
-    ]
-    index = st.integers(0, n - 1)
-    overwrites = st.lists(st.tuples(index, index, st.sampled_from([B, W, I])), max_size=4)
-    for i, j, ordering in draw(overwrites):
-        if i != j:
-            rows[i][j], rows[j][i] = ordering, ordering.flipped()
-    return tuple(tuple(row) for row in rows)
+def test_A1_ranking_guard_names_both_values(monkeypatch):
+    # A comparison calling every value worse than every other is no weak
+    # order: the walk over the sorted values meets a neighbour that does not
+    # compare level or above, and no context is built, so A1 gets no verdict.
+    def every_value_worse(left, right, regime):
+        return I if left == right else W
 
-
-@given(asymmetric_matrices())
-def test_negative_transitivity_finder_agrees_with_the_cubic_scan(matrix):
-    assert _find_negative_transitivity_violation(matrix) == negative_transitivity_scan(matrix)
+    monkeypatch.setattr(qualutil.auditor, "compare_values", every_value_worse)
+    with pytest.raises(ConsistencyError) as raised:
+        _build_context(COMMENSURATE)
+    assert str(raised.value) == (
+        "the ns-util comparison is no weak order: NSReal('1/2') sorts above "
+        "NSReal('0'), yet compares worse"
+    )
 
 
 # --- A2 and its primed variant ----------------------------------------------
