@@ -83,8 +83,10 @@ class UnknownIdentifier(QualUtilError, LookupError):
 
 
 class ClosureTooLarge(QualUtilError):
-    """The mixture closure is too big for the exhaustive postulate checks,
-    which scan all pairs and triples.  Lower the closure depth or the grid
+    """The mixture closure holds more lotteries than the audit admits.  The
+    checks walk classes of indifferent lotteries and decide most postulates
+    by rules on leading exponents; only ``NS_UTIL`` values of both signs are
+    scanned over all pairs and triples.  Lower the closure depth or the grid
     denominator, or audit fewer generators."""
 
 

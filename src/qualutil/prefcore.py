@@ -24,9 +24,11 @@ reports.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
     MissingUtility,
     PreconditionViolated,
 )
-from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, qcompare, rational
+from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, _wrap, qcompare, rational
 from .solver import AffineValue, RationalIntervalSet, compare, partition_affine_comparison
 
 __all__ = [
@@ -323,6 +325,30 @@ def grid_weights(denominator: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, denominator) for k in range(1, denominator))
 
 
+def _probability_error(
+    vector: tuple[int, ...], coordinates: tuple[tuple[str, int], ...], scale: int
+) -> str | None:
+    """The message :meth:`Lottery.from_mapping` raises on the lottery whose
+    scaled coordinates are ``vector``, or None if it raises none: checked in
+    sorted outcome order, an outcome whose leading coordinate is negative,
+    then no nonzero coordinate, then a row sum other than ``scale`` at
+    exponent 0 and 0 at every other exponent."""
+    sums: dict[int, int] = {}
+    led = None
+    for (outcome, exponent), c in zip(coordinates, vector):
+        if c:
+            if outcome != led:
+                if c < 0:
+                    return f"negative probability for outcome {outcome!r}"
+                led = outcome
+            sums[exponent] = sums.get(exponent, 0) + c
+    if not sums:
+        return "a lottery needs at least one outcome"
+    if {exponent: total for exponent, total in sums.items() if total} != {0: scale}:
+        return "probabilities must sum to exactly 1"
+    return None
+
+
 def close_under_mixtures(
     lotteries: Iterable[Lottery],
     denominator: int = 8,
@@ -338,36 +364,97 @@ def close_under_mixtures(
     is preserved.  With ``limit``, raises :class:`ClosureTooLarge`, naming
     the round, as soon as the set holds more than ``limit`` lotteries, so
     an oversized closure is refused before the rest of it is built.
+
+    The rounds mix integer vectors, not lotteries.  There is one
+    coordinate per (outcome, ``eps`` exponent) found in the generators,
+    sorted, at the scale ``S = L * denominator**depth``, where L is the lcm
+    of the denominators of the generators' coefficients.  After round r
+    every coordinate is a multiple of ``denominator**(depth - r)``, so the
+    mix at k/denominator, ``(k*a + (denominator - k)*b) / denominator``, is
+    the integer ``b + k*step`` with ``step = (a - b) // denominator``
+    exact.  Scaling is a bijection, so deduplicating the vectors keeps the
+    order of first appearance.  The generators are returned as passed in;
+    each new member is built once, at the end, with the raw
+    :class:`Lottery` constructor and coefficients ``Fraction(c, S)``.
+
+    A mix with positive weights keeps every row sum and the sign of each
+    outcome's leading coordinate, so if every generator passes the checks
+    of :meth:`Lottery.from_mapping` (its rows sum to S at exponent 0 and to
+    0 elsewhere, and no outcome leads with a negative coordinate), so does
+    every mix.  If one does not (it was built with the raw constructor),
+    every mix is checked in integers, and the first that fails raises the
+    :class:`InvalidParameter` that ``from_mapping`` raises on it.
     """
-    weights = grid_weights(denominator)
+    grid_weights(denominator)  # refuses a denominator that is not an int >= 2
     _require_int("depth", depth)
     if depth < 0:
         raise InvalidParameter(f"depth must be nonnegative, got {depth}")
-    current: dict[Lottery, None] = dict.fromkeys(lotteries)
-    if not current:
+    generators = tuple(dict.fromkeys(lotteries))
+    if not generators:
         raise InvalidParameter("need at least one lottery to close")
-    if limit is not None and len(current) > limit:
+    if limit is not None and len(generators) > limit:
         raise ClosureTooLarge(
-            f"the {len(current)} distinct generators alone exceed the limit of {limit} lotteries"
+            f"the {len(generators)} distinct generators alone exceed the limit of {limit} lotteries"
         )
+    coordinates = tuple(
+        sorted({(o, e) for g in generators for o, p in g.probs for e, _ in p.terms})
+    )
+    position = {key: i for i, key in enumerate(coordinates)}
+    scale = math.lcm(
+        *(c.denominator for g in generators for _, p in g.probs for _, c in p.terms)
+    ) * denominator**depth
+    items = []
+    for generator in generators:
+        vector = [0] * len(coordinates)
+        for outcome, p in generator.probs:
+            for exponent, c in p.terms:
+                vector[position[outcome, exponent]] += c.numerator * (scale // c.denominator)
+        items.append(tuple(vector))
+    check_every_mix = any(_probability_error(vector, coordinates, scale) for vector in items)
+    seen = set(items)
     for round_number in range(1, depth + 1):
-        additions: dict[Lottery, None] = {}
-        items = tuple(current)
+        additions = []
         for i, first in enumerate(items):
             for second in items[i + 1 :]:
-                for w in weights:
-                    mixed = mix(w, first, second)
-                    if mixed not in current:
-                        additions[mixed] = None
-                        if limit is not None and len(current) + len(additions) > limit:
+                step = [(a - b) // denominator for a, b in zip(first, second)]
+                mixed = second
+                for _ in range(denominator - 1):
+                    mixed = tuple(map(add, mixed, step))
+                    if check_every_mix:
+                        message = _probability_error(mixed, coordinates, scale)
+                        if message is not None:
+                            raise InvalidParameter(message)
+                    if mixed not in seen:
+                        seen.add(mixed)
+                        additions.append(mixed)
+                        if limit is not None and len(items) + len(additions) > limit:
                             raise ClosureTooLarge(
                                 f"the mixture closure exceeds {limit} lotteries in round "
                                 f"{round_number} of {depth}"
                             )
         if not additions:
             break
-        current.update(additions)
-    return tuple(current)
+        items += additions
+    # Members share one (outcome, NSReal) entry per distinct run of an
+    # outcome's coordinates: fewer live objects, so less garbage-collector work.
+    runs = []
+    start = 0
+    for outcome, keys in itertools.groupby(coordinates, key=lambda key: key[0]):
+        exponents = tuple(e for _, e in keys)
+        runs.append((outcome, start, start + len(exponents), exponents, {}))
+        start += len(exponents)
+    members = []
+    for vector in items[len(generators) :]:
+        probs: list[tuple[str, NSReal]] = []
+        for outcome, start, stop, exponents, known in runs:
+            coords = vector[start:stop]
+            entry = known.get(coords)
+            if entry is None:
+                terms = tuple([(e, Fraction(c, scale)) for e, c in zip(exponents, coords) if c])
+                entry = known[coords] = ((outcome, _wrap(terms)),) if terms else ()
+            probs += entry
+        members.append(Lottery(tuple(probs)))
+    return generators + tuple(members)
 
 
 def is_negligible(

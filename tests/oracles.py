@@ -23,8 +23,10 @@ from qualutil import (
     AAModel,
     Act,
     AffineValue,
+    ClosureTooLarge,
     ConsistencyError,
     Counterexample,
+    InvalidParameter,
     Lottery,
     MaximinSpec,
     MixtureWitness,
@@ -46,6 +48,7 @@ from qualutil import (
     is_negligible,
     is_null,
     maximin_compare_oracle,
+    mix,
     mixture_closure,
     overrides_values,
     prefers,
@@ -344,6 +347,46 @@ def negative_transitivity_scan(matrix) -> tuple[int, int, int] | None:
         if matrix[i][j] is not BETTER and matrix[j][k] is not BETTER and matrix[i][k] is BETTER:
             return (i, j, k)
     return None
+
+
+def oracle_close_under_mixtures(
+    lotteries, denominator: int = 8, depth: int = 2, *, limit: int | None = None
+) -> tuple[Lottery, ...]:
+    """The mixture closure as it was built before integer coordinates: every
+    round mixes every unordered pair of ``Lottery`` objects through
+    :func:`mix` at every grid weight, so each mix runs the checks of
+    ``Lottery.from_mapping``.  Same order, refusals and messages as
+    :func:`qualutil.close_under_mixtures`."""
+    weights = grid_weights(denominator)
+    if type(depth) is not int:
+        raise InvalidParameter(f"depth must be an int, got {depth!r}")
+    if depth < 0:
+        raise InvalidParameter(f"depth must be nonnegative, got {depth}")
+    current: dict[Lottery, None] = dict.fromkeys(lotteries)
+    if not current:
+        raise InvalidParameter("need at least one lottery to close")
+    if limit is not None and len(current) > limit:
+        raise ClosureTooLarge(
+            f"the {len(current)} distinct generators alone exceed the limit of {limit} lotteries"
+        )
+    for round_number in range(1, depth + 1):
+        additions: dict[Lottery, None] = {}
+        items = tuple(current)
+        for i, first in enumerate(items):
+            for second in items[i + 1 :]:
+                for w in weights:
+                    mixed = mix(w, first, second)
+                    if mixed not in current:
+                        additions[mixed] = None
+                        if limit is not None and len(current) + len(additions) > limit:
+                            raise ClosureTooLarge(
+                                f"the mixture closure exceeds {limit} lotteries in round "
+                                f"{round_number} of {depth}"
+                            )
+        if not additions:
+            break
+        current.update(additions)
+    return tuple(current)
 
 
 class _Closure:
@@ -778,6 +821,32 @@ def random_nonstandard_lottery(rng: random.Random, outcomes: list[str]) -> Lotte
         if all(value.sign() > 0 for value in items.values()):
             return Lottery.from_mapping(items)
     return lottery
+
+
+def random_tilted_lottery(rng: random.Random, outcomes: list[str]) -> Lottery:
+    """A random lottery whose probabilities carry up to three powers of
+    ``eps``: each of ``eps``, ``eps**2`` and ``eps**3`` moves, with
+    probability 0.7, an infinitesimal share from one outcome to another.
+    Every probability keeps its positive standard part."""
+    items = dict(random_lottery(rng, outcomes).probs)
+    for power in (1, 2, 3):
+        if len(items) >= 2 and rng.random() < 0.7:
+            giver, taker = rng.sample(sorted(items), 2)
+            tilt = eps(power) * Fraction(rng.choice((1, -1)), rng.randint(1, 4))
+            items[giver] = items[giver] - tilt
+            items[taker] = items[taker] + tilt
+    return Lottery.from_mapping(items)
+
+
+def three_outcome_structure() -> PrefStructure:
+    """The three-outcome example: STD utilities 1, 1/2 and 0 and the three
+    sure lotteries, at the default grid 8 and closure depth 2."""
+    utilities = UtilityAssignment.from_mapping(
+        {"best": rational(1), "middle": rational(Fraction(1, 2)), "worst": rational(0)}
+    )
+    return PrefStructure(
+        Regime.STD, utilities, tuple(Lottery.degenerate(o) for o in ("best", "middle", "worst"))
+    )
 
 
 def random_structure(

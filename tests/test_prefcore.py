@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import qualutil.prefcore
 from conftest import nonnegative_nsreals, unit_weights
-from oracles import brute_force_overrides
+from oracles import (
+    brute_force_overrides,
+    oracle_close_under_mixtures,
+    random_structure,
+    random_tilted_lottery,
+    three_outcome_structure,
+)
 from qualutil import (
     AAModel,
     ClosureTooLarge,
@@ -38,6 +44,7 @@ from qualutil import (
     grid_weights,
     is_negligible,
     lexicographic_mix,
+    load_model,
     mix,
     overrides,
     overrides_values,
@@ -47,7 +54,7 @@ from qualutil import (
     replay,
 )
 from qualutil.criteria import maximin_sweep
-from qualutil.fixtures import consolation_document
+from qualutil.fixtures import consolation_document, fixture_path
 
 F = Fraction
 
@@ -332,6 +339,93 @@ def test_close_under_mixtures_refuses_only_past_its_limit():
 def test_close_under_mixtures_rejects_empty_input():
     with pytest.raises(ValueError):
         close_under_mixtures([], denominator=2, depth=1)
+
+
+def closure_or_error(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or the type and message of the
+    ``InvalidParameter`` or ``ClosureTooLarge`` it raises."""
+    try:
+        return build(*args, **kwargs)
+    except (InvalidParameter, ClosureTooLarge) as error:
+        return type(error), str(error)
+
+
+def random_generators(rng, family):
+    """One to four generators: standard ones drawn as for an STD or NS_UTIL
+    structure, nonstandard ones as for NS_PROB, or ones carrying up to
+    three powers of eps."""
+    count = rng.randint(1, 4)
+    if family == "ns-prob-eps-powers":
+        return [random_tilted_lottery(rng, ["a", "b", "c", "d"]) for _ in range(count)]
+    return list(random_structure(rng, Regime(family), generator_count=count).generators)
+
+
+@pytest.mark.parametrize("family", ["std", "ns-util", "ns-prob", "ns-prob-eps-powers"])
+def test_close_under_mixtures_matches_the_mix_oracle(family):
+    """Equal tuples in equal order at depth 0-2 and grid 2-8, and equal
+    refusals at limits 1, 3, n - 1 and n."""
+    for seed in range(21):
+        rng = random.Random(f"{family}-{seed}")
+        generators = random_generators(rng, family)
+        depth, denominator = seed % 3, 2 + seed // 3
+        closure = close_under_mixtures(generators, denominator, depth)
+        assert closure == oracle_close_under_mixtures(generators, denominator, depth)
+        for limit in sorted({1, 3, len(closure) - 1, len(closure)}):
+            assert closure_or_error(
+                close_under_mixtures, generators, denominator, depth, limit=limit
+            ) == closure_or_error(
+                oracle_close_under_mixtures, generators, denominator, depth, limit=limit
+            )
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([lottery(best=1), Lottery((("best", rational(F(1, 2))),))], "sum to exactly 1"),
+        ([Lottery((("best", rational(F(1, 2))),)), lottery(best=1)], "sum to exactly 1"),
+        ([lottery(best=1), Lottery((("best", rational(2)), ("worst", rational(-1))))],
+         "negative probability for outcome 'worst'"),
+        ([Lottery(()), lottery(worst=1)], "sum to exactly 1"),
+        ([lottery(best=1), Lottery((("best", rational(F(-1, 2))),))], "at least one outcome"),
+    ],
+    ids=["second-sums-to-half", "first-sums-to-half", "negative", "empty", "mixes-to-nothing"],
+)
+def test_close_under_mixtures_rejects_a_raw_generator_like_the_oracle(generators, message):
+    """A generator built with the raw constructor that ``Lottery.from_mapping``
+    would reject raises the same ``InvalidParameter`` on its first mix."""
+    for depth in (1, 2):
+        for limit in (None, 2, 3):
+            result = closure_or_error(close_under_mixtures, generators, 3, depth, limit=limit)
+            assert result == closure_or_error(
+                oracle_close_under_mixtures, generators, 3, depth, limit=limit
+            )
+    with pytest.raises(InvalidParameter, match=message):
+        close_under_mixtures(generators, 3, 1)
+    assert close_under_mixtures(generators, 3, 0) == tuple(generators)
+
+
+@pytest.mark.parametrize(
+    "name, members, against_oracle",
+    [
+        ("three-outcome", 942, True),
+        ("dice", 4181, True),
+        ("maximin3", 4680, False),
+        ("surgery", 8611, False),
+        ("consolation", 11204, False),
+    ],
+)
+def test_depth_two_grid_eight_closure_sizes(name, members, against_oracle):
+    """The closures ROADMAP's depth-2 plans are measured on; the oracle
+    comparison is limited to the two smallest to keep the suite fast."""
+    if name == "three-outcome":
+        generators = three_outcome_structure().generators
+    else:
+        generators = load_model(fixture_path(name)).structure().generators
+    closure = close_under_mixtures(generators, 8, 2)
+    assert len(closure) == members
+    assert closure[: len(set(generators))] == tuple(dict.fromkeys(generators))
+    if against_oracle:
+        assert closure == oracle_close_under_mixtures(generators, 8, 2)
 
 
 # --- negligible weights ------------------------------------------------------
