@@ -28,7 +28,7 @@ The checks:
 
 :func:`audit` builds one context (closure, expected utilities, leading
 exponents, and the closure ranked into classes of indifferent lotteries by
-one sort of its distinct values) and passes it to every ``check_*`` as
+sorting its values' distinct keys) and passes it to every ``check_*`` as
 ``context``; called alone, a check builds its own.  The solvability family,
 A3, A3p, A3pp and gamma, is decided in one ordered pass over the strict
 chains p > q > r.  Every postulate still undecided reads the set of
@@ -308,26 +308,12 @@ def _rank(
     values: Sequence[NSReal], regime: Regime
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Each value's class in the regime's weak order, 0 the lowest, and each
-    class's indices.  One sort of the distinct values, then a walk over
-    neighbours: one level with the value below joins its class, one above
-    opens the next, and one below proves the comparison no weak order, which
-    the paper shows it is, and raises :class:`ConsistencyError`."""
-    steps = {PrefOrdering.WORSE: -1, PrefOrdering.INDIFFERENT: 0, PrefOrdering.BETTER: 1}
-    distinct = sorted(
-        dict.fromkeys(values),
-        key=functools.cmp_to_key(lambda a, b: steps[compare_values(a, b, regime)]),
-    )
-    ranks = dict.fromkeys(distinct[:1], 0)
-    for lower, value in zip(distinct, distinct[1:]):
-        ordering = compare_values(value, lower, regime)
-        if ordering is PrefOrdering.WORSE:
-            raise ConsistencyError(
-                f"the {regime.value} comparison is no weak order: {value!r} sorts "
-                f"above {lower!r}, yet compares {ordering.value}"
-            )
-        ranks[value] = ranks[lower] + steps[ordering]
-    rank = tuple(ranks[value] for value in values)
-    classes: list[list[int]] = [[] for _ in range(max(rank, default=-1) + 1)]
+    class's indices: the distinct keys of the values by ``regime.key``,
+    sorted once and numbered."""
+    keys = [regime.key(value) for value in values]
+    ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = tuple(ranks[key] for key in keys)
+    classes: list[list[int]] = [[] for _ in ranks]
     for index, r in enumerate(rank):
         classes[r].append(index)
     return rank, tuple(tuple(members) for members in classes)
@@ -397,8 +383,8 @@ def solve_mixture_relation(
 
 def check_A1(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Asymmetry plus negative transitivity of strict preference.  Both
-    hold of any ranking, and the context ranks the closure, or raises
-    :class:`ConsistencyError` where the comparison is no weak order."""
+    hold of any ranking, and the context ranks the closure by the regime's
+    sort key, so A1 holds by construction."""
     context = context or _build_context(structure)
     return Verdict("A1", True, _domain(structure, context, "all pairs and triples"))
 
@@ -516,7 +502,7 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
     weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
-    separates = len({value.standard_part() for value in context.values}) > 1
+    separates = len(context.classes) > 1  # NS_PROB classes are the standard parts
     relevant = [
         w for w in weights if separates and not (isinstance(w, NSReal) and w.is_infinitesimal())
     ]

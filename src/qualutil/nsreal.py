@@ -31,7 +31,7 @@ that are infinitesimal relative to the operands, so ``1 + eps`` is
 qualitatively equivalent to ``1`` while ``eps`` still exceeds ``eps/12``.
 Opposite-sign operands are ordered by sign, and values of one sign by their
 leading terms alone: order of magnitude first, leading coefficient second.
-``qcompare`` reads one term of each operand.
+That order is the order of a sort key read off one term of each operand.
 """
 
 from __future__ import annotations
@@ -394,8 +394,24 @@ _NO_TERM = (inf, Fraction(0))
 
 def _lead(value: NSReal) -> tuple[float, Fraction]:
     """The leading ``(exponent, coefficient)`` of ``value``, ``(inf, 0)`` for
-    zero: the key of the qualitative order among values of one sign."""
+    zero: what :func:`_qkey` reads of a value."""
     return value.terms[0] if value.terms else _NO_TERM
+
+
+def _qkey(value: NSReal) -> tuple[int, float, Fraction]:
+    """The sort key of the qualitative order: sign class first, then order
+    of magnitude (the larger the greater among nonnegative values, the
+    lesser among negative ones), then leading coefficient.  Zero, of lower
+    order than any other value, is ``(1, -inf, 0)``."""
+    e, c = _lead(value)
+    return (0, e, c) if c.numerator < 0 else (1, -e, c)
+
+
+def _ordering(left: object, right: object) -> QOrdering:
+    """The verdict of comparing two sort keys."""
+    if left > right:
+        return QOrdering.GREATER
+    return QOrdering.LESS if left < right else QOrdering.EQUIVALENT
 
 
 def qcompare(x: NSReal, y: NSReal) -> QOrdering:
@@ -408,15 +424,6 @@ def qcompare(x: NSReal, y: NSReal) -> QOrdering:
     the greater among nonnegative values and the lesser among negative ones;
     leading coefficient second.  So the result refines the total order
     (GREATER implies ``x > y``) and the induced equivalence is exactly
-    "identical leading term, same sign class".
+    "identical leading term, same sign class": the order of :func:`_qkey`.
     """
-    ex, cx = _lead(x)
-    ey, cy = _lead(y)
-    x_negative = cx.numerator < 0
-    if x_negative != (cy.numerator < 0):
-        return QOrdering.LESS if x_negative else QOrdering.GREATER
-    if ex != ey:
-        return QOrdering.GREATER if (ex < ey) != x_negative else QOrdering.LESS
-    if cx == cy:
-        return QOrdering.EQUIVALENT
-    return QOrdering.GREATER if cx > cy else QOrdering.LESS
+    return _ordering(_qkey(x), _qkey(y))

@@ -4,9 +4,10 @@ A lottery assigns exact nonnegative probabilities summing to one to finitely
 many outcome ids; a utility assignment maps outcome ids to ring values.
 Preference between lotteries is always decided through expected utility, but
 the comparison applied to the two expected values depends on the regime.
-Each :class:`Regime` is one row: its tag, the name of its comparison, and
-whether it requires standard probabilities and standard utilities, the two
-flags every standardness test in the package reads.
+Each :class:`Regime` is one row: its tag, the name of its comparison and
+that comparison's sort key, and whether it requires standard probabilities
+and standard utilities, the two flags every standardness test in the
+package reads.
 
 * ``STD``: everything standard, plain comparison of rationals.
 * ``NS_UTIL``: standard probabilities, possibly nonstandard utilities; the
@@ -40,7 +41,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, _wrap, qcompare, rational
-from .solver import AffineValue, RationalIntervalSet, compare, partition_affine_comparison
+from .solver import ORDER_KEYS, AffineValue, RationalIntervalSet, partition_affine_comparison
 
 __all__ = [
     "Regime",
@@ -67,9 +68,11 @@ Weight = Union[int, Fraction, NSReal]
 
 @unique
 class Regime(Enum):
-    """One row per regime: ``value`` is its tag, ``comparison`` the order it
-    compares expected utilities by, and ``standard_probabilities`` and
-    ``standard_utilities`` whether it requires them standard."""
+    """One row per regime: ``value`` is its tag, ``comparison`` the name of
+    the order it compares expected utilities by and ``key`` that order's
+    sort key (:data:`~qualutil.solver.ORDER_KEYS`), looked up once here, and
+    ``standard_probabilities`` and ``standard_utilities`` whether it
+    requires them standard."""
 
     STD = ("std", "quantitative", True, True)
     NS_UTIL = ("ns-util", "qualitative", True, False)
@@ -79,6 +82,7 @@ class Regime(Enum):
         member = object.__new__(cls)
         member._value_ = tag
         member.comparison = comparison
+        member.key = ORDER_KEYS[comparison]
         member.standard_probabilities = probabilities
         member.standard_utilities = utilities
         return member
@@ -241,8 +245,14 @@ def case1_functional(lottery: Lottery, assignment: UtilityAssignment) -> Fractio
 
 
 def compare_values(left: NSReal, right: NSReal, regime: Regime) -> PrefOrdering:
-    """Order two expected utilities under the given regime's comparison."""
-    return _PREF_FROM_Q[compare(left, right, regime.comparison)]
+    """Order two expected utilities as their keys by the regime's sort key,
+    ``regime.key``, compare.  Under NS_PROB an infinite value has no key and
+    raises :class:`~qualutil.errors.InfiniteValue`."""
+    key = regime.key
+    left, right = key(left), key(right)
+    if left > right:
+        return PrefOrdering.BETTER
+    return PrefOrdering.WORSE if left < right else PrefOrdering.INDIFFERENT
 
 
 def prefers(

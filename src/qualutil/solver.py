@@ -33,8 +33,9 @@ cells.
 3. *Everything else*: the qualitative order on operands of mixed sign and
    the ring order on nonstandard operands (the lexicographic contrast).
    Each sample ``a*at_one + (1 - a)*at_zero`` is built by ``NSReal``
-   arithmetic and decided by the comparator of the order, the breakpoints
-   being the coefficient roots of both operands and of their difference.
+   arithmetic and decided by the order's key (:data:`ORDER_KEYS`), the
+   breakpoints being the coefficient roots of both operands and of their
+   difference.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import InvalidParameter
-from .nsreal import NSReal, QOrdering, _lead, qcompare
+from .nsreal import NSReal, QOrdering, _lead, _ordering, _qkey
 
 __all__ = [
     "AffineValue",
@@ -53,6 +54,7 @@ __all__ = [
     "partition_unit_interval",
     "partition_affine_comparison",
     "compare",
+    "ORDER_KEYS",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -224,31 +226,20 @@ def _sign_label(n: int) -> QOrdering:
     return QOrdering.EQUIVALENT
 
 
-def _quantitative(left: NSReal, right: NSReal) -> QOrdering:
-    return _sign_label(left._compare_sign(right))
-
-
-def _standard_part_compare(left: NSReal, right: NSReal) -> QOrdering:
-    lhs = left.standard_part()
-    rhs = right.standard_part()
-    if lhs > rhs:
-        return QOrdering.GREATER
-    if lhs < rhs:
-        return QOrdering.LESS
-    return QOrdering.EQUIVALENT
-
-
-_COMPARATORS: dict[str, Callable[[NSReal, NSReal], QOrdering]] = {
-    "qualitative": qcompare,
-    "quantitative": _quantitative,
-    "standard-part": _standard_part_compare,
+# The sort key of each order :func:`partition_affine_comparison` accepts:
+# two values compare as their keys do.
+ORDER_KEYS: dict[str, Callable[[NSReal], object]] = {
+    "qualitative": _qkey,
+    "quantitative": lambda value: value,
+    "standard-part": NSReal.standard_part,
 }
 
 
 def compare(left: NSReal, right: NSReal, comparison: str) -> QOrdering:
     """Compare two values by the order named ``comparison``, one of the
     names :func:`partition_affine_comparison` accepts."""
-    return _COMPARATORS[comparison](left, right)
+    key = ORDER_KEYS[comparison]
+    return _ordering(key(left), key(right))
 
 
 def partition_affine_comparison(
@@ -258,7 +249,7 @@ def partition_affine_comparison(
 ) -> dict[QOrdering, RationalIntervalSet]:
     """Classify every weight in (0, 1) by comparing ``left`` to ``right``.
 
-    ``comparison`` selects the verdict function: "qualitative" for the
+    ``comparison`` names the order (:data:`ORDER_KEYS`): "qualitative" for the
     order that discards relatively infinitesimal gaps, "quantitative" for
     the plain ring order, "standard-part" for comparison after collapsing
     infinitesimals.  One of three routes decides (module docstring):
@@ -289,14 +280,13 @@ def partition_affine_comparison(
             larger = QOrdering.LESS if -1 in signs else QOrdering.GREATER
             return {larger if left_exponent < right_exponent else larger.flipped(): _WHOLE}
 
-    comparator = _COMPARATORS[comparison]
     difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
     breakpoints = {t for value in (left, right, difference) for t in _coefficient_roots(value)}
 
     def classify(a: Fraction) -> QOrdering:
         b = 1 - a
-        return comparator(
-            a * left.at_one + b * left.at_zero, a * right.at_one + b * right.at_zero
+        return compare(
+            a * left.at_one + b * left.at_zero, a * right.at_one + b * right.at_zero, comparison
         )
 
     return partition_unit_interval(breakpoints, classify)

@@ -26,6 +26,7 @@ from qualutil import (
     ClosureTooLarge,
     ConsistencyError,
     Counterexample,
+    InfiniteValue,
     InvalidParameter,
     Lottery,
     MaximinSpec,
@@ -195,6 +196,30 @@ def oracle_qcompare(x: NSReal, y: NSReal) -> QOrdering:
     if sx < 0:
         return oracle_qcompare_nonnegative(_negative(y), _negative(x))
     return oracle_qcompare_nonnegative(x, y)
+
+
+def oracle_standard_part(value: NSReal) -> Fraction:
+    """The coefficient of ``eps**0``; a term of negative exponent leaves the
+    value infinite, with no standard part."""
+    terms = _term_dict(value)
+    if any(exponent < 0 for exponent in terms):
+        raise InfiniteValue(f"no standard part: {value!r} is infinite")
+    return terms.get(0, Fraction(0))
+
+
+def oracle_compare_values(x: NSReal, y: NSReal, regime: Regime) -> PrefOrdering:
+    """Each regime's comparison by its definition: STD the sign of ``x - y``,
+    NS_UTIL :func:`oracle_qcompare`, NS_PROB the order of the standard parts
+    as ``Fraction`` values, raising InfiniteValue for an infinite operand."""
+    if regime is Regime.NS_UTIL:
+        ordering = oracle_qcompare(x, y)
+        sign = (ordering is QOrdering.GREATER) - (ordering is QOrdering.LESS)
+    elif regime is Regime.NS_PROB:
+        lhs, rhs = oracle_standard_part(x), oracle_standard_part(y)
+        sign = (lhs > rhs) - (lhs < rhs)
+    else:
+        sign = oracle_compare_sign(x, y)
+    return (PrefOrdering.WORSE, PrefOrdering.INDIFFERENT, PrefOrdering.BETTER)[sign + 1]
 
 
 # --- definitional weight partition -------------------------------------------

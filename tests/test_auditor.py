@@ -58,7 +58,6 @@ from qualutil import (
     replay,
     solve_mixture_relation,
 )
-from qualutil.auditor import _build_context
 from qualutil.fixtures import dice_document, maximin_document
 
 F = Fraction
@@ -231,22 +230,6 @@ def test_negative_transitivity_finder_scales_past_the_scan_limit():
         rows[b][a] = I
     flawed = tuple(tuple(row) for row in rows)
     assert negative_transitivity_scan(flawed) == (0, 1, 2)
-
-
-def test_A1_ranking_guard_names_both_values(monkeypatch):
-    # A comparison calling every value worse than every other is no weak
-    # order: the walk over the sorted values meets a neighbour that does not
-    # compare level or above, and no context is built, so A1 gets no verdict.
-    def every_value_worse(left, right, regime):
-        return I if left == right else W
-
-    monkeypatch.setattr(qualutil.auditor, "compare_values", every_value_worse)
-    with pytest.raises(ConsistencyError) as raised:
-        _build_context(COMMENSURATE)
-    assert str(raised.value) == (
-        "the ns-util comparison is no weak order: NSReal('1/2') sorts above "
-        "NSReal('0'), yet compares worse"
-    )
 
 
 # --- A2 and its primed variant ----------------------------------------------

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qualutil.prefcore
-from conftest import nonnegative_nsreals, unit_weights
+from conftest import nonnegative_nsreals, nsreals, unit_weights
 from oracles import (
     brute_force_overrides,
     oracle_close_under_mixtures,
+    oracle_compare_values,
     random_structure,
     random_tilted_lottery,
     three_outcome_structure,
@@ -22,6 +23,7 @@ from qualutil import (
     ConsistencyError,
     Counterexample,
     EPS,
+    InfiniteValue,
     InvalidParameter,
     InvalidWeight,
     Lottery,
@@ -222,6 +224,21 @@ def test_compare_values_ns_prob_compares_standard_parts():
         compare_values(rational(F(2, 3)), rational(F(1, 3)), Regime.NS_PROB)
         is PrefOrdering.BETTER
     )
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+@given(x=nsreals, y=nsreals)
+def test_compare_values_is_the_definitional_order(regime, x, y):
+    # Signed, zero and infinite operands, and pairs level in NS_UTIL and
+    # NS_PROB yet apart in STD: x against x * (1 + eps).
+    for left, right in ((x, y), (y, x), (x, ZERO), (ZERO, y), (x, x), (x, x * (ONE + EPS))):
+        try:
+            expected = oracle_compare_values(left, right, regime)
+        except InfiniteValue:
+            with pytest.raises(InfiniteValue):
+                compare_values(left, right, regime)
+        else:
+            assert compare_values(left, right, regime) is expected
 
 
 def test_prefers_and_flipped_are_consistent():
