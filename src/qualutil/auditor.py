@@ -45,31 +45,30 @@ its own chain's partition, solved at most once per chain; nothing else is
 kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
-difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.  Outside
-NS_UTIL values of both signs they are decided by rule, with no weight
-partition and no mixture arithmetic beyond a failing certificate's:
+difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.
+Independence fails only through overriding, and only under nonstandard
+utilities, so only A2 is ever scanned, and only on NS_UTIL:
 
-* STD and NS_PROB: they hold.  Every weight scanned is standard, or, under
-  B2, not negligible, so not infinitesimal; taking the standard part is
-  additive and multiplicative on finite values, which every NS_PROB value
-  and weight is, so ``w*(v_p - v_q)`` keeps every strict pair strict.
+* STD and NS_PROB: independence holds.  Every weight scanned is standard,
+  or, under B2, not negligible, so not infinitesimal; taking the standard
+  part is additive and multiplicative on finite values, which every NS_PROB
+  value and weight is, so ``w*(v_p - v_q)`` keeps every strict pair strict.
+  B2 holds by this alone and reads no negligibility rule.
 * NS_UTIL with every value >= 0, or every value <= 0: without cancellation
   both mixtures lead at the smaller of their two leading exponents, at every
   standard weight alike.  So a triple fails exactly when ``r`` is of larger
   order of magnitude than both ``p`` and ``q``, ``e(r) < min(e(p), e(q))``,
   and the mixtures share their leading term.  A2 names the first such triple
-  in scan order, with its certificate at the first weight.  A2p exempts the
-  triples whose ``r`` overrides ``p``, ``e(r) < e(p)``; on the values >= 0 of
-  its unsigned utilities those are all of them, so it holds.
+  in scan order, with its certificate at the first weight, mixing nothing
+  else.  A2p exempts the triples whose ``r`` overrides ``p``,
+  ``e(r) < e(p)``; on the values >= 0 of its unsigned utilities those are
+  all of them, so it holds.
+* NS_UTIL values of both signs can cancel: A2 then mixes every strict pair
+  with every closure lottery at every grid weight, the one check whose work
+  grows with the grid denominator.
 
-NS_UTIL values of both signs can cancel: A2 then mixes every strict pair
-with every closure lottery at every grid weight.  B2 exempts its negligible
-weights by the closed-form rule of :func:`~qualutil.prefcore.is_negligible`:
-the infinitesimal ones, and all of them when the closure's values share one
-standard part, which mixing keeps, so the closure shares one exactly when
-its generators do.  The weight partitions of STD, NS_PROB and one-signed
-NS_UTIL are threshold partitions, written without sampling
-(:mod:`qualutil.solver`).
+The weight partitions of STD, NS_PROB and one-signed NS_UTIL are threshold
+partitions, written without sampling (:mod:`qualutil.solver`).
 
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
@@ -79,7 +78,6 @@ weight partition encode each pair so and use those of the STD regime.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -93,7 +91,7 @@ from .errors import (
     MissingUtility,
     RegimeMismatch,
 )
-from .nsreal import EPS, NSReal, ONE, ZERO, QOrdering, _lead
+from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead
 from .prefcore import (
     _PREF_FROM_Q,
     _require_int,
@@ -425,91 +423,67 @@ def _independence_failure(
     return Verdict(postulate, False, domain, certificate)
 
 
-def _independence_scan(
-    postulate: str,
-    context: _Context,
-    domain: str,
-    weights: Sequence[NSReal | Fraction],
-    *,
-    exempt_overriding: bool = False,
-) -> Verdict:
-    """Mixing every strict pair with every closure lottery at every weight
-    keeps the pair strict; otherwise the first violation in scan order.
+def check_A2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
+    """Independence over every strict pair, third lottery, and grid weight.
 
-    In STD and NS_PROB it holds, for none of ``weights`` may be
-    infinitesimal there (module docstring).  Where NS_UTIL values mix signs,
-    every triple and weight is mixed.  On NS_UTIL values of one sign the
-    leading-exponent rule decides: the first strict pair (i, j) with
-    some k of ``e(k) < min(e(i), e(j))`` fails, at its first such k and the
-    first weight.  With ``exempt_overriding`` (A2p, whose values are all
-    >= 0), a k with ``e(k) < e(i)`` overrides i and is exempt.  The rule
-    reads i and j only through their classes, so the scan walks pairs of
-    classes (:func:`_strict_pairs`)."""
+    Outside NS_UTIL it holds, for no grid weight is infinitesimal (module
+    docstring).  Where NS_UTIL values mix signs, every triple is mixed at
+    every grid weight.  On NS_UTIL values of one sign the leading-exponent
+    rule decides: the first strict pair (i, j) with some k of
+    ``e(k) < min(e(i), e(j))`` fails, at its first such k and the first grid
+    weight.  Such a k exists exactly when ``min(e(i), e(j))`` exceeds the
+    lowest exponent of the closure.  The rule reads i and j only through
+    their classes, so the scan walks pairs of classes
+    (:func:`_strict_pairs`)."""
+    context = context or _build_context(structure)
+    domain = _domain(structure, context, "all strict pairs x closure x grid weights")
     if context.regime is not Regime.NS_UTIL:
-        return Verdict(postulate, True, domain)
+        return Verdict("A2", True, domain)
     pairs = _strict_pairs(context)
     if context.mixed_signs:
+        weights = grid_weights(structure.grid_denominator)
         for i, j in pairs:
             for k in range(context.size):
                 for w in weights:
-                    failure = _independence_failure(postulate, context, domain, (i, j, k), w)
+                    failure = _independence_failure("A2", context, domain, (i, j, k), w)
                     if failure is not None:
                         return failure
-        return Verdict(postulate, True, domain)
-    leads = context.leads
-    # The first failing k of a pair depends on the pair's exponent bounds
-    # alone, and the closure has few leading exponents.
-    first_failing: dict[tuple[float, float], int | None] = {}
+        return Verdict("A2", True, domain)
+    leads, weight = context.leads, Fraction(1, structure.grid_denominator)
+    lowest = min(leads)
     for i, j in pairs:
-        bounds = (leads[i] if exempt_overriding else -math.inf, min(leads[i], leads[j]))
-        if bounds not in first_failing:
-            low, high = bounds
-            first_failing[bounds] = next(
-                (k for k, lead in enumerate(leads) if low <= lead < high), None
-            )
-        k = first_failing[bounds]
-        if k is None:
+        high = min(leads[i], leads[j])
+        if high <= lowest:
             continue
-        failure = _independence_failure(postulate, context, domain, (i, j, k), weights[0])
+        k = next(k for k, lead in enumerate(leads) if lead < high)
+        failure = _independence_failure("A2", context, domain, (i, j, k), weight)
         if failure is None:
             values = context.values
             raise ConsistencyError(
-                f"{postulate}: closure triple ({i}, {j}, {k}) with values ({values[i]!r}, "
+                f"A2: closure triple ({i}, {j}, {k}) with values ({values[i]!r}, "
                 f"{values[j]!r}, {values[k]!r}) meets the leading-exponent rule for a "
-                f"failure, yet mixing at {weights[0]} keeps p above q"
+                f"failure, yet mixing at {weight} keeps p above q"
             )
         return failure
-    return Verdict(postulate, True, domain)
-
-
-def check_A2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
-    """Independence over every strict pair, third lottery, and grid weight."""
-    context = context or _build_context(structure)
-    domain = _domain(structure, context, "all strict pairs x closure x grid weights")
-    return _independence_scan("A2", context, domain, grid_weights(structure.grid_denominator))
+    return Verdict("A2", True, domain)
 
 
 def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for non-negligible weights, nonstandard probabilities.
 
-    The weight set is the standard grid extended with infinitesimal and
-    near-one nonstandard weights; negligible weights are exempt by the
-    postulate and are skipped: the infinitesimal ones, and all of them when
-    the closure's values share one standard part (module docstring).  No
-    remaining weight is infinitesimal, so B2 holds by the rule of
-    :func:`_independence_scan`."""
+    It holds by theorem: independence fails only through overriding, which
+    needs nonstandard utilities.  Every NS_PROB value is finite, and B2
+    exempts the infinitesimal weights as negligible, so each weight it
+    scans has a nonzero standard part; taking the standard part is additive
+    and multiplicative on finite values, so ``w*(v_p - v_q)`` keeps every
+    strict pair strict."""
     if structure.regime.standard_probabilities:
         raise RegimeMismatch("B2 applies to nonstandard probabilities only")
     context = context or _build_context(structure)
-    weights = (*grid_weights(structure.grid_denominator), EPS, Fraction(1, 2) * EPS, ONE - EPS)
-    separates = len(context.classes) > 1  # NS_PROB classes are the standard parts
-    relevant = [
-        w for w in weights if separates and not (isinstance(w, NSReal) and w.is_infinitesimal())
-    ]
     domain = _domain(
         structure, context, "all strict pairs x closure x (grid + nonstandard) weights"
     )
-    return _independence_scan("B2", context, domain, relevant)
+    return Verdict("B2", True, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +681,16 @@ def _require_unsigned_qualitative(structure: PrefStructure, postulate: str) -> N
 
 def check_A2prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """Independence for every weight, provided the third lottery does not
-    override the preferred one.  Decided by the leading-exponent rule of
-    A2 (module docstring), exempting every third lottery of larger order of
-    magnitude than the preferred one: on the values >= 0 of unsigned
-    utilities a failing triple is always one of those, so A2p holds.  The
-    weight is that of (0, 1) as a whole, its midpoint."""
+    override the preferred one.  It holds by theorem: with standard
+    probabilities independence can fail only under nonstandard utilities,
+    on values of one sign when the third lottery r is of larger order of
+    magnitude than both p and q (module docstring).  On the values >= 0 of
+    unsigned utilities such an r overrides p, so every failing triple is
+    exempt."""
     _require_unsigned_qualitative(structure, "A2p")
     context = context or _build_context(structure)
     domain = _domain(structure, context, "all eligible triples, every weight in (0, 1)")
-    return _independence_scan("A2p", context, domain, (Fraction(1, 2),), exempt_overriding=True)
+    return Verdict("A2p", True, domain)
 
 
 def check_A3prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
@@ -877,18 +852,6 @@ def replay(certificate: Counterexample, structure: PrefStructure) -> bool:
     payload = dict(certificate.payload)
     regime = structure.regime
     assignment = structure.utilities
-
-    if certificate.kind == "asymmetry":
-        p, q = payload["p"], payload["q"]
-        return prefers(p, q, assignment, regime) is not prefers(q, p, assignment, regime).flipped()
-
-    if certificate.kind == "negative-transitivity":
-        p, q, r = payload["p"], payload["q"], payload["r"]
-        return (
-            prefers(p, q, assignment, regime) is not PrefOrdering.BETTER
-            and prefers(q, r, assignment, regime) is not PrefOrdering.BETTER
-            and prefers(p, r, assignment, regime) is PrefOrdering.BETTER
-        )
 
     if certificate.kind == "independence":
         p, q, r = payload["p"], payload["q"], payload["r"]

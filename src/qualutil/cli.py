@@ -43,7 +43,6 @@ from .errors import (
 )
 from .formats import (
     ModelDocument,
-    display_name,
     load_model,
     render_interval_set,
     render_nsreal,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
-from .nsreal import NSReal, eps
+from .nsreal import eps
 from .prefcore import (
     _require_int,
     Lottery,

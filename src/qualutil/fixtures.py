@@ -24,7 +24,7 @@ from .auditor import (
 from .criteria import MaximinSpec, maximin_sweep, maximin_utilities, two_point_lottery
 from .errors import InvalidParameter, UnknownIdentifier
 from .formats import ModelDocument, load_model, render_nsreal
-from .nsreal import EPS, NSReal, ONE, ZERO, eps, rational
+from .nsreal import EPS, NSReal, ONE, ZERO, eps
 from .prefcore import (
     Lottery,
     PrefOrdering,

@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .acts import AAModel, Act
-from .auditor import _WITNESS_DISPLAY_CAP, AuditReport, Counterexample, PrefStructure, Verdict
+from .auditor import _WITNESS_DISPLAY_CAP, AuditReport, Counterexample, PrefStructure
 from .errors import ParseError, SchemaError, UnknownIdentifier, ZeroDenominator
 from .nsreal import NSReal
 from .prefcore import Lottery, Regime, UtilityAssignment

@@ -327,11 +327,16 @@ def _require_int(name: str, size: object) -> None:
         raise InvalidParameter(f"{name} must be an int, got {size!r}")
 
 
-def grid_weights(denominator: int) -> tuple[Fraction, ...]:
-    """The standard weights k/denominator, 0 < k < denominator."""
+def _require_denominator(denominator: object) -> None:
+    """Refuse a grid denominator that is not an ``int`` of at least 2."""
     _require_int("denominator", denominator)
     if denominator < 2:
         raise InvalidWeight("grid denominator must be at least 2")
+
+
+def grid_weights(denominator: int) -> tuple[Fraction, ...]:
+    """The standard weights k/denominator, 0 < k < denominator."""
+    _require_denominator(denominator)
     return tuple(Fraction(k, denominator) for k in range(1, denominator))
 
 
@@ -395,7 +400,7 @@ def close_under_mixtures(
     every mix is checked in integers, and the first that fails raises the
     :class:`InvalidParameter` that ``from_mapping`` raises on it.
     """
-    grid_weights(denominator)  # refuses a denominator that is not an int >= 2
+    _require_denominator(denominator)
     _require_int("depth", depth)
     if depth < 0:
         raise InvalidParameter(f"depth must be nonnegative, got {depth}")

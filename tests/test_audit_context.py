@@ -1,16 +1,17 @@
 """The audit engine against the definitional checks, and the work and memory
-one audit takes: one closure, which B2 also decides negligibility on; in the
-one pass that decides the solvability family, a weight partition only for
-the chains of the four witnesses each postulate keeps, except on NS_UTIL
-values of both signs, where every strict chain gets one; for A2, B2 and A2p,
-outside values of both signs, no partition and no mixture but a failing
-certificate's; no sampled partition in the linear regimes or on values of
-one sign; and nothing kept once the audit returns.  A4 and A5p are checked
+one audit takes: one closure, and no enumerated grid unless A2 scans NS_UTIL
+values of both signs; in the one pass that decides the solvability family, a
+weight partition only for the chains of the four witnesses each postulate
+keeps, except on NS_UTIL values of both signs, where every strict chain gets
+one; for A2, B2 and A2p, outside values of both signs, no partition and no
+mixture but a failing certificate's; no sampled partition in the linear
+regimes or on values of one sign; and nothing kept once the audit returns.  A4 and A5p are checked
 against their loops over acts and states."""
 
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -39,6 +40,7 @@ from qualutil import (
     AAModel,
     Act,
     AffineValue,
+    ClosureTooLarge,
     Lottery,
     NSReal,
     PrefOrdering,
@@ -54,6 +56,7 @@ from qualutil import (
     check_A5prime,
     check_B2,
     check_gamma_property,
+    close_under_mixtures,
     compare_values,
     eps,
     expected_utility,
@@ -273,6 +276,38 @@ def test_independence_checks_solve_no_partition_and_mix_only_a_certificate(monke
         }
         assert mixed == failing[name], name
     assert failing == {"consolation": {"A2": 1}, "surgery": {"A2": 1}, "dice": {}}
+
+
+# Only A2 on NS_UTIL values of both signs scans the grid; nothing else
+# enumerates it, not even to validate the denominator, so a fine grid costs
+# no memory where the closure stays small.
+FINE_GRID = 10**5
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_a_fine_grid_audits_at_depth_zero_without_enumerating_it(name):
+    structure = bundled(name, closure_depth=0, grid_denominator=FINE_GRID)
+    assert traced_peak_mb(lambda: audit(structure)) < 1
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_a_fine_grid_closure_is_refused_without_enumerating_it(name):
+    generators = bundled(name).generators
+
+    def close():
+        with pytest.raises(ClosureTooLarge):
+            close_under_mixtures(generators, FINE_GRID, 1, limit=64)
+
+    assert traced_peak_mb(close) < 1
 
 
 def test_linear_regimes_take_the_closed_form(monkeypatch):

@@ -600,6 +600,16 @@ def test_replay_rejects_unknown_certificate_kind():
         replay(Counterexample(kind="nonsense", payload=()), COMMENSURATE)
 
 
+# No check emits A1's definitional certificate kinds: the audit ranks its
+# closure, so A1 holds by construction, and replay treats them as unknown.
+@pytest.mark.parametrize("kind", ["asymmetry", "negative-transitivity"])
+def test_replay_rejects_the_definitional_A1_certificate_kinds(kind):
+    from qualutil import Counterexample
+
+    with pytest.raises(ValueError):
+        replay(Counterexample(kind=kind, payload=()), COMMENSURATE)
+
+
 # --- lexicographic contrast --------------------------------------------------
 
 
