@@ -94,6 +94,7 @@ from .errors import (
 from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead
 from .prefcore import (
     _PREF_FROM_Q,
+    _require_denominator,
     _require_int,
     Lottery,
     PrefOrdering,
@@ -163,10 +164,8 @@ class PrefStructure:
     def __post_init__(self) -> None:
         if not self.generators:
             raise InvalidParameter("at least one generator lottery is required")
-        for name in ("grid_denominator", "closure_depth"):
-            _require_int(name, getattr(self, name))
-        if self.grid_denominator < 2:
-            raise InvalidParameter("grid denominator must be at least 2")
+        _require_denominator(self.grid_denominator, "grid_denominator")
+        _require_int("closure_depth", self.closure_depth)
         if self.closure_depth < 0:
             raise InvalidParameter("closure depth must be nonnegative")
         covered = set(self.utilities.outcomes)

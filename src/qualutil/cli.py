@@ -28,10 +28,10 @@ from typing import Sequence
 from .acts import act_prefers, act_utility
 from .auditor import audit, solve_mixture_relation
 from .criteria import (
+    _maximin_assignment,
     MaximinSpec,
     maximin_compare_oracle,
     maximin_sweep,
-    maximin_utilities,
     two_point_lottery,
 )
 from .errors import (
@@ -294,11 +294,11 @@ def _run_maximin(args: argparse.Namespace) -> int:
                 f"{total} comparisons, {disagreements} disagreements with the rule"
             )
         return 0 if disagreements == 0 else 1
-    assignment = maximin_utilities(spec)
     disagreements = 0
     for raw in args.compare:
         (low, w, high), left = _parse_maximin_pair(spec, raw[:3])
         (low2, w2, high2), right = _parse_maximin_pair(spec, raw[3:])
+        assignment = _maximin_assignment(spec, (low, high, low2, high2))
         got = prefers(left, right, assignment, Regime.NS_UTIL)
         expected = maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
         if got is not expected:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import eps
@@ -72,9 +72,14 @@ def maximin_utilities(spec: MaximinSpec) -> UtilityAssignment:
     Worst outcome most negative and infinitely so, best outcome -1; the
     expected value of any gamble is dominated by its worst outcome's term.
     """
+    return _maximin_assignment(spec, range(spec.n))
+
+
+def _maximin_assignment(spec: MaximinSpec, indices: Iterable[int]) -> UtilityAssignment:
+    """The assignment of :func:`maximin_utilities` on the outcomes of
+    ``indices`` alone, so that comparing a few bets costs nothing in n."""
     return UtilityAssignment.from_mapping(
-        {spec.outcome(i): -eps(-(spec.n - 1 - i)) for i in range(spec.n)},
-        signed=True,
+        {spec.outcome(i): -eps(-(spec.n - 1 - i)) for i in indices}, signed=True
     )
 
 

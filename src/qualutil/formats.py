@@ -34,9 +34,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .acts import AAModel, Act
-from .auditor import _WITNESS_DISPLAY_CAP, AuditReport, Counterexample, PrefStructure
+from .auditor import AuditReport, Counterexample, PrefStructure
 from .errors import ParseError, SchemaError, UnknownIdentifier, ZeroDenominator
 from .nsreal import NSReal
 from .prefcore import Lottery, Regime, UtilityAssignment
@@ -253,27 +254,45 @@ _MODEL_KEYS = {"regime", "grid-denominator", "closure-depth", "signed-utilities"
 _BOOLEAN = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
-def _schema(message: str, path: str) -> SchemaError:
-    return SchemaError(message, path)
-
-
 def _parse_literal(text: str | None, path: str) -> NSReal:
     if text is None or not text.strip():
-        raise _schema("a value literal is required", path)
+        raise SchemaError("a value literal is required", path)
     try:
         return parse_nsreal(text)
     except ParseError as error:
-        raise _schema(f"bad literal {text!r}: {error}", path) from error
+        raise SchemaError(f"bad literal {text!r}: {error}", path) from error
 
 
 def _positive_int(text: str, path: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError as error:
-        raise _schema(f"expected an integer, found {text!r}", path) from error
+        raise SchemaError(f"expected an integer, found {text!r}", path) from error
     if value < minimum:
-        raise _schema(f"value must be at least {minimum}", path)
+        raise SchemaError(f"value must be at least {minimum}", path)
     return value
+
+
+def _weight_literal(
+    text: str | None, path: str, regime: Regime, kind: str, standard: str
+) -> NSReal:
+    """A probability or belief literal: nonnegative, and standard where the
+    regime requires standard probabilities.  ``kind`` and ``standard`` name
+    the weights in the two messages."""
+    weight = _parse_literal(text, path)
+    if weight.sign() < 0:
+        raise SchemaError(f"{kind} cannot be negative", path)
+    if regime.standard_probabilities and not weight.is_standard():
+        raise SchemaError(f"regime {regime.value} requires {standard}", path)
+    return weight
+
+
+def _require_unique_names(kind: str, named: Sequence[tuple[str, object]]) -> None:
+    seen = set()
+    for name, _ in named:
+        if name in seen:
+            raise SchemaError(f"duplicate {kind} name {name!r}", f"{kind} {name}")
+        seen.add(name)
 
 
 def parse_model(
@@ -298,18 +317,18 @@ def parse_model(
         raise SchemaError(f"malformed document: {error}") from error
 
     if not parser.has_section("model"):
-        raise _schema("a [model] section is required", "model")
+        raise SchemaError("a [model] section is required", "model")
     model_section = parser["model"]
     for key in model_section:
         if key not in _MODEL_KEYS:
-            raise _schema(f"unknown key {key!r}", f"model/{key}")
+            raise SchemaError(f"unknown key {key!r}", f"model/{key}")
     regime_text = model_section.get("regime")
     if regime_text is None or not regime_text.strip():
-        raise _schema("regime is required (std, ns-util, or ns-prob)", "model/regime")
+        raise SchemaError("regime is required (std, ns-util, or ns-prob)", "model/regime")
     try:
         regime = Regime(regime_text.strip())
     except ValueError as error:
-        raise _schema(f"unknown regime {regime_text.strip()!r}", "model/regime") from error
+        raise SchemaError(f"unknown regime {regime_text.strip()!r}", "model/regime") from error
     if regime_override is not None:
         regime = regime_override
     denominator = 8
@@ -324,131 +343,102 @@ def parse_model(
     if model_section.get("signed-utilities") is not None:
         flag = model_section["signed-utilities"].strip().lower()
         if flag not in _BOOLEAN:
-            raise _schema(f"expected yes or no, found {flag!r}", "model/signed-utilities")
+            raise SchemaError(f"expected yes or no, found {flag!r}", "model/signed-utilities")
         signed = _BOOLEAN[flag]
 
-    section_names = parser.sections()
-    for section in section_names:
+    # [lottery NAME] and [act NAME] sections, each as (section, name), in
+    # document order.
+    named: dict[str, list[tuple[str, str]]] = {"lottery": [], "act": []}
+    for section in parser.sections():
         if section in ("model", "outcomes", "states", "belief"):
             continue
         head, _, rest = section.partition(" ")
-        if head in ("lottery", "act") and rest.strip():
-            continue
-        raise _schema(f"unknown section [{section}]", section)
+        if head not in named or not rest.strip():
+            raise SchemaError(f"unknown section [{section}]", section)
+        named[head].append((section, rest.strip()))
 
     if not parser.has_section("outcomes") or not parser["outcomes"]:
-        raise _schema("at least one outcome is required", "outcomes")
+        raise SchemaError("at least one outcome is required", "outcomes")
     utility_map: dict[str, NSReal] = {}
     for outcome, literal in parser["outcomes"].items():
         path = f"outcomes/{outcome}"
         value = _parse_literal(literal, path)
         if not signed and value.sign() < 0:
-            raise _schema(
+            raise SchemaError(
                 "negative utility requires signed-utilities = yes in [model]", path
             )
         if regime.standard_utilities and not value.is_standard():
-            raise _schema(
-                f"regime {regime.value} requires standard utilities", path
-            )
+            raise SchemaError(f"regime {regime.value} requires standard utilities", path)
         utility_map[outcome] = value
     utilities = UtilityAssignment.from_mapping(utility_map, signed=signed)
 
     lotteries: list[tuple[str, Lottery]] = []
-    for section in section_names:
-        head, _, rest = section.partition(" ")
-        if head != "lottery" or not rest.strip():
-            continue
-        name = rest.strip()
+    for section, name in named["lottery"]:
         if not parser[section]:
-            raise _schema("a lottery needs at least one outcome", section)
+            raise SchemaError("a lottery needs at least one outcome", section)
         probabilities: dict[str, NSReal] = {}
         for outcome, literal in parser[section].items():
             path = f"{section}/{outcome}"
             if outcome not in utility_map:
-                raise _schema(f"unknown outcome {outcome!r}", path)
-            probability = _parse_literal(literal, path)
-            if probability.sign() < 0:
-                raise _schema("probabilities cannot be negative", path)
-            if regime.standard_probabilities and not probability.is_standard():
-                raise _schema(
-                    f"regime {regime.value} requires standard probabilities", path
-                )
-            probabilities[outcome] = probability
+                raise SchemaError(f"unknown outcome {outcome!r}", path)
+            probabilities[outcome] = _weight_literal(
+                literal, path, regime, "probabilities", "standard probabilities"
+            )
         try:
             lotteries.append((name, Lottery.from_mapping(probabilities)))
         except ValueError as error:
-            raise _schema(str(error), section) from error
+            raise SchemaError(str(error), section) from error
     if not lotteries:
-        raise _schema("at least one [lottery NAME] section is required", "lottery")
-    seen = set()
-    for name, _ in lotteries:
-        if name in seen:
-            raise _schema(f"duplicate lottery name {name!r}", f"lottery {name}")
-        seen.add(name)
+        raise SchemaError("at least one [lottery NAME] section is required", "lottery")
+    _require_unique_names("lottery", lotteries)
 
     states: tuple[str, ...] = ()
     if parser.has_section("states"):
         for state, value in parser["states"].items():
             if value not in (None, ""):
-                raise _schema("state lines carry no value", f"states/{state}")
+                raise SchemaError("state lines carry no value", f"states/{state}")
         states = tuple(parser["states"].keys())
         if not states:
-            raise _schema("the states section is empty", "states")
+            raise SchemaError("the states section is empty", "states")
 
-    belief: dict[str, NSReal] | None = None
+    model: AAModel | None = None
     if parser.has_section("belief"):
         if not states:
-            raise _schema("belief requires a [states] section", "belief")
-        belief = {}
+            raise SchemaError("belief requires a [states] section", "belief")
+        belief: dict[str, NSReal] = {}
         for state, literal in parser["belief"].items():
             path = f"belief/{state}"
             if state not in states:
-                raise _schema(f"unknown state {state!r}", path)
-            weight = _parse_literal(literal, path)
-            if weight.sign() < 0:
-                raise _schema("belief weights cannot be negative", path)
-            if regime.standard_probabilities and not weight.is_standard():
-                raise _schema(
-                    f"regime {regime.value} requires a standard belief", path
-                )
-            belief[state] = weight
+                raise SchemaError(f"unknown state {state!r}", path)
+            belief[state] = _weight_literal(
+                literal, path, regime, "belief weights", "a standard belief"
+            )
         for state in states:
             if state not in belief:
-                raise _schema(f"missing belief for state {state!r}", f"belief/{state}")
-
-    model: AAModel | None = None
-    if belief is not None:
+                raise SchemaError(f"missing belief for state {state!r}", f"belief/{state}")
         try:
             model = AAModel.from_mappings(states, belief, utilities, regime)
         except ValueError as error:
-            raise _schema(str(error), "belief") from error
+            raise SchemaError(str(error), "belief") from error
 
     lottery_map = dict(lotteries)
     acts: list[tuple[str, Act]] = []
-    for section in section_names:
-        head, _, rest = section.partition(" ")
-        if head != "act" or not rest.strip():
-            continue
-        name = rest.strip()
+    for section, name in named["act"]:
         if model is None:
-            raise _schema("acts require [states] and [belief] sections", section)
+            raise SchemaError("acts require [states] and [belief] sections", section)
         arms: dict[str, Lottery] = {}
         for state, lottery_name in parser[section].items():
             path = f"{section}/{state}"
             if state not in states:
-                raise _schema(f"unknown state {state!r}", path)
+                raise SchemaError(f"unknown state {state!r}", path)
             if lottery_name is None or lottery_name.strip() not in lottery_map:
-                raise _schema(f"unknown lottery {lottery_name!r}", path)
+                raise SchemaError(f"unknown lottery {lottery_name!r}", path)
             arms[state] = lottery_map[lottery_name.strip()]
         for state in states:
             if state not in arms:
-                raise _schema(f"missing lottery for state {state!r}", f"{section}/{state}")
+                raise SchemaError(f"missing lottery for state {state!r}", f"{section}/{state}")
         acts.append((name, Act.from_mapping(arms)))
-    seen = set()
-    for name, _ in acts:
-        if name in seen:
-            raise _schema(f"duplicate act name {name!r}", f"act {name}")
-        seen.add(name)
+    _require_unique_names("act", acts)
 
     return ModelDocument(
         regime=regime,
@@ -561,14 +551,13 @@ def render_report(report: AuditReport, machine: bool = False) -> str:
         if verdict.counterexample is not None:
             lines.extend(_render_counterexample_human(verdict.counterexample))
         if verdict.witnesses:
-            shown = verdict.witnesses[:_WITNESS_DISPLAY_CAP]
-            for witness in shown:
+            for witness in verdict.witnesses:
                 lines.append(
                     f"  witness {witness.label}={witness.weight} for "
                     f"{render_lottery(witness.first)} > {render_lottery(witness.middle)}"
                     f" > {render_lottery(witness.second)}"
                 )
-            hidden = verdict.witness_count - len(shown)
+            hidden = verdict.witness_count - len(verdict.witnesses)
             if hidden > 0:
                 lines.append(f"  ({hidden} further witnesses omitted)")
     for note in report.notes:

@@ -327,11 +327,11 @@ def _require_int(name: str, size: object) -> None:
         raise InvalidParameter(f"{name} must be an int, got {size!r}")
 
 
-def _require_denominator(denominator: object) -> None:
+def _require_denominator(denominator: object, name: str = "denominator") -> None:
     """Refuse a grid denominator that is not an ``int`` of at least 2."""
-    _require_int("denominator", denominator)
+    _require_int(name, denominator)
     if denominator < 2:
-        raise InvalidWeight("grid denominator must be at least 2")
+        raise InvalidParameter("grid denominator must be at least 2")
 
 
 def grid_weights(denominator: int) -> tuple[Fraction, ...]:
@@ -382,15 +382,18 @@ def close_under_mixtures(
 
     The rounds mix integer vectors, not lotteries.  There is one
     coordinate per (outcome, ``eps`` exponent) found in the generators,
-    sorted, at the scale ``S = L * denominator**depth``, where L is the lcm
-    of the denominators of the generators' coefficients.  After round r
-    every coordinate is a multiple of ``denominator**(depth - r)``, so the
-    mix at k/denominator, ``(k*a + (denominator - k)*b) / denominator``, is
-    the integer ``b + k*step`` with ``step = (a - b) // denominator``
-    exact.  Scaling is a bijection, so deduplicating the vectors keeps the
-    order of first appearance.  The generators are returned as passed in;
-    each new member is built once, at the end, with the raw
-    :class:`Lottery` constructor and coefficients ``Fraction(c, S)``.
+    sorted, at a scale S that starts at L, the lcm of the denominators of
+    the generators' coefficients.  Each round first multiplies S and every
+    vector by the denominator, so S is ``L * denominator**r`` after round
+    r, and the mix at k/denominator,
+    ``(k*a + (denominator - k)*b) / denominator``, is the integer
+    ``b + k*step`` with ``step = (a - b) // denominator`` exact.  Rounds
+    that never run cost no digits, so a huge ``depth`` refused by ``limit``
+    in an early round costs no more than that round.  Scaling is a
+    bijection, so deduplicating the vectors keeps the order of first
+    appearance.  The generators are returned as passed in; each new member
+    is built once, at the end, with the raw :class:`Lottery` constructor
+    and coefficients ``Fraction(c, S)``.
 
     A mix with positive weights keeps every row sum and the sign of each
     outcome's leading coordinate, so if every generator passes the checks
@@ -417,7 +420,7 @@ def close_under_mixtures(
     position = {key: i for i, key in enumerate(coordinates)}
     scale = math.lcm(
         *(c.denominator for g in generators for _, p in g.probs for _, c in p.terms)
-    ) * denominator**depth
+    )
     items = []
     for generator in generators:
         vector = [0] * len(coordinates)
@@ -426,8 +429,10 @@ def close_under_mixtures(
                 vector[position[outcome, exponent]] += c.numerator * (scale // c.denominator)
         items.append(tuple(vector))
     check_every_mix = any(_probability_error(vector, coordinates, scale) for vector in items)
-    seen = set(items)
     for round_number in range(1, depth + 1):
+        scale *= denominator
+        items = [tuple([c * denominator for c in vector]) for vector in items]
+        seen = set(items)
         additions = []
         for i, first in enumerate(items):
             for second in items[i + 1 :]:
@@ -519,9 +524,12 @@ class PropertyPReport:
     ``a*best + (1-a)*worst`` indifferent to the middle lottery; ``better_set``
     and ``worse_set`` partition the rest of (0, 1).  ``holds`` means some
     indifference weight exists; ``unique_weight`` is set when it is a single
-    rational.  ``monotone`` records the threshold shape: worse below,
-    indifferent across, better above.  ``failure`` is None when the property
-    holds, otherwise "all_better", "all_worse", or "no_indifference".
+    rational.  ``monotone`` records the threshold shape, worse below,
+    indifferent across, better above, and is always True: best beats worst,
+    so the mixture increases with a in the ring order, and every regime's
+    sort key is nondecreasing in that order.  ``failure`` is None when the
+    property holds, otherwise "all_better" (no weight is worse),
+    "all_worse" (none is better), or "no_indifference".
     """
 
     holds: bool
@@ -568,13 +576,11 @@ def check_property_P(
     if len(indifference.intervals) == 1 and indifference.intervals[0].is_point():
         unique_weight = indifference.intervals[0].lo
 
-    monotone = _is_threshold_shaped(worse, indifference, better)
-
     failure: str | None = None
     if indifference.is_empty:
-        if better.is_entire_unit_interval():
+        if worse.is_empty:
             failure = "all_better"
-        elif worse.is_entire_unit_interval():
+        elif better.is_empty:
             failure = "all_worse"
         else:
             failure = "no_indifference"
@@ -585,37 +591,6 @@ def check_property_P(
         better_set=better,
         worse_set=worse,
         unique_weight=unique_weight,
-        monotone=monotone,
+        monotone=True,
         failure=failure,
     )
-
-
-def _upper_bound(piece_set: RationalIntervalSet) -> Fraction | None:
-    if piece_set.is_empty:
-        return None
-    return piece_set.intervals[-1].hi
-
-
-def _lower_bound(piece_set: RationalIntervalSet) -> Fraction | None:
-    if piece_set.is_empty:
-        return None
-    return piece_set.intervals[0].lo
-
-
-def _is_threshold_shaped(
-    worse: RationalIntervalSet,
-    indifferent: RationalIntervalSet,
-    better: RationalIntervalSet,
-) -> bool:
-    """Worse weights below indifferent weights below better weights, each
-    region connected."""
-    for region in (worse, indifferent, better):
-        if len(region.intervals) > 1:
-            return False
-    boundary_pairs = [(worse, indifferent), (worse, better), (indifferent, better)]
-    for low_region, high_region in boundary_pairs:
-        hi = _upper_bound(low_region)
-        lo = _lower_bound(high_region)
-        if hi is not None and lo is not None and hi > lo:
-            return False
-    return True

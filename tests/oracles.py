@@ -322,6 +322,46 @@ def oracle_lexicographic_mixture_partition(endpoint, other_endpoint, target) -> 
     return oracle_partition_unit_interval(breakpoints, classify)
 
 
+# --- property P's threshold shape --------------------------------------------
+#
+# The shape that PropertyPReport.monotone claims, as a scan of the partition:
+# check_property_P sets it by theorem, since a*best + (1-a)*worst increases
+# with a in the ring order and every regime's key is nondecreasing in it.
+
+
+def oracle_threshold_shaped(
+    worse: RationalIntervalSet,
+    indifferent: RationalIntervalSet,
+    better: RationalIntervalSet,
+) -> bool:
+    """Worse weights below indifferent weights below better weights, each
+    region connected."""
+    regions = (worse, indifferent, better)
+    if any(len(region.intervals) > 1 for region in regions):
+        return False
+    for low, high in itertools.combinations(regions, 2):
+        if low.intervals and high.intervals and low.intervals[-1].hi > high.intervals[0].lo:
+            return False
+    return True
+
+
+def oracle_property_P_failure(
+    worse: RationalIntervalSet,
+    indifferent: RationalIntervalSet,
+    better: RationalIntervalSet,
+) -> str | None:
+    """Property P's failure label read off whole-interval tests: None when
+    some weight is indifferent, "all_better" or "all_worse" when one side
+    covers (0, 1), and "no_indifference" otherwise."""
+    if not indifferent.is_empty:
+        return None
+    if better.is_entire_unit_interval():
+        return "all_better"
+    if worse.is_entire_unit_interval():
+        return "all_worse"
+    return "no_indifference"
+
+
 # --- brute-force overriding oracle ------------------------------------------
 
 
@@ -871,6 +911,25 @@ def three_outcome_structure() -> PrefStructure:
     )
     return PrefStructure(
         Regime.STD, utilities, tuple(Lottery.degenerate(o) for o in ("best", "middle", "worst"))
+    )
+
+
+def signed_A4_structure() -> PrefStructure:
+    """An NS_UTIL structure on which A4 fails: act a pays eps/2 and act b
+    nothing, yet their arms at state s, worth 1 and 1 - eps, are
+    indifferent in the qualitative order."""
+    utilities = UtilityAssignment.from_mapping(
+        {"one": rational(1), "nearly": ONE - EPS, "debt": EPS - ONE}, signed=True
+    )
+    sure = {name: Lottery.degenerate(name) for name in ("one", "nearly", "debt")}
+    half = rational(Fraction(1, 2))
+    model = AAModel.from_mappings(["s", "t"], {"s": half, "t": half}, utilities, Regime.NS_UTIL)
+    acts = (
+        Act.from_mapping({"s": sure["one"], "t": sure["debt"]}),
+        Act.from_mapping({"s": sure["nearly"], "t": sure["debt"]}),
+    )
+    return PrefStructure(
+        Regime.NS_UTIL, utilities, tuple(sure.values()), closure_depth=0, model=model, acts=acts
     )
 
 

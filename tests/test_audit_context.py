@@ -33,6 +33,7 @@ from oracles import (
     random_acts_structure,
     random_signed_acts_structure,
     random_structure,
+    signed_A4_structure,
 )
 from qualutil import (
     EPS,
@@ -559,21 +560,7 @@ def test_A5prime_matches_the_oracle_that_asks_is_null():
 
 
 def test_A4_certificate_matches_the_oracle_on_signed_utilities():
-    # a pays eps/2 and b nothing, yet their arms at s, 1 and 1 - eps, are
-    # indifferent in the qualitative order.
-    utilities = UtilityAssignment.from_mapping(
-        {"one": rational(1), "nearly": ONE - EPS, "debt": EPS - ONE}, signed=True
-    )
-    sure = {name: Lottery.from_mapping({name: ONE}) for name in ("one", "nearly", "debt")}
-    half = rational(Fraction(1, 2))
-    model = AAModel.from_mappings(["s", "t"], {"s": half, "t": half}, utilities, Regime.NS_UTIL)
-    acts = (
-        Act.from_mapping({"s": sure["one"], "t": sure["debt"]}),
-        Act.from_mapping({"s": sure["nearly"], "t": sure["debt"]}),
-    )
-    structure = PrefStructure(
-        Regime.NS_UTIL, utilities, tuple(sure.values()), closure_depth=0, model=model, acts=acts
-    )
+    structure = signed_A4_structure()
     verdict = check_A4(structure)
     assert not verdict.holds
     assert verdict == oracle_A4(structure)

@@ -1,6 +1,7 @@
 """Tests for the postulate auditor: checks, certificates, and replay."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     oracle_lexicographic_mixture_partition,
     random_acts_structure,
     random_structure,
+    signed_A4_structure,
 )
 from qualutil import (
     AAModel,
@@ -24,6 +26,7 @@ from qualutil import (
     AUDIT_SIZE_LIMIT,
     ClosureTooLarge,
     ConsistencyError,
+    Counterexample,
     EPS,
     Lottery,
     MissingModel,
@@ -55,6 +58,7 @@ from qualutil import (
     mixture_closure,
     qcompare,
     rational,
+    render_report,
     replay,
     solve_mixture_relation,
 )
@@ -608,6 +612,60 @@ def test_replay_rejects_the_definitional_A1_certificate_kinds(kind):
 
     with pytest.raises(ValueError):
         replay(Counterexample(kind=kind, payload=()), COMMENSURATE)
+
+
+def test_signed_acts_audit_omits_A5p_and_renders_the_A4_certificate():
+    report = audit(signed_A4_structure())
+    assert [v.postulate for v in report.verdicts] == ["A1", "A2", "A3p", "gamma", "A4"]
+    assert report.notes == (
+        "A2p and A3pp omitted: overriding is undefined for signed utilities",
+        "A5p omitted: overriding is undefined for signed utilities",
+    )
+    human = render_report(report).splitlines()
+    assert human[human.index("VERDICT A4 FAIL") + 2 :][:5] == [
+        "  counterexample (act-independence):",
+        "    a = [s -> {one: 1}, t -> {debt: 1}]",
+        "    b = [s -> {nearly: 1}, t -> {debt: 1}]",
+        "    state = s",
+        "    arm_comparison = indifferent",
+    ]
+    assert (
+        "VERDICT A4 FAIL kind=act-independence a=[s->{one:1},t->{debt:1}] "
+        "b=[s->{nearly:1},t->{debt:1}] state=s arm_comparison=indifferent"
+    ) in render_report(report, machine=True).splitlines()
+
+
+def _forged(certificate, **changes):
+    payload = tuple((key, changes.get(key, value)) for key, value in certificate.payload)
+    return Counterexample(certificate.kind, payload)
+
+
+def test_replay_refuses_forged_certificates():
+    independence = check_A2(OVERRIDING).counterexample
+    p, q = independence.get("p"), independence.get("q")
+    assert replay(independence, OVERRIDING)
+    assert not replay(_forged(independence, p=q, q=p), OVERRIDING)
+
+    top, tiny, zero = degenerates("top", "tiny", "zero")
+    chain = Counterexample(
+        "existential",
+        (("p", top), ("q", tiny), ("r", zero), ("postulate", "A3pp"), ("relation", "less")),
+    )
+    # The chain is strict, but its top overrides its middle: exempt from A3pp.
+    assert not replay(chain, OVERRIDING)
+    assert not replay(_forged(chain, p=tiny, q=top), OVERRIDING)
+    assert not replay(_forged(chain, q=zero, r=tiny), OVERRIDING)
+
+    signed = signed_A4_structure()
+    acts = check_A4(signed).counterexample
+    assert replay(acts, signed)
+    assert not replay(_forged(acts, a=acts.get("b"), b=acts.get("a")), signed)
+    assert not replay(acts, replace(signed, model=None, acts=()))
+
+    overriding_belief = _infinitesimal_belief_structure()
+    null_state = check_A5prime(overriding_belief).counterexample
+    assert replay(null_state, overriding_belief)
+    assert not replay(null_state, replace(overriding_belief, model=None, acts=()))
 
 
 # --- lexicographic contrast --------------------------------------------------

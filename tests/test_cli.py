@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -306,6 +307,41 @@ def test_maximin_explicit_comparison(capsys):
     )
     assert code == 0
     assert out.strip() == "COMPARE 0,1/2,2 0,1/4,1 WORSE WORSE"
+
+
+def test_maximin_comparisons_in_human_mode_and_a_disagreement(capsys, monkeypatch):
+    pairs = ["--compare", "0", "1/2", "2", "0", "1/4", "1"]
+    pairs += ["--compare", "1", "1/3", "2", "0", "1/2", "2"]
+    code, out, _ = run(capsys, "maximin", "3", *pairs)
+    assert code == 0
+    assert out.splitlines() == [
+        "(x0 1/2 x2) vs (x0 1/4 x1): Worse  [rule: Worse]",
+        "(x1 1/3 x2) vs (x0 1/2 x2): Better  [rule: Better]",
+    ]
+    # A rule that calls every pair level disagrees with both comparisons.
+    monkeypatch.setattr(
+        qualutil.cli, "maximin_compare_oracle", lambda *bet: qualutil.PrefOrdering.INDIFFERENT
+    )
+    code, out, _ = run(capsys, "maximin", "3", *pairs, "--output", "machine")
+    assert code == 1
+    assert out.splitlines() == [
+        "COMPARE 0,1/2,2 0,1/4,1 WORSE INDIFFERENT",
+        "COMPARE 1,1/3,2 0,1/2,2 BETTER INDIFFERENT",
+    ]
+
+
+def test_maximin_comparison_builds_only_the_compared_outcomes(capsys):
+    # A million ranked outcomes: the four compared ones get utilities, the
+    # rest cost nothing.
+    tracemalloc.start()
+    try:
+        code = main(["maximin", "1000000", "--compare", "0", "1/2", "1", "0", "1/3", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "(x0 1/2 x1) vs (x0 1/3 x1): Worse  [rule: Worse]\n"
+    assert peak < 1_000_000
 
 
 def test_maximin_bad_index_exits_3(capsys):

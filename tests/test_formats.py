@@ -348,3 +348,103 @@ def test_render_lottery_sorts_outcomes():
     lot = parse_model(WITH_ACTS).lottery("coin")
     assert render_lottery(lot) == "{bad: 1/2, good: 1/2}"
     assert render_lottery(lot, compact=True) == "{bad:1/2,good:1/2}"
+
+
+@pytest.mark.parametrize(
+    "text, path, message",
+    [
+        (BASIC.replace("[model]", "[setup]"), "model", "a [model] section is required"),
+        (BASIC.replace("win = 1\n", "win =\n"), "outcomes/win", "a value literal is required"),
+        (
+            BASIC.replace("closure-depth = 1", "signed-utilities = maybe"),
+            "model/signed-utilities",
+            "expected yes or no, found 'maybe'",
+        ),
+        (
+            BASIC.replace("win = 1\ndraw = eps\nloss = 0\n", ""),
+            "outcomes",
+            "at least one outcome is required",
+        ),
+        (BASIC + "\n[lottery empty]\n", "lottery empty", "a lottery needs at least one outcome"),
+        (
+            BASIC.replace("win = 1/2\nloss = 1/2", "win = -1/2\nloss = 3/2"),
+            "lottery even/win",
+            "probabilities cannot be negative",
+        ),
+        (
+            BASIC.split("[lottery even]")[0],
+            "lottery",
+            "at least one [lottery NAME] section is required",
+        ),
+        (BASIC + "\n[lottery even ]\nwin = 1\n", "lottery even", "duplicate lottery name 'even'"),
+        (
+            WITH_ACTS.replace("rain\nshine\n", "rain\nshine = 1\n"),
+            "states/shine",
+            "state lines carry no value",
+        ),
+        (
+            WITH_ACTS.replace("rain\nshine\n", ""),
+            "states",
+            "the states section is empty",
+        ),
+        (
+            WITH_ACTS.replace("[states]\nrain\nshine\n", ""),
+            "belief",
+            "belief requires a [states] section",
+        ),
+        (
+            WITH_ACTS.replace("rain = 1/2\nshine = 1/2", "rain = -1/2\nshine = 3/2"),
+            "belief/rain",
+            "belief weights cannot be negative",
+        ),
+        (
+            WITH_ACTS.replace("rain = 1/2\nshine = 1/2", "rain = 1/2 + eps\nshine = 1/2 - eps"),
+            "belief/rain",
+            "regime std requires a standard belief",
+        ),
+        (
+            WITH_ACTS.replace("rain = 1/2\nshine = 1/2", "rain = 1/3\nshine = 1/3"),
+            "belief",
+            "belief weights must sum to exactly 1",
+        ),
+        (
+            WITH_ACTS.replace("[belief]\nrain = 1/2\nshine = 1/2\n", ""),
+            "act umbrella",
+            "acts require [states] and [belief] sections",
+        ),
+        (
+            WITH_ACTS.replace("[act umbrella]\n", "[act umbrella]\nfog = sure\n"),
+            "act umbrella/fog",
+            "unknown state 'fog'",
+        ),
+        (
+            WITH_ACTS + "\n[act gamble ]\nrain = sure\nshine = sure\n",
+            "act gamble",
+            "duplicate act name 'gamble'",
+        ),
+    ],
+    ids=[
+        "no-model",
+        "empty-literal",
+        "signed-utilities",
+        "no-outcomes",
+        "empty-lottery",
+        "negative-probability",
+        "no-lottery",
+        "duplicate-lottery",
+        "state-with-value",
+        "empty-states",
+        "belief-without-states",
+        "negative-belief",
+        "nonstandard-belief",
+        "belief-sum",
+        "acts-without-model",
+        "act-unknown-state",
+        "duplicate-act",
+    ],
+)
+def test_each_schema_error_names_its_path(text, path, message):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_model(text)
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"

@@ -1,6 +1,7 @@
 """Tests for lotteries, expected utility, and the preference comparisons."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from oracles import (
     brute_force_overrides,
     oracle_close_under_mixtures,
     oracle_compare_values,
+    oracle_property_P_failure,
+    oracle_threshold_shaped,
     random_structure,
     random_tilted_lottery,
     three_outcome_structure,
@@ -321,7 +324,7 @@ def test_overrides_values_agrees_with_definitional_sweep(top, bottom, seed):
 
 def test_grid_weights_exclude_endpoints():
     assert grid_weights(4) == (F(1, 4), F(1, 2), F(3, 4))
-    with pytest.raises(InvalidWeight):
+    with pytest.raises(InvalidParameter, match="^grid denominator must be at least 2$"):
         grid_weights(1)
 
 
@@ -351,6 +354,20 @@ def test_close_under_mixtures_refuses_only_past_its_limit():
         close_under_mixtures([a, b], denominator=2, depth=2, limit=4)
     with pytest.raises(ClosureTooLarge, match="generators alone"):
         close_under_mixtures([a, b], denominator=2, depth=0, limit=1)
+
+
+def test_huge_closure_depth_costs_only_the_rounds_it_builds():
+    # The scale grows by one grid step per round, so refusing in round 2
+    # costs no digits for the rounds after it.
+    generators = load_model(fixture_path("dice")).structure().generators
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureTooLarge, match="round 2 of 1000000$"):
+            close_under_mixtures(generators, 8, 10**6, limit=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_close_under_mixtures_rejects_empty_input():
@@ -570,6 +587,79 @@ def test_property_p_ns_prob_indifference_can_be_an_interval():
     )
     assert report.holds
     assert report.unique_weight == F(1, 3)
+
+
+def _property_P_on(best, middle, worst, regime=Regime.NS_UTIL):
+    """Property P on three sure lotteries worth the three values."""
+    utilities = UtilityAssignment.from_mapping(
+        {"best": best, "middle": middle, "worst": worst}, signed=True
+    )
+    return check_property_P(
+        Lottery.degenerate("middle"),
+        Lottery.degenerate("best"),
+        Lottery.degenerate("worst"),
+        utilities,
+        regime,
+    )
+
+
+def test_property_p_all_worse_when_the_worst_stake_dominates():
+    # -(1-a)/eps leads every mixture of -eps and -1/eps: all below -1.
+    report = _property_P_on(-EPS, rational(-1), -eps(-1))
+    assert report.failure == "all_worse"
+    assert report.worse_set.is_entire_unit_interval()
+    assert report.monotone
+
+
+def test_property_p_no_indifference_when_the_mixture_crosses_zero():
+    # 2a - 1 jumps from below eps to above it at a = 1/2, where it is 0.
+    report = _property_P_on(rational(1), EPS, rational(-1))
+    assert report.failure == "no_indifference"
+    assert report.worse_set.render() == "(0, 1/2]"
+    assert report.better_set.render() == "(1/2, 1)"
+    assert report.monotone
+
+
+def test_property_p_requires_the_middle_to_beat_the_worst():
+    with pytest.raises(PreconditionViolated, match="^middle lottery must beat the worst one$"):
+        _property_P_on(rational(1), rational(0), rational(0), Regime.STD)
+
+
+standard_values = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6).map(rational)
+infinitesimal_tilts = st.fractions(min_value=F(1, 4), max_value=F(2), max_denominator=4).map(
+    lambda c: c * EPS
+)
+P_FAMILIES = {
+    "std": (Regime.STD, standard_values),
+    "ns-prob": (Regime.NS_PROB, standard_values),
+    "ns-util": (Regime.NS_UTIL, nonnegative_nsreals),
+    "ns-util-nonpositive": (Regime.NS_UTIL, nonnegative_nsreals.map(lambda value: -value)),
+    "ns-util-mixed": (Regime.NS_UTIL, nsreals),
+}
+
+
+@pytest.mark.parametrize("family", sorted(P_FAMILIES))
+@given(data=st.data())
+def test_property_p_is_threshold_shaped_by_theorem(family, data):
+    """Every report is monotone by the scan of the oracle, and its failure
+    label is the one read off whole-interval tests.  Three values of
+    distinct keys are drawn and given best first.  Under NS_PROB the best
+    and middle lotteries leak an infinitesimal chance to the worst outcome,
+    which moves no standard part."""
+    regime, values = P_FAMILIES[family]
+    three = data.draw(st.lists(values, min_size=3, max_size=3, unique_by=regime.key))
+    three.sort(key=regime.key, reverse=True)
+    utilities = UtilityAssignment.from_mapping(dict(zip(("b", "m", "w"), three)), signed=True)
+    best, middle, worst = (Lottery.degenerate(outcome) for outcome in "bmw")
+    if regime is Regime.NS_PROB:
+        leak, other = data.draw(infinitesimal_tilts), data.draw(infinitesimal_tilts)
+        best = Lottery.from_mapping({"b": ONE - leak, "w": leak})
+        middle = Lottery.from_mapping({"m": ONE - other, "w": other})
+    report = check_property_P(middle, best, worst, utilities, regime)
+    parts = report.worse_set, report.indifference_set, report.better_set
+    assert report.monotone and oracle_threshold_shaped(*parts)
+    assert report.failure == oracle_property_P_failure(*parts)
+    assert report.holds == (report.failure is None)
 
 
 # --- typed user errors -------------------------------------------------------
