@@ -60,8 +60,9 @@ from .fixtures import run_examples
 __all__ = ["MAXIMIN_SWEEP_LIMIT", "build_parser", "main", "console_main"]
 
 # Most comparisons an exhaustive ``maximin N --grid-denominator D`` sweep may
-# make: it compares every two-point bet with every other, (C(N,2)*(D-1))**2
-# comparisons, and is refused before any bet is built past this point.
+# decide: every two-point bet against every other, (C(N,2)*(D-1))**2
+# comparisons, though it decides them a group of bets that share a key at a
+# time.  A sweep past this point is refused before any bet is built.
 # ``maximin 10`` at the default grid (99,225 comparisons) fits.
 MAXIMIN_SWEEP_LIMIT = 250_000
 

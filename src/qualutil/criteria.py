@@ -16,6 +16,7 @@ regression contrast; a test documents the disagreement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -28,7 +29,6 @@ from .prefcore import (
     PrefOrdering,
     Regime,
     UtilityAssignment,
-    compare_values,
     expected_utility,
     grid_weights,
 )
@@ -157,23 +157,28 @@ def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
     and by the rule of :func:`maximin_compare_oracle`.  Returns the number
     of comparisons and how many of them the two disagree on.
 
-    Each of the ``B = C(N,2)*(denominator-1)`` bets, its lottery and its
-    expected utility are built once, so a sweep costs ``B`` builds plus
-    ``B**2`` value comparisons and rule checks.  The rule reads the raw
-    ``(low, w, high)`` of each bet, never its lottery or utility; the bets
-    were validated when :func:`two_point_lottery` built them."""
-    assignment = maximin_utilities(spec)
+    :func:`two_point_lottery` validates and builds each of the
+    ``B = C(N,2)*(denominator-1)`` bets once, and each bet's expected
+    utility is taken once.  Values compare as their ``Regime.NS_UTIL.key``
+    (:func:`compare_values`) and the rule reads only ``(low, w)``, so bets
+    sharing ``(key, low, w)`` meet every bet with the same verdicts, from
+    both sides: each pair of these ``G <= B`` groups is compared once and
+    a disagreement counts ``m * m'`` times, so a sweep costs ``B`` builds
+    plus ``G**2`` group comparisons.  Under :func:`maximin_utilities` a key
+    ignores ``high``, so ``G = (N-1)*(denominator-1)``."""
+    assignment, key = maximin_utilities(spec), Regime.NS_UTIL.key
     weights = grid_weights(denominator)
-    bets = [
-        ((low, w, high), expected_utility(two_point_lottery(spec, low, w, high), assignment))
+    groups = Counter(
+        (key(expected_utility(two_point_lottery(spec, low, w, high), assignment)), low, w)
         for low in range(spec.n)
         for high in range(low + 1, spec.n)
         for w in weights
-    ]
+    )
+    # The value verdict, indexed by the sign of the key comparison.
+    verdicts = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)
     disagreements = 0
-    for (low, w, _), value in bets:
-        for (low2, w2, _), value2 in bets:
-            got = compare_values(value, value2, Regime.NS_UTIL)
-            if got is not _worst_case_rule(low, w, low2, w2):
-                disagreements += 1
-    return len(bets) ** 2, disagreements
+    for (k, low, w), m in groups.items():
+        for (k2, low2, w2), m2 in groups.items():
+            if verdicts[(k > k2) - (k < k2)] is not _worst_case_rule(low, w, low2, w2):
+                disagreements += m * m2
+    return groups.total() ** 2, disagreements

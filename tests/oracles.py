@@ -802,6 +802,17 @@ def oracle_maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]
     return comparisons, disagreements
 
 
+def positive_ladder_utilities(spec: MaximinSpec) -> UtilityAssignment:
+    """The contrast ``u(x_i) = eps**-(n-1-i)``: positive infinite ladders,
+    the worst outcome the largest.  A bet's qualitative key is then its
+    worst outcome's term alone, so it ignores ``high`` as the maximin key
+    does, while the order runs the other way: many bets share each key and
+    the sweep disagrees with the rule."""
+    return UtilityAssignment.from_mapping(
+        {spec.outcome(i): eps(-(spec.n - 1 - i)) for i in range(spec.n)}
+    )
+
+
 # --- random model generators -------------------------------------------------
 
 

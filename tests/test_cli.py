@@ -393,7 +393,7 @@ def test_maximin_sweep_limit_admits_ten_outcomes_at_the_default_grid(capsys, mon
         main(["maximin", "3", "--compare", "0", "1/2", "2", "0", "1/4", "1"])
 
 
-def test_maximin_grid_below_two_is_still_a_weight_error(capsys):
+def test_maximin_grid_below_two_is_an_invalid_parameter(capsys):
     code, _, err = run(capsys, "maximin", "3", "--grid-denominator", "-1000")
     assert code == 2
     assert "grid denominator must be at least 2" in err

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 import qualutil.criteria
-from oracles import oracle_maximin_sweep
+from oracles import oracle_maximin_sweep, positive_ladder_utilities
 from qualutil import (
     IndexOrder,
     InvalidWeight,
@@ -163,6 +163,36 @@ def test_sweep_and_oracle_count_the_same_contrast_disagreements(monkeypatch, n, 
     total, disagreements = maximin_sweep(spec, d)
     assert disagreements > 0
     assert (total, disagreements) == oracle_maximin_sweep(spec, d)
+
+
+@pytest.mark.parametrize("n, d, expected", [(3, 4, 66), (4, 6, 830), (5, 5, 1480)])
+def test_sweep_counts_each_disagreement_of_a_group_by_its_size(monkeypatch, n, d, expected):
+    # Positive infinite ladders key a bet by its worst outcome's term, as
+    # the maximin encoding does, so several bets share each key, and they
+    # rank the worst outcome first: every group disagrees with the rule
+    # somewhere and must count once per pair of bets it holds.
+    monkeypatch.setattr(qualutil.criteria, "maximin_utilities", positive_ladder_utilities)
+    spec = MaximinSpec(n)
+    bets = comb(n, 2) * (d - 1)
+    assert maximin_sweep(spec, d) == oracle_maximin_sweep(spec, d) == (bets**2, expected)
+    assert expected > 0
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 4), (5, 8), (10, 8)])
+def test_sweep_applies_the_rule_once_per_pair_of_groups(monkeypatch, n, d):
+    # The work of a sweep is fixed: under the maximin encoding a bet's key
+    # ignores its upper outcome, so (N-1)*(D-1) groups meet each other once.
+    calls = 0
+    rule = qualutil.criteria._worst_case_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rule(*args)
+
+    monkeypatch.setattr(qualutil.criteria, "_worst_case_rule", counted)
+    assert maximin_sweep(MaximinSpec(n), d) == ((comb(n, 2) * (d - 1)) ** 2, 0)
+    assert calls == ((n - 1) * (d - 1)) ** 2
 
 
 def test_sweep_builds_each_bet_once(monkeypatch):
