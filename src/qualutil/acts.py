@@ -4,10 +4,12 @@ An act maps every state to a lottery; a belief weighs the states with exact
 probabilities.  The worth of an act is the belief-weighted expected utility
 of its lotteries, and acts are compared exactly like lotteries in whichever
 regime the model declares.  A state is *null* when nothing an act does there
-can affect preference; with a nonnegative utility assignment this is decided
-analytically (zero belief, or belief times the utility spread at that state
-negligible next to every achievable act value) and the definitional sweep
-over modified act pairs guards the rule.
+can affect preference.  :func:`is_null` decides it by one rule, in every
+regime and for signed utilities alike: the state is null when its belief
+times the spread of the pool's arm values there leaves every act's value
+indifferent.  The definition, patching each act's arm with every other
+act's, is :func:`null_state_sweep`, kept as the reference the rule is
+tested against.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import ConsistencyError, InvalidParameter, MissingModel, UnknownState
-from .nsreal import NSReal, ONE, QOrdering, ZERO, qcompare
+from .errors import InvalidParameter, MissingModel, UnknownState
+from .nsreal import NSReal, ONE, ZERO
 from .prefcore import (
     Lottery,
     PrefOrdering,
@@ -170,14 +172,17 @@ def null_state_sweep(state: str, model: AAModel, acts: Iterable[Act]) -> bool:
     return True
 
 
-def null_state_analytic(state: str, model: AAModel, acts: Iterable[Act]) -> bool:
-    """Order-of-magnitude rule for nullity, relative to the same act pool.
+def is_null(state: str, model: AAModel, acts: Iterable[Act]) -> bool:
+    """Whether the state can never matter to preference among these acts.
 
-    The worst perturbation obtainable by rewriting an arm at ``state`` is
-    the belief there times the spread of achievable arm values; the state is
-    null exactly when that perturbation is absorbed (qualitatively) by every
-    achievable act value.  Matches the sweep whenever utilities are
-    nonnegative.
+    Patching an act's arm at ``state`` with another pool act's arm moves
+    its value by the belief there times the difference of the arm values:
+    at most ``perturbation``, the belief times the spread of the pool's arm
+    values, and, by the arm farther from its own, at least half of it.
+    Whether ``base + x`` is indifferent to ``base`` depends only on x being
+    zero (STD), on its standard part (NS_PROB) or on its order of magnitude
+    (NS_UTIL, signed or not), which x/2 shares.  So the rule agrees with
+    :func:`null_state_sweep`, which patches every pair.
     """
     pool = tuple(acts)
     if not pool:
@@ -186,31 +191,15 @@ def null_state_analytic(state: str, model: AAModel, acts: Iterable[Act]) -> bool
     if weight.is_zero():
         return True
     arm_values = [expected_utility(act.arm(state), model.utilities) for act in pool]
-    spread = max(arm_values) - min(arm_values)
-    perturbation = weight * spread
+    perturbation = weight * (max(arm_values) - min(arm_values))
     if perturbation.is_zero():
         return True
     for act in pool:
         base = act_utility(act, model)
-        if qcompare(base + perturbation, base) is not QOrdering.EQUIVALENT:
+        if compare_values(base + perturbation, base, model.regime) is not PrefOrdering.INDIFFERENT:
             return False
     return True
 
 
-def is_null(state: str, model: AAModel, acts: Iterable[Act]) -> bool:
-    """Whether the state can never matter to preference among these acts.
-
-    With nonnegative utilities the analytic rule is the decision procedure
-    and the definitional sweep guards it (a mismatch is a bug and raises
-    ConsistencyError); with a signed assignment only the sweep is used.
-    """
-    pool = tuple(acts)
-    swept = null_state_sweep(state, model, pool)
-    if model.utilities.signed:
-        return swept
-    analytic = null_state_analytic(state, model, pool)
-    if analytic != swept:
-        raise ConsistencyError(
-            f"null-state rule disagrees with the definitional sweep at state {state!r}"
-        )
-    return analytic
+# The same rule under the name that sets it beside null_state_sweep.
+null_state_analytic = is_null

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .acts import Act, AAModel, act_prefers, act_utility, is_null, null_state_analytic
+from .acts import Act, AAModel, act_prefers, act_utility, is_null
 from .errors import (
     ClosureTooLarge,
     ConsistencyError,
@@ -770,10 +770,9 @@ def check_A4(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 
 def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
     """A state where some act's own lottery overrides the whole act must be
-    null.  A5p runs on unsigned utilities only, where the analytic rule
-    :func:`~qualutil.acts.null_state_analytic` decides nullity (the public
-    :func:`~qualutil.acts.is_null` also runs the definitional sweep, as a
-    guard); it is asked once per state, at the first overriding act."""
+    null.  A5p runs on unsigned utilities only.  Nullity is decided by
+    :func:`~qualutil.acts.is_null`, the closed-form rule alone, asked once
+    per state, at the first overriding act."""
     model, acts = _require_acts(structure)
     if model.regime.standard_utilities:
         raise RegimeMismatch("A5p applies to the nonstandard-utility regime")
@@ -786,7 +785,7 @@ def check_A5prime(structure: PrefStructure, *, context: _Context | None = None) 
             arm_value = expected_utility(act.arm(state), model.utilities)
             if not overrides_values(arm_value, whole_value):
                 continue
-            if null_state_analytic(state, model, acts):
+            if is_null(state, model, acts):
                 break
             certificate = Counterexample(
                 kind="null-state",

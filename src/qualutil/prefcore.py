@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Union
 
 from .errors import (
     ClosureTooLarge,
-    ConsistencyError,
     InvalidParameter,
     InvalidWeight,
     MissingUtility,
@@ -334,6 +333,22 @@ def _require_denominator(denominator: object, name: str = "denominator") -> None
         raise InvalidParameter("grid denominator must be at least 2")
 
 
+def _closure_generators(
+    lotteries: Iterable[Lottery], denominator: object, depth: object
+) -> tuple[Lottery, ...]:
+    """The distinct lotteries in order of first appearance, after refusing a
+    bad grid denominator, a depth that is not an ``int`` of at least 0, or
+    no lottery."""
+    _require_denominator(denominator)
+    _require_int("depth", depth)
+    if depth < 0:
+        raise InvalidParameter(f"depth must be nonnegative, got {depth}")
+    generators = tuple(dict.fromkeys(lotteries))
+    if not generators:
+        raise InvalidParameter("need at least one lottery to close")
+    return generators
+
+
 def grid_weights(denominator: int) -> tuple[Fraction, ...]:
     """The standard weights k/denominator, 0 < k < denominator."""
     _require_denominator(denominator)
@@ -403,13 +418,7 @@ def close_under_mixtures(
     every mix is checked in integers, and the first that fails raises the
     :class:`InvalidParameter` that ``from_mapping`` raises on it.
     """
-    _require_denominator(denominator)
-    _require_int("depth", depth)
-    if depth < 0:
-        raise InvalidParameter(f"depth must be nonnegative, got {depth}")
-    generators = tuple(dict.fromkeys(lotteries))
-    if not generators:
-        raise InvalidParameter("need at least one lottery to close")
+    generators = _closure_generators(lotteries, denominator, depth)
     if limit is not None and len(generators) > limit:
         raise ClosureTooLarge(
             f"the {len(generators)} distinct generators alone exceed the limit of {limit} lotteries"
@@ -485,34 +494,24 @@ def is_negligible(
     depth: int = 1,
 ) -> bool:
     """Whether a mixture weight is too small to ever matter here: mixing any
-    lottery in with this weight leaves every lottery of the closed set
-    indifferent to what it was.
+    lottery of the closed set in with this weight leaves every lottery of
+    the set indifferent, under NS_PROB, to what it was.
 
-    This is relative to the generated lottery set.  When the set separates
-    at least two lotteries, negligibility coincides with the weight being
-    infinitesimal; that analytic shortcut is cross-checked against the
-    definitional sweep and a disagreement raises ConsistencyError.
+    No closure is built.  ``w*v_p + (1-w)*v_q`` has the standard part of
+    ``v_q`` exactly when ``st(w) * (st(v_p) - st(v_q))`` is 0, so the weight
+    is negligible iff it is infinitesimal or the closure's values share one
+    standard part.  A mix at a grid weight k/denominator has the k/denominator
+    mix of its parents' standard parts, so the closure, which holds the
+    generators, shares one exactly when the generators do.  The standard
+    parts are taken before the weight is read, so an infinite value raises
+    :class:`~qualutil.errors.InfiniteValue` whatever the weight.  The definition, mixing every pair of the closure, is
+    ``oracle_is_negligible`` in ``tests/oracles.py``.
     """
     w = _coerce_weight(weight)
     _check_unit_weight(w)
-    pool = close_under_mixtures(generators, denominator=denominator, depth=depth)
-    values = [expected_utility(lottery, assignment) for lottery in pool]
-    definitional = True
-    for value_p, value_q in itertools.product(values, repeat=2):
-        mixed_value = w * value_p + (ONE - w) * value_q
-        if compare_values(mixed_value, value_q, Regime.NS_PROB) is not PrefOrdering.INDIFFERENT:
-            definitional = False
-            break
-
-    parts = {value.standard_part() for value in values}
-    if len(parts) > 1 and definitional != w.is_infinitesimal():
-        verdict = "negligible" if definitional else "not negligible"
-        raise ConsistencyError(
-            "negligibility sweep disagrees with the infinitesimal test on a separating set: "
-            f"the sweep finds weight {w!r} {verdict}; standard parts of the pool's values: "
-            + ", ".join(str(part) for part in sorted(parts))
-        )
-    return definitional
+    generators = _closure_generators(generators, denominator, depth)
+    parts = {expected_utility(lottery, assignment).standard_part() for lottery in generators}
+    return w.is_infinitesimal() or len(parts) == 1
 
 
 @dataclass(frozen=True)

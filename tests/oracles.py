@@ -46,11 +46,10 @@ from qualutil import (
     eps,
     expected_utility,
     grid_weights,
-    is_negligible,
-    is_null,
     maximin_compare_oracle,
     mix,
     mixture_closure,
+    null_state_sweep,
     overrides_values,
     prefers,
     qcompare,
@@ -593,12 +592,26 @@ def oracle_A2(structure: PrefStructure) -> Verdict:
     )
 
 
+def oracle_is_negligible(weight, assignment, generators, denominator=8, depth=1) -> bool:
+    """Negligibility by definition: mixing any lottery of the closed set in
+    at ``weight`` leaves every lottery of the set indifferent, under NS_PROB,
+    to what it was.  Every ordered pair of the closure's values is mixed."""
+    w = weight if isinstance(weight, NSReal) else rational(weight)
+    pool = oracle_close_under_mixtures(generators, denominator, depth)
+    values = [expected_utility(lottery, assignment) for lottery in pool]
+    return all(
+        oracle_compare_values(w * value_p + (ONE - w) * value_q, value_q, Regime.NS_PROB)
+        is PrefOrdering.INDIFFERENT
+        for value_p, value_q in itertools.product(values, repeat=2)
+    )
+
+
 def oracle_B2(structure: PrefStructure) -> Verdict:
     weights = list(grid_weights(structure.grid_denominator))
     weights += [EPS, Fraction(1, 2) * EPS, ONE - EPS]
     relevant = []
     for w in weights:
-        negligible = is_negligible(
+        negligible = oracle_is_negligible(
             w,
             structure.utilities,
             structure.generators,
@@ -740,15 +753,16 @@ def oracle_A4(structure: PrefStructure) -> Verdict:
 
 def oracle_A5prime(structure: PrefStructure) -> Verdict:
     """Every (state, act) on its own, each act's utility recomputed, and
-    nullity decided by the public ``is_null``: the analytic rule, guarded by
-    the definitional sweep."""
+    nullity decided by the definitional ``null_state_sweep``."""
     model, acts = structure.model, structure.acts
     domain = f"{len(acts)} generator acts x {len(model.states)} states"
     for state in model.states:
         for act in acts:
             arm_value = expected_utility(act.arm(state), model.utilities)
             whole_value = act_utility(act, model)
-            if overrides_values(arm_value, whole_value) and not is_null(state, model, acts):
+            if overrides_values(arm_value, whole_value) and not null_state_sweep(
+                state, model, acts
+            ):
                 certificate = Counterexample(
                     kind="null-state",
                     payload=(
@@ -1050,3 +1064,50 @@ def random_signed_acts_structure(
     return PrefStructure(
         Regime.NS_UTIL, utilities, arms, closure_depth=0, model=model, acts=tuple(acts)
     )
+
+
+def random_tilted_acts_structure(
+    rng: random.Random,
+    regime: Regime,
+    signed: bool = False,
+    state_count: int = 3,
+    act_count: int = 3,
+) -> PrefStructure:
+    """A random structure whose belief weighs states infinitesimally.
+
+    Every state but the first gets 0, ``eps``, ``eps/3``, ``eps**2``, 1/4 or
+    ``1/4 + eps``, and the first the rest, so some states carry an
+    infinitesimal belief and some a standard one.  The model is built with
+    ``validate=False``, which lets STD and NS_UTIL take such a belief.  With
+    ``signed``, two of the four utilities are negated.  Each arm is a random
+    lottery (with infinitesimal probabilities under NS_PROB) or a sure
+    outcome, so arms of one value recur and patching an arm can cancel."""
+    if regime is Regime.NS_UTIL:
+        pool = _signed_utility_pool(rng, "mixed") if signed else _nonstandard_utility_pool(rng)
+    else:
+        pool = _standard_utility_pool(rng)
+        if signed:
+            negated = rng.sample(range(len(pool)), 2)
+            pool = [-value if index in negated else value for index, value in enumerate(pool)]
+    outcomes = ["a", "b", "c", "d"]
+    utilities = UtilityAssignment.from_mapping(dict(zip(outcomes, pool)), signed=signed)
+    states = [f"s{i}" for i in range(state_count)]
+    choices = [rational(0), eps(), eps() * Fraction(1, 3), eps(2), rational(Fraction(1, 4))]
+    choices.append(choices[-1] + eps())
+    belief = {state: rng.choice(choices) for state in states[1:]}
+    belief[states[0]] = ONE - sum(belief.values(), rational(0))
+    model = AAModel.from_mappings(states, belief, utilities, regime, validate=False)
+    builder = random_nonstandard_lottery if regime is Regime.NS_PROB else random_lottery
+    acts = tuple(
+        Act.from_mapping(
+            {
+                state: builder(rng, outcomes)
+                if rng.random() < 0.5
+                else Lottery.degenerate(rng.choice(outcomes))
+                for state in states
+            }
+        )
+        for _ in range(act_count)
+    )
+    arms = tuple(act.arm(state) for act in acts for state in states)
+    return PrefStructure(regime, utilities, arms, closure_depth=0, model=model, acts=acts)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_acts_structure
+import qualutil.acts
+from oracles import random_acts_structure, random_signed_acts_structure, random_tilted_acts_structure
 from qualutil import (
     AAModel,
     Act,
@@ -14,17 +15,20 @@ from qualutil import (
     MissingModel,
     ONE,
     PrefOrdering,
+    PrefStructure,
     Regime,
     UnknownState,
     UtilityAssignment,
     act_prefers,
     act_utility,
+    check_A5prime,
     constant_act,
     eps,
     is_null,
     null_state_analytic,
     null_state_sweep,
     rational,
+    replay,
 )
 
 F = Fraction
@@ -185,14 +189,70 @@ def test_null_sweep_matches_analytic_rule_on_random_models():
             assert is_null(state, model, structure.acts) == swept
 
 
-def test_signed_utilities_fall_back_to_the_sweep():
-    signed = UtilityAssignment.from_mapping(
-        {"good": rational(1), "bad": rational(-1)}, signed=True
-    )
-    model = model_over({"s": rational(1), "t": rational(0)}, utilities=signed)
+SIGNED = UtilityAssignment.from_mapping({"good": rational(1), "bad": rational(-1)}, signed=True)
+
+
+def test_signed_utilities_are_decided_by_the_rule():
+    model = model_over({"s": rational(1), "t": rational(0)}, utilities=SIGNED)
     acts = [
         Act.from_mapping({"s": SURE_GOOD, "t": SURE_BAD}),
         Act.from_mapping({"s": SURE_BAD, "t": SURE_GOOD}),
     ]
     assert is_null("t", model, acts)
     assert not is_null("s", model, acts)
+
+
+def test_infinitesimally_likely_state_is_null_under_ns_prob():
+    # Rewriting the arm at t moves each act by eps at most, which no
+    # standard part sees, though the leading terms of 0 and eps differ.
+    model = model_over({"s": ONE - EPS, "t": EPS}, regime=Regime.NS_PROB)
+    acts = [
+        Act.from_mapping({"s": SURE_BAD, "t": SURE_BAD}),
+        Act.from_mapping({"s": SURE_BAD, "t": SURE_GOOD}),
+    ]
+    assert null_state_sweep("t", model, acts)
+    assert is_null("t", model, acts)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.name)
+def test_null_rule_matches_the_sweep_under_infinitesimal_beliefs(regime, signed):
+    rng = random.Random(2022 + 2 * list(Regime).index(regime) + signed)
+    verdicts = set()
+    for _ in range(40):
+        structure = random_tilted_acts_structure(rng, regime, signed, rng.randint(2, 4))
+        model = structure.model
+        for state in model.states:
+            swept = null_state_sweep(state, model, structure.acts)
+            assert is_null(state, model, structure.acts) == swept
+            verdicts.add(swept)
+    assert verdicts == {False, True}
+
+
+def test_is_null_and_replay_never_run_the_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the definitional sweep ran")
+
+    monkeypatch.setattr(qualutil.acts, "null_state_sweep", refuse)
+    rng = random.Random(2023)
+    structures = [random_signed_acts_structure(rng)]
+    for regime in Regime:
+        for signed in (False, True):
+            structures.append(random_tilted_acts_structure(rng, regime, signed))
+    for structure in structures:
+        for state in structure.model.states:
+            is_null(state, structure.model, structure.acts)
+
+    # A windfall at an infinitesimally likely state overrides its act, and
+    # the state is not null: A5p fails, and replay re-decides nullity.
+    model = model_over({"s": ONE - EPS, "t": EPS}, regime=Regime.NS_UTIL, validate=False)
+    acts = (
+        Act.from_mapping({"s": SURE_BAD, "t": SURE_GOOD}),
+        Act.from_mapping({"s": SURE_BAD, "t": SURE_BAD}),
+    )
+    structure = PrefStructure(
+        Regime.NS_UTIL, UTILITIES, (SURE_GOOD, SURE_BAD), closure_depth=0, model=model, acts=acts
+    )
+    certificate = check_A5prime(structure).counterexample
+    assert certificate.kind == "null-state"
+    assert replay(certificate, structure)

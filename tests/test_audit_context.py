@@ -30,6 +30,7 @@ from oracles import (
     oracle_A4,
     oracle_A5prime,
     oracle_B2,
+    oracle_is_negligible,
     random_acts_structure,
     random_signed_acts_structure,
     random_structure,
@@ -377,8 +378,8 @@ def test_B2_at_depth_two_builds_no_closure_beyond_its_own(monkeypatch):
 
 
 def test_B2_decides_negligibility_without_the_sweep(monkeypatch):
-    # The sweep of is_negligible compares through prefcore's binding; B2's
-    # own scan goes through the auditor's.
+    # Neither B2 nor is_negligible compares two values, through prefcore's
+    # binding or any other.
     def refuse(*args):
         raise AssertionError("negligibility sweep")
 
@@ -432,6 +433,23 @@ def test_is_negligible_is_the_closed_form_rule():
                 )
                 assert negligible == negligible_by_rule(weight, structure, depth)
     assert 0 < separating < len(structures)
+
+
+def test_is_negligible_matches_its_definitional_oracle():
+    rng = random.Random(812)
+    structures = [eps_bets(0)] + [
+        random_structure(rng, Regime.NS_PROB, generator_count=2 + index % 2, grid_denominator=3)
+        for index in range(20)
+    ]
+    verdicts = Counter()
+    for structure in structures:
+        for depth in (0, 1):
+            for weight in B2_WEIGHTS:
+                args = (weight, structure.utilities, structure.generators, 3, depth)
+                negligible = is_negligible(*args)
+                assert negligible == oracle_is_negligible(*args)
+                verdicts[negligible] += 1
+    assert set(verdicts) == {False, True}
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -533,9 +551,9 @@ def test_A4_matches_the_patch_by_patch_oracle(regime, signed, seed, count):
     assert (failed > 0) == signed
 
 
-def test_A5prime_matches_the_oracle_that_asks_is_null():
-    # A5p asks the analytic nullity rule alone; the oracle asks is_null,
-    # which also runs the definitional sweep and raises on a mismatch.
+def test_A5prime_matches_the_oracle_that_asks_the_sweep():
+    # A5p asks the nullity rule, is_null; the oracle asks the definitional
+    # null_state_sweep.
     rng = random.Random(406)
     structures = [
         random_acts_structure(rng, Regime.NS_UTIL, state_count=rng.randint(2, 4))

@@ -1,6 +1,7 @@
 """Tests for lotteries, expected utility, and the preference comparisons."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from oracles import (
 from qualutil import (
     AAModel,
     ClosureTooLarge,
-    ConsistencyError,
     Counterexample,
     EPS,
     InfiniteValue,
@@ -59,7 +59,7 @@ from qualutil import (
     replay,
 )
 from qualutil.criteria import maximin_sweep
-from qualutil.fixtures import consolation_document, fixture_path
+from qualutil.fixtures import consolation_document, dice_document, fixture_path
 
 F = Fraction
 
@@ -480,28 +480,51 @@ def test_is_negligible_trivially_true_on_indifferent_generators():
     assert is_negligible(F(1, 2), STANDARD_UTILITIES, gens)
 
 
-def test_is_negligible_guard_names_the_weight_verdict_and_standard_parts(monkeypatch):
-    # A comparison that finds every mixture indifferent makes the standard
-    # weight 1/2 read as negligible on a separating set.
-    monkeypatch.setattr(
-        qualutil.prefcore, "compare_values", lambda *args: PrefOrdering.INDIFFERENT
-    )
-    gens = [lottery(best=1), lottery(worst=1)]
-    with pytest.raises(ConsistencyError) as raised:
-        is_negligible(F(1, 2), STANDARD_UTILITIES, gens, denominator=2)
-    assert str(raised.value) == (
-        "negligibility sweep disagrees with the infinitesimal test on a separating set: "
-        "the sweep finds weight NSReal('1/2') negligible; "
-        "standard parts of the pool's values: 0, 1/2, 1"
-    )
-
-
 def test_is_negligible_validates_weight():
     gens = [lottery(best=1), lottery(worst=1)]
     with pytest.raises(InvalidWeight):
         is_negligible(F(0), STANDARD_UTILITIES, gens)
     with pytest.raises(InvalidWeight):
         is_negligible(F(1), STANDARD_UTILITIES, gens)
+    with pytest.raises(TypeError):
+        is_negligible(0.5, STANDARD_UTILITIES, gens)
+
+
+def test_is_negligible_refuses_bad_arguments():
+    gens = [lottery(best=1), lottery(worst=1)]
+    for denominator in (1, 2.0, True):
+        with pytest.raises(InvalidParameter):
+            is_negligible(EPS, STANDARD_UTILITIES, gens, denominator=denominator)
+    for depth in (-1, 1.0, True):
+        with pytest.raises(InvalidParameter):
+            is_negligible(EPS, STANDARD_UTILITIES, gens, depth=depth)
+    with pytest.raises(InvalidParameter):
+        is_negligible(EPS, STANDARD_UTILITIES, [])
+    with pytest.raises(MissingUtility):
+        is_negligible(EPS, STANDARD_UTILITIES, [lottery(best=1), lottery(other=1)])
+
+
+def test_is_negligible_takes_standard_parts_before_reading_the_weight():
+    # An infinitesimal weight would be negligible on any set, but an
+    # infinite value has no standard part.
+    infinite = UtilityAssignment.from_mapping({"best": eps(-1), "worst": rational(0)})
+    gens = [lottery(best=1), lottery(worst=1)]
+    for weight in (EPS, F(1, 2)):
+        with pytest.raises(InfiniteValue):
+            is_negligible(weight, infinite, gens)
+
+
+def test_is_negligible_builds_no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(qualutil.prefcore, "close_under_mixtures", refuse)
+    dice = dice_document().structure()
+    for depth in (2, 10**9):
+        start = time.perf_counter()
+        assert is_negligible(EPS, dice.utilities, dice.generators, 8, depth)
+        assert not is_negligible(F(1, 2), dice.utilities, dice.generators, 8, depth)
+        assert time.perf_counter() - start < 0.5
 
 
 # --- the calibration property ------------------------------------------------
