@@ -29,20 +29,22 @@ The checks:
 :func:`audit` builds one context (closure, expected utilities, leading
 exponents, and the closure ranked into classes of indifferent lotteries by
 sorting its values' distinct keys) and passes it to every ``check_*`` as
-``context``; called alone, a check builds its own.  The solvability family,
-A3, A3p, A3pp and gamma, is decided in one ordered pass over the strict
-chains p > q > r.  Every postulate still undecided reads the set of
-relations in which ``a*p + (1-a)*r`` stands to q.  Outside NS_UTIL values
-of both signs that set follows from leading exponents
-(:func:`_relation_rule`), and it reads r only through whether r shares q's:
-under nonstandard utilities solvability fails only through overriding,
-which the primed postulates exempt.  So the pass walks pairs of classes,
-counts their chains from class sizes, and visits a chain only to keep a
-witness or to name the first failure.  Where values mix signs, each
-chain's weight partition is solved.  A holding
-verdict counts its witnesses and keeps the first four, each weight read off
-its own chain's partition, solved at most once per chain; nothing else is
-kept per chain.
+``context``; called alone, a check builds its own.
+
+The solvability family, A3, A3p, A3pp and gamma, reads on each strict chain
+p > q > r the relations in which ``a*p + (1-a)*r`` stands to q.  Outside
+NS_UTIL values of both signs, leading exponents e give them
+(:func:`_relation_rule`), and a chain is *level* when all three occur:
+always in STD and NS_PROB; on NS_UTIL values >= 0 when ``e(p) == e(q)``,
+"greater" alone otherwise; on values <= 0 when ``e(q) == e(r)``, "less"
+alone otherwise.  Under nonstandard utilities solvability thus fails only
+through overriding, which the primed postulates exempt.  Each postulate
+holds on level chains and has one verdict on all the others, so the first
+chain that is not level decides it, and its witnesses are counted from
+class sizes in O(classes) (:func:`_solvability`).  Where values mix signs,
+every chain's weight partition is solved.  A holding verdict counts its
+witnesses and keeps the first four, each weight read off its own chain's
+partition, solved at most once per chain; nothing else is kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
 difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.
@@ -78,6 +80,7 @@ weight partition encode each pair so and use those of the STD regime.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -144,8 +147,9 @@ __all__ = [
 
 # Hard bound on the closure size an audit takes on; past it the caller is
 # told to shrink the closure (the shipped models set closure-depth 0).  Where
-# NS_UTIL values mix signs, A2 and the solvability pass scan every strict
-# chain, so cost grows cubically; elsewhere the checks walk pairs of classes.
+# NS_UTIL values mix signs, A2 and the solvability pass scan every strict chain.
+# Elsewhere A2 walks pairs of classes up to its first failure, and the
+# solvability pass is linear in the closure once it is ranked.
 AUDIT_SIZE_LIMIT = 64
 
 
@@ -321,9 +325,9 @@ def _build_context(structure: PrefStructure) -> _Context:
         lotteries = mixture_closure(structure, limit=AUDIT_SIZE_LIMIT)
     except ClosureTooLarge as error:
         raise ClosureTooLarge(
-            f"{error}; exhaustive postulate checks scan all pairs and triples and "
-            f"are limited to {AUDIT_SIZE_LIMIT}. Lower closure-depth (the shipped "
-            f"models use 0) or grid-denominator, or audit fewer generators."
+            f"{error}; an audit takes at most {AUDIT_SIZE_LIMIT} lotteries, since on NS_UTIL "
+            f"values of both signs it scans every strict chain. Lower closure-depth (the "
+            f"shipped models use 0) or grid-denominator, or audit fewer generators."
         ) from None
     regime = structure.regime
     values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
@@ -546,118 +550,112 @@ _SOLVABILITY = {
 def _solvability(
     postulates: Sequence[str], structure: PrefStructure, context: _Context | None
 ) -> tuple[Verdict, ...]:
-    """Decide ``postulates`` in one pass over the strict chains p > q > r.
-
-    Outside NS_UTIL values of both signs, :func:`_relation_rule` reads p and
-    q only through their classes and r only through whether it shares q's
-    leading exponent, so the pass walks pairs of classes and the at most two
-    kinds of r below, each by its first member, counting chains from class
-    sizes.  Where values mix signs every chain is decided by its partition.
-    Each postulate counts a witness per needed weight on every chain it does
-    not exempt and keeps the first ``_WITNESS_DISPLAY_CAP`` in scan order,
-    or names the first chain missing one, as a scan of its own would.  A
-    kept weight comes from its chain's partition, solved at most once."""
+    """Decide ``postulates`` as a scan of the strict chains p > q > r in
+    lexicographic order of closure indices would: a holding postulate counts
+    a witness per needed weight on each chain it does not exempt and keeps
+    the first ``_WITNESS_DISPLAY_CAP``; a failing one names the first chain
+    that misses a weight.  Where NS_UTIL values mix signs, every chain is
+    partitioned, while some postulate is undecided.  Elsewhere the first
+    chain that is not level (module docstring) fails a postulate, or it
+    holds on every chain, or on the level ones alone, which A3pp and gamma
+    exempt the others from on values >= 0.  Chains are counted as
+    ``sum(size(q) * above(q) * below(q))`` over classes q; classes sharing a
+    leading exponent are consecutive in rank on values of one sign, a run,
+    and where only level chains count, ``above`` is read within q's run."""
     context = context or _build_context(structure)
-    values, lotteries, leads, rank = context.values, context.lotteries, context.leads, context.rank
-    n, rule = context.size, _relation_rule(context)
-    domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
-    failed: dict[str, Counterexample] = {}
-    live: dict[str, list[MixtureWitness]] = {postulate: [] for postulate in postulates}
-    counts = dict.fromkeys(postulates, 0)
-    # Per postulate, the first p of a chain it does not exempt.
-    starts: dict[str, int] = {}
+    lotteries, values, leads, rank = context.lotteries, context.values, context.leads, context.rank
+    n, sizes = context.size, [len(members) for members in context.classes]
+    below = list(itertools.accumulate(sizes, initial=0))
+    # Per class, its run: the first class sharing its leading exponent, and one past the last.
+    start, end = [], []
+    for _, run in itertools.groupby(range(len(sizes)), lambda c: leads[context.classes[c][0]]):
+        run = list(run)
+        start += [run[0]] * len(run)
+        end += [run[-1] + 1] * len(run)
+
+    def chains(middles: Callable[[int], tuple[int, int]], bottoms=lambda b: b):
+        """In scan order, the chains with q's class in the range ``middles``
+        of p's class and r's class below ``bottoms`` of q's, above 0 there."""
+        for i in range(n):
+            low, high = middles(rank[i])
+            for j in range(n) if low < high else ():
+                if low <= rank[j] < high:
+                    bound = bottoms(rank[j])
+                    yield from ((i, j, k) for k in range(n) if rank[k] < bound)
 
     def partition(i: int, j: int, k: int) -> dict[QOrdering, RationalIntervalSet]:
         return _mixture_partition(values[i], values[k], values[j], context.regime)
 
-    def keep(postulate: str, i: int, j: int, k: int, parts: dict) -> None:
-        witnesses = live[postulate]
-        for label, relation in _SOLVABILITY[postulate][2][: _WITNESS_DISPLAY_CAP - len(witnesses)]:
+    def missing(name: str, chain: tuple[int, int, int], parts) -> list | None:
+        """The needed pairs absent from the chain's relations; None if exempt."""
+        _, exempt, needed = _SOLVABILITY[name]
+        if exempt is not None and exempt(leads[chain[0]], leads[chain[1]], parts):
+            return None
+        return [(label, relation) for label, relation in needed if relation not in parts]
+
+    def keep(name: str, witnesses: list, chain: tuple[int, int, int], parts: dict) -> None:
+        for label, relation in _SOLVABILITY[name][2][: _WITNESS_DISPLAY_CAP - len(witnesses)]:
             weight = parts[relation].witness()
-            witnesses.append(MixtureWitness(label, *(lotteries[x] for x in (i, j, k)), weight))
+            witnesses.append(MixtureWitness(label, *(lotteries[x] for x in chain), weight))
 
+    def verdict(name: str, witnesses: list, count: int, chain=None, absent=()) -> Verdict:
+        """Holding, or failing at ``chain`` when it misses the pairs ``absent``."""
+        domain = _domain(structure, context, _SOLVABILITY[name][0])
+        if not absent:
+            return Verdict(name, True, domain, None, tuple(witnesses), count)
+        (label, relation), (p, q, r) = absent[0], (lotteries[x] for x in chain)
+        payload = (("p", p), ("q", q), ("r", r), ("postulate", name), ("missing", label))
+        payload += (("relation", relation.value), ("set", RationalIntervalSet()))
+        return Verdict(name, False, domain, Counterexample("existential", payload))
+
+    def level(a: int) -> tuple[int, int]:
+        """On values >= 0, a middle class level with top class ``a``: in its run."""
+        return max(start[a], 1), a
+
+    rule = _relation_rule(context)
     if rule is None:
-        chains = (
-            (i, j, k, 1) for i, j in _strict_pairs(context) for k in range(n) if rank[k] < rank[j]
-        )
-    else:
-        # Per class q: the first r below it of each kind, and how many there are.
-        kinds = []
-        for middle, members in enumerate(context.classes):
-            firsts: dict[bool, list[int]] = {}
-            for lower in context.classes[:middle]:
-                kind = firsts.setdefault(leads[lower[0]] == leads[members[0]], [lower[0], 0])
-                kind[:] = min(kind[0], lower[0]), kind[1] + len(lower)
-            kinds.append(sorted(firsts.values()))
-        sizes = [len(members) for members in context.classes]
-        chains = (
-            (i, j, k, sizes[rank[i]] * sizes[rank[j]] * size)
-            for i, j in _strict_pairs(context)
-            for k, size in kinds[rank[j]]
-        )
-    for i, j, k, size in chains:
-        if not live:
-            break
-        parts = partition(i, j, k) if rule is None else rule(i, j, k)
-        for postulate in list(live):
-            _, exempt, needed = _SOLVABILITY[postulate]
-            if exempt is not None and exempt(leads[i], leads[j], parts):
-                continue
-            missing = [(label, relation) for label, relation in needed if relation not in parts]
-            if not missing:
-                counts[postulate] += size * len(needed)
-                starts.setdefault(postulate, i)
-                if rule is None:
-                    # Every chain is met in scan order, its partition at hand.
-                    keep(postulate, i, j, k, parts)
-                continue
-            label, relation = missing[0]
-            failed[postulate] = Counterexample(
-                kind="existential",
-                payload=(
-                    ("p", lotteries[i]),
-                    ("q", lotteries[j]),
-                    ("r", lotteries[k]),
-                    ("postulate", postulate),
-                    ("missing", label),
-                    ("relation", relation.value),
-                    ("set", RationalIntervalSet()),
-                ),
-            )
-            del live[postulate]
-    if rule is not None:
-        # A holding postulate's unexempted chains in scan order from its first
-        # p, each pair tried on its kinds first, up to the last witness kept.
-        solved = functools.cache(partition)
+        live: dict[str, list[MixtureWitness]] = {name: [] for name in postulates}
+        counts = dict.fromkeys(postulates, 0)
+        verdicts: dict[str, Verdict] = {}
+        for chain in chains(lambda a: (1, a)):
+            if not live:
+                break
+            parts = partition(*chain)
+            for name in list(live):
+                absent = missing(name, chain, parts)
+                if absent:
+                    verdicts[name] = verdict(name, [], 0, chain, absent)
+                    del live[name]
+                elif absent is not None:
+                    counts[name] += len(_SOLVABILITY[name][2])
+                    keep(name, live[name], chain, parts)
+        verdicts.update((name, verdict(name, kept, counts[name])) for name, kept in live.items())
+        return tuple(verdicts[name] for name in postulates)
 
-        def kept(exempt: Callable[..., bool] | None, i: int, j: int, k: int) -> bool:
-            return exempt is None or not exempt(leads[i], leads[j], rule(i, j, k))
+    # The first chain that is not level: on values <= 0, r below q's run and q
+    # so above the lowest run; on values >= 0, q below p's run.
+    first = None
+    if context.regime is Regime.NS_UTIL and any(v.sign() < 0 for v in values):
+        first = next(chains(lambda a: (end[0], a), start.__getitem__), None)
+    elif context.regime is Regime.NS_UTIL:
+        first = next(chains(lambda a: (1, start[a])), None)
+    solve = functools.cache(partition)
 
-        for postulate, witnesses in live.items():
-            exempt = _SOLVABILITY[postulate][1]
-            walk = (
-                (i, j, k)
-                for i in range(starts.get(postulate, n), n)
-                for j in range(n)
-                if rank[j] < rank[i] and any(kept(exempt, i, j, r) for r, _ in kinds[rank[j]])
-                for k in range(n)
-                if rank[k] < rank[j] and kept(exempt, i, j, k)
-            )
-            for chain in walk:
-                keep(postulate, *chain, solved(*chain))
-                if len(witnesses) == min(_WITNESS_DISPLAY_CAP, counts[postulate]):
-                    break
-    return tuple(
-        Verdict(
-            name,
-            name in live,
-            domains[name],
-            failed.get(name),
-            tuple(live.get(name, ())),
-            counts[name] if name in live else 0,
-        )
-        for name in postulates
-    )
+    def by_rule(name: str) -> Verdict:
+        absent = [] if first is None else missing(name, first, rule(*first))
+        if absent:
+            return verdict(name, [], 0, first, absent)
+        # Exempting the first chain that is not level exempts them all.
+        exempting, kept = absent is None, []
+        for chain in chains(level if exempting else lambda a: (1, a)):
+            keep(name, kept, chain, solve(*chain))
+            if len(kept) == _WITNESS_DISPLAY_CAP:
+                break
+        tops = end if exempting else [len(sizes)] * len(sizes)
+        count = sum(s * (below[tops[q]] - below[q + 1]) * below[q] for q, s in enumerate(sizes))
+        return verdict(name, kept, count * len(_SOLVABILITY[name][2]))
+
+    return tuple(by_rule(name) for name in postulates)
 
 
 def check_A3(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:

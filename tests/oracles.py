@@ -789,6 +789,131 @@ AUDIT_ORACLES = {
 }
 
 
+def oracle_solvability(postulates, structure: PrefStructure, context=None) -> tuple:
+    """The solvability pass as it walked pairs of classes: the oracle of the
+    counts ``auditor._solvability`` takes from class sizes.  It reads the
+    auditor's leading-exponent rule (``_relation_rule``) and exemption table
+    (``_SOLVABILITY``), so it checks how the pass counts, finds the first
+    failure and picks witnesses, not the rule; the chain-by-chain oracles
+    above check the rule.
+
+    Per class q it tabulates the first r below of each kind (sharing q's
+    leading exponent or not) and how many there are; the pass walks each
+    pair of classes with each kind, as one chain of its first members
+    weighted by the product of the class and kind sizes, and names the first
+    failure there.  A holding postulate then walks its unexempted chains in
+    scan order from its first p until its witnesses are kept.  Where NS_UTIL
+    values mix signs every chain is partitioned."""
+    from qualutil.auditor import (
+        _SOLVABILITY,
+        _WITNESS_DISPLAY_CAP,
+        _build_context,
+        _domain,
+        _mixture_partition,
+        _relation_rule,
+        _strict_pairs,
+    )
+
+    context = context or _build_context(structure)
+    values, lotteries, leads, rank = context.values, context.lotteries, context.leads, context.rank
+    n, rule = context.size, _relation_rule(context)
+    domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
+    failed = {}
+    live = {postulate: [] for postulate in postulates}
+    counts = dict.fromkeys(postulates, 0)
+    starts = {}
+
+    def partition(i, j, k):
+        return _mixture_partition(values[i], values[k], values[j], context.regime)
+
+    def keep(postulate, i, j, k, parts):
+        witnesses = live[postulate]
+        for label, relation in _SOLVABILITY[postulate][2][: _WITNESS_DISPLAY_CAP - len(witnesses)]:
+            weight = parts[relation].witness()
+            witnesses.append(MixtureWitness(label, *(lotteries[x] for x in (i, j, k)), weight))
+
+    if rule is None:
+        chains = (
+            (i, j, k, 1) for i, j in _strict_pairs(context) for k in range(n) if rank[k] < rank[j]
+        )
+    else:
+        kinds = []
+        for middle, members in enumerate(context.classes):
+            firsts = {}
+            for lower in context.classes[:middle]:
+                kind = firsts.setdefault(leads[lower[0]] == leads[members[0]], [lower[0], 0])
+                kind[:] = min(kind[0], lower[0]), kind[1] + len(lower)
+            kinds.append(sorted(firsts.values()))
+        sizes = [len(members) for members in context.classes]
+        chains = (
+            (i, j, k, sizes[rank[i]] * sizes[rank[j]] * size)
+            for i, j in _strict_pairs(context)
+            for k, size in kinds[rank[j]]
+        )
+    for i, j, k, size in chains:
+        if not live:
+            break
+        parts = partition(i, j, k) if rule is None else rule(i, j, k)
+        for postulate in list(live):
+            _, exempt, needed = _SOLVABILITY[postulate]
+            if exempt is not None and exempt(leads[i], leads[j], parts):
+                continue
+            missing = [(label, relation) for label, relation in needed if relation not in parts]
+            if not missing:
+                counts[postulate] += size * len(needed)
+                starts.setdefault(postulate, i)
+                if rule is None:
+                    keep(postulate, i, j, k, parts)
+                continue
+            label, relation = missing[0]
+            failed[postulate] = Counterexample(
+                kind="existential",
+                payload=(
+                    ("p", lotteries[i]),
+                    ("q", lotteries[j]),
+                    ("r", lotteries[k]),
+                    ("postulate", postulate),
+                    ("missing", label),
+                    ("relation", relation.value),
+                    ("set", RationalIntervalSet()),
+                ),
+            )
+            del live[postulate]
+    if rule is not None:
+        solved = {}
+
+        def kept(exempt, i, j, k):
+            return exempt is None or not exempt(leads[i], leads[j], rule(i, j, k))
+
+        for postulate, witnesses in live.items():
+            exempt = _SOLVABILITY[postulate][1]
+            walk = (
+                (i, j, k)
+                for i in range(starts.get(postulate, n), n)
+                for j in range(n)
+                if rank[j] < rank[i] and any(kept(exempt, i, j, r) for r, _ in kinds[rank[j]])
+                for k in range(n)
+                if rank[k] < rank[j] and kept(exempt, i, j, k)
+            )
+            for chain in walk:
+                if chain not in solved:
+                    solved[chain] = partition(*chain)
+                keep(postulate, *chain, solved[chain])
+                if len(witnesses) == min(_WITNESS_DISPLAY_CAP, counts[postulate]):
+                    break
+    return tuple(
+        Verdict(
+            name,
+            name in live,
+            domains[name],
+            failed.get(name),
+            tuple(live.get(name, ())),
+            counts[name] if name in live else 0,
+        )
+        for name in postulates
+    )
+
+
 # --- definitional maximin sweep ------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from oracles import (
     oracle_A5prime,
     oracle_B2,
     oracle_is_negligible,
+    oracle_solvability,
     random_acts_structure,
     random_signed_acts_structure,
     random_structure,
@@ -78,6 +79,7 @@ from qualutil.auditor import (
     _mixture_partition,
     _rank,
     _relation_rule,
+    _solvability,
 )
 from qualutil.fixtures import fixture_path
 from qualutil.nsreal import _lead
@@ -526,6 +528,140 @@ def test_holding_solvability_verdicts_keep_four_witnesses_and_count_all():
     }
     assert counts == {"A3p": (4, 1_626), "A3pp": (4, 1_512), "gamma": (4, 1_512)}
     assert "  (1622 further witnesses omitted)" in render_report(report).splitlines()
+
+
+# --- the solvability pass against the class-pair walk it replaced -------------
+
+
+def solvability_postulates(structure):
+    """The solvability postulates a ``check_*`` admits on ``structure``."""
+    if structure.regime is Regime.NS_PROB:
+        return ("A3",)
+    if structure.utilities.signed:
+        return ("A3", "A3p", "gamma")
+    return ("A3", "A3p", "A3pp", "gamma")
+
+
+def assert_solvability_matches_oracle(structure):
+    """Whole verdicts of the pass, all admitted postulates at once and each
+    alone, against ``oracle_solvability``; returns them."""
+    context = _build_context(structure)
+    postulates = solvability_postulates(structure)
+    verdicts = _solvability(postulates, structure, context)
+    assert verdicts == oracle_solvability(postulates, structure, context)
+    for verdict in verdicts:
+        assert _solvability((verdict.postulate,), structure, context) == (verdict,)
+    return verdicts
+
+
+# Values of both signs partition every chain, which is slower: fewer cases.
+@pytest.mark.parametrize(
+    "regime, signs, count",
+    [
+        (Regime.STD, None, 24),
+        (Regime.NS_PROB, None, 24),
+        (Regime.NS_UTIL, None, 24),
+        (Regime.NS_UTIL, "nonpositive", 24),
+        (Regime.NS_UTIL, "mixed", 8),
+    ],
+)
+def test_solvability_pass_matches_its_oracle_on_random_structures(regime, signs, count):
+    rng = random.Random(2300)
+    witnessed = 0
+    for index in range(count):
+        structure = random_structure(
+            rng,
+            regime,
+            generator_count=2 + index % 3,
+            grid_denominator=3 + index % 2,
+            closure_depth=index % 2,
+            signs=signs,
+        )
+        verdicts = assert_solvability_matches_oracle(structure)
+        witnessed += sum(verdict.witness_count > 0 for verdict in verdicts)
+    # Holding verdicts with witnesses are met in every family.
+    assert witnessed
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("depth, grid", [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
+def test_solvability_pass_matches_its_oracle_on_bundled_models(monkeypatch, name, depth, grid):
+    # Depth 2 is past the audit's closure cap, lifted here for the pass.
+    # Surgery at depth 2, grid 4 has 716 lotteries.
+    monkeypatch.setattr(qualutil.auditor, "AUDIT_SIZE_LIMIT", 10_000)
+    assert_solvability_matches_oracle(bundled(name, closure_depth=depth, grid_denominator=grid))
+
+
+@pytest.mark.parametrize("regime", [Regime.STD, Regime.NS_UTIL])
+def test_a_zero_value_at_the_bottom_leads_at_infinity(regime):
+    # Zero's leading exponent is inf, its own run, and it ranks lowest.
+    values = {"one": rational(1), "half": rational(Fraction(1, 2)), "zero": rational(0)}
+    if regime is Regime.NS_UTIL:
+        values["tiny"] = eps()
+    utilities = UtilityAssignment.from_mapping(values)
+    generators = tuple(Lottery.degenerate(name) for name in utilities.outcomes)
+    structure = PrefStructure(regime, utilities, generators, grid_denominator=2, closure_depth=1)
+    context = _build_context(structure)
+    bottom = context.classes[0]
+    assert [context.values[i].sign() for i in bottom] == [0]
+    assert context.leads[bottom[0]] == float("inf")
+    verdicts = assert_solvability_matches_oracle(structure)
+    for verdict in verdicts:
+        oracle = AUDIT_ORACLES[verdict.postulate](structure)
+        assert verdict == replace(
+            oracle, witnesses=oracle.witnesses[:4], witness_count=len(oracle.witnesses)
+        )
+    assert any(verdict.witness_count for verdict in verdicts)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_a_one_class_closure_has_no_chain(regime):
+    # Every lottery is indifferent to every other: no strict chain, so each
+    # postulate holds with nothing to count or keep.
+    utilities = UtilityAssignment.from_mapping({"a": rational(1), "b": rational(1)})
+    generators = (Lottery.degenerate("a"), Lottery.degenerate("b"))
+    structure = PrefStructure(regime, utilities, generators, grid_denominator=3, closure_depth=1)
+    assert len(_build_context(structure).classes) == 1
+    verdicts = assert_solvability_matches_oracle(structure)
+    assert [(v.holds, v.witness_count, v.witnesses) for v in verdicts] == [(True, 0, ())] * len(
+        verdicts
+    )
+
+
+def test_A3_alone_on_nonnegative_values_fails_at_the_first_chain_across_exponents():
+    # Scan order meets (two, one, tiny) and (two, one, zero) first, where
+    # e(p) == e(q): all three relations.  (two, tiny, zero) is the first with
+    # e(p) != e(q), where every mixture lies above q, so no weight is "beta".
+    utilities = UtilityAssignment.from_mapping(
+        {"two": rational(2), "one": rational(1), "tiny": eps(), "zero": rational(0)}
+    )
+    generators = tuple(Lottery.degenerate(name) for name in ("two", "one", "tiny", "zero"))
+    structure = PrefStructure(Regime.NS_UTIL, utilities, generators, closure_depth=0)
+    verdict = check_A3(structure)
+    assert not verdict.holds
+    assert verdict == AUDIT_ORACLES["A3"](structure)
+    certificate = verdict.counterexample
+    assert [certificate.get(x) for x in "pqr"] == [generators[0], generators[2], generators[3]]
+    assert (certificate.get("missing"), certificate.get("relation")) == ("beta", "less")
+    assert replay(certificate, structure)
+
+
+def test_on_nonpositive_values_the_first_chain_across_exponents_fails():
+    # On values <= 0, (top, minus_one, minus_two) comes first in scan order,
+    # with e(q) == e(r) == 0: all three relations.  (top, minus_one, huge) is
+    # the first with e(q) != e(r), where every mixture lies below q.
+    utilities = UtilityAssignment.from_mapping(
+        {"top": -eps(), "minus_one": rational(-1), "minus_two": rational(-2), "huge": -eps(-1)},
+        signed=True,
+    )
+    names = ("top", "minus_one", "minus_two", "huge")
+    generators = tuple(Lottery.degenerate(name) for name in names)
+    structure = PrefStructure(Regime.NS_UTIL, utilities, generators, closure_depth=0)
+    report = assert_matches_oracles(structure)
+    assert_solvability_matches_oracle(structure)
+    for postulate in ("A3p", "gamma"):
+        certificate = report.verdict(postulate).counterexample
+        assert [certificate.get(x) for x in "pqr"] == [generators[i] for i in (0, 1, 3)]
 
 
 # Unsigned utilities and standard beliefs never fail A4; the signed variant's
