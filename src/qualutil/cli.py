@@ -14,11 +14,13 @@ reading a model.  Other exceptions, ``ConsistencyError`` and a bare
 ``ValueError`` among them, are bugs and propagate.
 Output is human-oriented by default; ``--output machine`` switches to
 stable token-prefixed lines.
+:func:`main` parses with one parser per process, built on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -342,8 +344,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`: parsing keeps no state in it, so it is
+    built once, on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ConsistencyError:

@@ -19,17 +19,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
-from .nsreal import eps
+from .nsreal import NSReal, eps
 from .prefcore import (
     _require_int,
     Lottery,
     PrefOrdering,
     Regime,
     UtilityAssignment,
-    expected_utility,
     grid_weights,
 )
 
@@ -151,28 +150,44 @@ def _worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -
     return PrefOrdering.INDIFFERENT
 
 
+def _bet_values(
+    spec: MaximinSpec, assignment: UtilityAssignment, weights: Sequence[Fraction]
+) -> Iterator[tuple[int, int, Fraction, NSReal]]:
+    """``(low, high, w, value)`` for every two-point bet on ``weights``, by
+    ``low``, then ``high``, then ``w``.  ``value`` is the two-term sum
+    ``w*u(x_low) + (1-w)*u(x_high)`` that ``expected_utility`` takes of
+    ``two_point_lottery(spec, low, w, high)``; each term is formed once per
+    outcome and weight.  The grid and the outcome pairs make every bet valid,
+    so no lottery is built or validated."""
+    utilities = [assignment.utility(outcome) for outcome in spec.outcome_ids]
+    low_terms = [[w * u for w in weights] for u in utilities]
+    high_terms = [[(1 - w) * u for w in weights] for u in utilities]
+    for low in range(spec.n):
+        for high in range(low + 1, spec.n):
+            for w, low_term, high_term in zip(weights, low_terms[low], high_terms[high]):
+                yield low, high, w, low_term + high_term
+
+
 def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
     """Compare every two-point bet with weight k/denominator on its low
     outcome against every other such bet, by qualitative expected utility
     and by the rule of :func:`maximin_compare_oracle`.  Returns the number
     of comparisons and how many of them the two disagree on.
 
-    :func:`two_point_lottery` validates and builds each of the
-    ``B = C(N,2)*(denominator-1)`` bets once, and each bet's expected
-    utility is taken once.  Values compare as their ``Regime.NS_UTIL.key``
-    (:func:`compare_values`) and the rule reads only ``(low, w)``, so bets
-    sharing ``(key, low, w)`` meet every bet with the same verdicts, from
-    both sides: each pair of these ``G <= B`` groups is compared once and
-    a disagreement counts ``m * m'`` times, so a sweep costs ``B`` builds
-    plus ``G**2`` group comparisons.  Under :func:`maximin_utilities` a key
+    Each of the ``B = C(N,2)*(denominator-1)`` bets is valued once, as the
+    sum of its two terms ``w*u(x_low)`` and ``(1-w)*u(x_high)``
+    (:func:`_bet_values`), with no :class:`Lottery` built.  Values compare
+    as their ``Regime.NS_UTIL.key`` (:func:`compare_values`) and the rule
+    reads only ``(low, w)``, so bets sharing ``(key, low, w)`` meet every
+    bet with the same verdicts, from both sides: each pair of these
+    ``G <= B`` groups is compared once and a disagreement counts ``m * m'``
+    times, so a sweep costs ``2*N*(denominator-1)`` products, ``B`` sums
+    and ``G**2`` group comparisons.  Under :func:`maximin_utilities` a key
     ignores ``high``, so ``G = (N-1)*(denominator-1)``."""
     assignment, key = maximin_utilities(spec), Regime.NS_UTIL.key
     weights = grid_weights(denominator)
     groups = Counter(
-        (key(expected_utility(two_point_lottery(spec, low, w, high), assignment)), low, w)
-        for low in range(spec.n)
-        for high in range(low + 1, spec.n)
-        for w in weights
+        (key(value), low, w) for low, _, w, value in _bet_values(spec, assignment, weights)
     )
     # The value verdict, indexed by the sign of the key comparison.
     verdicts = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)

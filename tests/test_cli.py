@@ -499,6 +499,64 @@ def test_argparse_rejects_unknown_relation(std_model):
     assert excinfo.value.code == 2
 
 
+# --- one parser per process --------------------------------------------------
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The parsers ``main`` builds from here on, starting from no parser."""
+    builds = []
+    build = qualutil.cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(qualutil.cli, "build_parser", counting)
+    qualutil.cli._parser.cache_clear()
+    yield builds
+    qualutil.cli._parser.cache_clear()
+
+
+def test_main_builds_one_parser_for_all_its_calls(capsys, parser_builds, std_model):
+    assert parser_builds == []
+    for argv in (
+        ["maximin", "3"],
+        ["eval", "--model", std_model, "g"],
+        ["audit", "--model", std_model, "--output", "machine"],
+        ["maximin", "2", "--compare", "0", "1/2", "1", "0", "1/2", "1"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert len(parser_builds) == 1
+    assert qualutil.cli.build_parser() is not qualutil.cli.build_parser()
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(
+    capsys, parser_builds, std_model
+):
+    sweep = (0, ["SWEEP n=4 grid=8 total=1764 disagreements=0"])
+    compare = ["maximin", "4", "--compare", "0", "1/2", "1", "0", "1/3", "1"]
+    for _ in range(2):
+        code, out, _ = run(capsys, *compare, "--output", "machine")
+        assert (code, out.splitlines()) == (0, ["COMPARE 0,1/2,1 0,1/3,1 WORSE WORSE"])
+    code, out, _ = run(capsys, "maximin", "4", "--output", "machine")
+    assert (code, out.splitlines()) == sweep
+
+    audit = ["audit", "--model", std_model, "--output", "machine"]
+    code, out, _ = run(capsys, *audit, "--regime", "ns-util")
+    assert code == 0 and out.splitlines()[0].startswith("AUDIT regime=ns-util")
+    code, out, _ = run(capsys, *audit)
+    assert code == 0 and out.splitlines()[0].startswith("AUDIT regime=std")
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(compare[:5])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "maximin", "4", "--output", "machine")
+    assert (code, out.splitlines()) == sweep
+    assert len(parser_builds) == 1
+
+
 # --- examples ----------------------------------------------------------------
 
 

@@ -16,6 +16,8 @@ from qualutil import (
     PrefOrdering,
     best_case_power_utilities,
     eps,
+    expected_utility,
+    grid_weights,
     maximin_compare_oracle,
     maximin_utilities,
     qualitative_prefers,
@@ -195,18 +197,28 @@ def test_sweep_applies_the_rule_once_per_pair_of_groups(monkeypatch, n, d):
     assert calls == ((n - 1) * (d - 1)) ** 2
 
 
-def test_sweep_builds_each_bet_once(monkeypatch):
-    calls = []
-    build = qualutil.criteria.two_point_lottery
+def test_sweep_values_each_bet_as_its_expected_utility(monkeypatch):
+    # The sweep sums each bet's two terms without building its lottery; the
+    # sums must be the validated path's expected utilities, bet by bet.
+    for utilities in (maximin_utilities, best_case_power_utilities, positive_ladder_utilities):
+        for n in range(2, 8):
+            spec = MaximinSpec(n)
+            assignment = utilities(spec)
+            for d in range(2, 9):
+                values = list(qualutil.criteria._bet_values(spec, assignment, grid_weights(d)))
+                assert [(low, high, w) for low, high, w, _ in values] == [
+                    (low, high, F(k, d))
+                    for low in range(n)
+                    for high in range(low + 1, n)
+                    for k in range(1, d)
+                ]
+                for low, high, w, value in values:
+                    lottery = two_point_lottery(spec, low, w, high)
+                    assert value == expected_utility(lottery, assignment), (n, d, low, high, w)
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def refuse(*args):
+        raise AssertionError("the sweep built a lottery")
 
-    monkeypatch.setattr(qualutil.criteria, "two_point_lottery", counting)
+    monkeypatch.setattr(qualutil.criteria, "two_point_lottery", refuse)
     for n, d in [(2, 2), (4, 5), (6, 8)]:
-        calls.clear()
-        total, _ = maximin_sweep(MaximinSpec(n), d)
-        bets = comb(n, 2) * (d - 1)
-        assert len(calls) == bets
-        assert total == bets**2
+        assert maximin_sweep(MaximinSpec(n), d) == ((comb(n, 2) * (d - 1)) ** 2, 0)
