@@ -27,24 +27,26 @@ The checks:
   and that state being null.
 
 :func:`audit` builds one context (closure, expected utilities, leading
-exponents, and the closure ranked into classes of indifferent lotteries by
-sorting its values' distinct keys) and passes it to every ``check_*`` as
-``context``; called alone, a check builds its own.
+exponents, the closure ranked into classes of indifferent lotteries by
+sorting its values' distinct keys, and the *runs* of consecutive classes
+sharing a leading exponent) and passes it to every ``check_*`` as
+``context``; called alone, a check builds its own.  Every pair and triple
+a check visits comes from one walk over ranges of ranks (:func:`_triples`).
 
 The solvability family, A3, A3p, A3pp and gamma, reads on each strict chain
 p > q > r the relations in which ``a*p + (1-a)*r`` stands to q.  Outside
-NS_UTIL values of both signs, leading exponents e give them
-(:func:`_relation_rule`), and a chain is *level* when all three occur:
-always in STD and NS_PROB; on NS_UTIL values >= 0 when ``e(p) == e(q)``,
-"greater" alone otherwise; on values <= 0 when ``e(q) == e(r)``, "less"
-alone otherwise.  Under nonstandard utilities solvability thus fails only
-through overriding, which the primed postulates exempt.  Each postulate
-holds on level chains and has one verdict on all the others, so the first
-chain that is not level decides it, and its witnesses are counted from
-class sizes in O(classes) (:func:`_solvability`).  Where values mix signs,
-every chain's weight partition is solved.  A holding verdict counts its
-witnesses and keeps the first four, each weight read off its own chain's
-partition, solved at most once per chain; nothing else is kept per chain.
+NS_UTIL values of both signs, leading exponents e give them, and a chain is
+*level* when all three occur: always in STD and NS_PROB; on NS_UTIL values
+>= 0 when ``e(p) == e(q)``, "greater" alone otherwise; on values <= 0 when
+``e(q) == e(r)``, "less" alone otherwise.  Under nonstandard utilities
+solvability thus fails only through overriding, which the primed postulates
+exempt.  Each postulate holds on level chains and has one verdict on all the
+others, so the first chain that is not level decides it, and its witnesses
+are counted from class sizes in O(classes) (:func:`_solvability`).  Where
+values mix signs, every chain's weight partition is solved.  A holding
+verdict counts its witnesses and keeps the first four, each weight read off
+its own chain's partition, solved at most once per chain; nothing else is
+kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
 difference is ``w*(v_p - v_q)`` whatever the third lottery ``r``.
@@ -148,8 +150,8 @@ __all__ = [
 # Hard bound on the closure size an audit takes on; past it the caller is
 # told to shrink the closure (the shipped models set closure-depth 0).  Where
 # NS_UTIL values mix signs, A2 and the solvability pass scan every strict chain.
-# Elsewhere A2 walks pairs of classes up to its first failure, and the
-# solvability pass is linear in the closure once it is ranked.
+# Elsewhere both are linear in the closure once it is ranked: each finds its
+# first triple by rank ranges, and the solvability pass counts from class sizes.
 AUDIT_SIZE_LIMIT = 64
 
 
@@ -288,17 +290,22 @@ def mixture_closure(
 class _Context:
     """What the checks of one audit share: the closure, each lottery's
     expected utility and leading exponent (``inf`` for zero), whether NS_UTIL
-    values mix signs, each lottery's class in the regime's weak order, 0 the
-    lowest, so that i is above j exactly when ``rank[i] > rank[j]``, and each
-    class's members in closure order."""
+    values mix signs and whether some is negative, each lottery's class in
+    the regime's weak order, 0 the lowest, so that i is above j exactly when
+    ``rank[i] > rank[j]``, each class's members in closure order, and each
+    class's run: the first class sharing its leading exponent in ``start``,
+    one past the last in ``end``."""
 
     regime: Regime
     lotteries: tuple[Lottery, ...]
     values: tuple[NSReal, ...]
     leads: tuple[float, ...]
     mixed_signs: bool
+    negative: bool
     rank: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+    start: tuple[int, ...]
+    end: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -332,18 +339,37 @@ def _build_context(structure: PrefStructure) -> _Context:
     regime = structure.regime
     values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
     leads = tuple(_lead(value)[0] for value in values)
-    mixed_signs = regime is Regime.NS_UTIL and {1, -1} <= {v.sign() for v in values}
-    return _Context(regime, lotteries, values, leads, mixed_signs, *_rank(values, regime))
+    signs = {v.sign() for v in values} if regime is Regime.NS_UTIL else set()
+    rank, classes = _rank(values, regime)
+    heads = [leads[members[0]] for members in classes]
+    runs = [list(run) for _, run in itertools.groupby(range(len(heads)), heads.__getitem__)]
+    start = tuple(run[0] for run in runs for _ in run)
+    end = tuple(run[-1] + 1 for run in runs for _ in run)
+    mixed_signs, negative = {1, -1} <= signs, -1 in signs
+    return _Context(
+        regime, lotteries, values, leads, mixed_signs, negative, rank, classes, start, end
+    )
 
 
-def _strict_pairs(context: _Context) -> Iterator[tuple[int, int]]:
-    """Every (i, j) with i above j, in lexicographic order.  Unless NS_UTIL
-    values mix signs, the rules read a lottery only through its class, so
-    only each class's first member is visited: the first failure among them
-    is the first among all lotteries."""
-    rank, classes = context.rank, context.classes
-    units = range(context.size) if context.mixed_signs else sorted(c[0] for c in classes)
-    return ((i, j) for i in units for j in units if rank[i] > rank[j])
+def _triples(
+    context: _Context,
+    middles: Callable[[int], tuple[int, int]],
+    thirds: Callable[[int, int], tuple[int, int]] = lambda a, b: (0, b),
+) -> Iterator[tuple[int, int, int]]:
+    """The triples (i, j, k) in scan order, lexicographic in closure indices,
+    whose j lies in the class range ``middles(a)`` and k in ``thirds(a, b)``,
+    for a and b the classes of i and j; by default k is below j.  An i with
+    an empty range costs one read, so a walk whose open ranges all hold a
+    triple finds its first in O(closure) reads."""
+    rank, n = context.rank, context.size
+    for i in range(n):
+        a = rank[i]
+        low, high = middles(a)
+        for j in range(n) if low < high else ():
+            b = rank[j]
+            if low <= b < high:
+                bottom, top = thirds(a, b)
+                yield from ((i, j, k) for k in range(n) if bottom <= rank[k] < top)
 
 
 def _domain(structure: PrefStructure, context: _Context, extra: str) -> str:
@@ -432,43 +458,43 @@ def check_A2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
     Outside NS_UTIL it holds, for no grid weight is infinitesimal (module
     docstring).  Where NS_UTIL values mix signs, every triple is mixed at
     every grid weight.  On NS_UTIL values of one sign the leading-exponent
-    rule decides: the first strict pair (i, j) with some k of
-    ``e(k) < min(e(i), e(j))`` fails, at its first such k and the first grid
-    weight.  Such a k exists exactly when ``min(e(i), e(j))`` exceeds the
-    lowest exponent of the closure.  The rule reads i and j only through
-    their classes, so the scan walks pairs of classes
-    (:func:`_strict_pairs`)."""
+    rule decides: the first triple (i, j, k) in scan order with i above j
+    and ``e(k) < min(e(i), e(j))`` fails, at the first grid weight.  As a
+    range of ranks (:func:`_triples`), on values >= 0 i lies outside the top
+    run and k above i's run; on values <= 0 j lies above the lowest run and
+    k below j's run, the first chain that is not level of the solvability
+    pass.  So the triple is found, or shown absent, in O(closure)."""
     context = context or _build_context(structure)
     domain = _domain(structure, context, "all strict pairs x closure x grid weights")
     if context.regime is not Regime.NS_UTIL:
         return Verdict("A2", True, domain)
-    pairs = _strict_pairs(context)
+    top, start, end = len(context.classes), context.start, context.end
     if context.mixed_signs:
         weights = grid_weights(structure.grid_denominator)
-        for i, j in pairs:
-            for k in range(context.size):
-                for w in weights:
-                    failure = _independence_failure("A2", context, domain, (i, j, k), w)
-                    if failure is not None:
-                        return failure
+        for triple in _triples(context, lambda a: (0, a), lambda a, b: (0, top)):
+            for w in weights:
+                failure = _independence_failure("A2", context, domain, triple, w)
+                if failure is not None:
+                    return failure
         return Verdict("A2", True, domain)
-    leads, weight = context.leads, Fraction(1, structure.grid_denominator)
-    lowest = min(leads)
-    for i, j in pairs:
-        high = min(leads[i], leads[j])
-        if high <= lowest:
-            continue
-        k = next(k for k, lead in enumerate(leads) if lead < high)
-        failure = _independence_failure("A2", context, domain, (i, j, k), weight)
-        if failure is None:
-            values = context.values
-            raise ConsistencyError(
-                f"A2: closure triple ({i}, {j}, {k}) with values ({values[i]!r}, "
-                f"{values[j]!r}, {values[k]!r}) meets the leading-exponent rule for a "
-                f"failure, yet mixing at {weight} keeps p above q"
-            )
-        return failure
-    return Verdict("A2", True, domain)
+    if context.negative:
+        triples = _triples(context, lambda a: (end[0], a), lambda a, b: (0, start[b]))
+    else:
+        triples = _triples(
+            context, lambda a: (0, a if end[a] < top else 0), lambda a, b: (end[a], top)
+        )
+    triple = next(triples, None)
+    if triple is None:
+        return Verdict("A2", True, domain)
+    weight = Fraction(1, structure.grid_denominator)
+    failure = _independence_failure("A2", context, domain, triple, weight)
+    if failure is None:
+        values = tuple(context.values[x] for x in triple)
+        raise ConsistencyError(
+            f"A2: closure triple {triple} with values {values!r} meets the leading-exponent "
+            f"rule for a failure, yet mixing at {weight} keeps p above q"
+        )
+    return failure
 
 
 def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Verdict:
@@ -493,40 +519,15 @@ def check_B2(structure: PrefStructure, *, context: _Context | None = None) -> Ve
 # Solvability family
 
 
-_ALL_RELATIONS = frozenset(QOrdering)
-
-
-def _relation_rule(context: _Context) -> Callable[[int, int, int], frozenset[QOrdering]] | None:
-    """The relations present in the weight partition of a*p + (1-a)*r
-    against q on a strict chain p > q > r, read off leading exponents; None
-    when NS_UTIL values mix signs, where only the partition decides.  The
-    rule reads r only through whether r and q share a leading exponent.
-
-    STD and NS_PROB: the threshold ``(v_q - v_r)/(v_p - v_r)`` of the
-    values, or of their standard parts, lies inside (0, 1), so all three
-    relations occur.  NS_UTIL with every value >= 0: a*p + (1-a)*r leads at
-    p's order of magnitude, so it crosses q iff p and q share one, and lies
-    above q throughout otherwise.  With every value <= 0 it leads at r's,
-    so it crosses q iff q and r share one, and lies below q otherwise."""
-    if context.regime is not Regime.NS_UTIL:
-        return lambda i, j, k: _ALL_RELATIONS
-    if context.mixed_signs:
-        return None
-    leads = context.leads
-    greater, less = frozenset((QOrdering.GREATER,)), frozenset((QOrdering.LESS,))
-    if any(value.sign() < 0 for value in context.values):
-        return lambda i, j, k: _ALL_RELATIONS if leads[j] == leads[k] else less
-    return lambda i, j, k: _ALL_RELATIONS if leads[i] == leads[j] else greater
-
-
 # Each solvability postulate asks which weights a put a*p + (1-a)*r above,
 # level with or below q on strict chains p > q > r.  Per postulate: the
 # domain it is decided over, which chains it exempts, and the (label,
 # relation) pairs whose weight sets must be nonempty, in reporting order.
 # An exemption reads the leading exponents of p and q and the relations
-# present in the chain's weight partition: the partition itself, or the set
-# of its keys that _relation_rule gives.  A3pp runs on values >= 0 only,
-# where p overrides q exactly when p's leading exponent is the smaller.
+# present in the chain's weight partition: the partition itself, or, on the
+# first chain that is not level, the one relation the rule gives it.  A3pp
+# runs on values >= 0 only, where p overrides q exactly when p's leading
+# exponent is the smaller.
 _SOLVABILITY = {
     "A3": (
         "all strict chains, exact weight solving",
@@ -559,29 +560,12 @@ def _solvability(
     chain that is not level (module docstring) fails a postulate, or it
     holds on every chain, or on the level ones alone, which A3pp and gamma
     exempt the others from on values >= 0.  Chains are counted as
-    ``sum(size(q) * above(q) * below(q))`` over classes q; classes sharing a
-    leading exponent are consecutive in rank on values of one sign, a run,
-    and where only level chains count, ``above`` is read within q's run."""
+    ``sum(size(q) * above(q) * below(q))`` over classes q, with ``above``
+    read within q's run where only level chains count."""
     context = context or _build_context(structure)
-    lotteries, values, leads, rank = context.lotteries, context.values, context.leads, context.rank
-    n, sizes = context.size, [len(members) for members in context.classes]
+    lotteries, values, leads = context.lotteries, context.values, context.leads
+    sizes, start, end = [len(members) for members in context.classes], context.start, context.end
     below = list(itertools.accumulate(sizes, initial=0))
-    # Per class, its run: the first class sharing its leading exponent, and one past the last.
-    start, end = [], []
-    for _, run in itertools.groupby(range(len(sizes)), lambda c: leads[context.classes[c][0]]):
-        run = list(run)
-        start += [run[0]] * len(run)
-        end += [run[-1] + 1] * len(run)
-
-    def chains(middles: Callable[[int], tuple[int, int]], bottoms=lambda b: b):
-        """In scan order, the chains with q's class in the range ``middles``
-        of p's class and r's class below ``bottoms`` of q's, above 0 there."""
-        for i in range(n):
-            low, high = middles(rank[i])
-            for j in range(n) if low < high else ():
-                if low <= rank[j] < high:
-                    bound = bottoms(rank[j])
-                    yield from ((i, j, k) for k in range(n) if rank[k] < bound)
 
     def partition(i: int, j: int, k: int) -> dict[QOrdering, RationalIntervalSet]:
         return _mixture_partition(values[i], values[k], values[j], context.regime)
@@ -612,12 +596,11 @@ def _solvability(
         """On values >= 0, a middle class level with top class ``a``: in its run."""
         return max(start[a], 1), a
 
-    rule = _relation_rule(context)
-    if rule is None:
+    if context.mixed_signs:
         live: dict[str, list[MixtureWitness]] = {name: [] for name in postulates}
         counts = dict.fromkeys(postulates, 0)
         verdicts: dict[str, Verdict] = {}
-        for chain in chains(lambda a: (1, a)):
+        for chain in _triples(context, lambda a: (1, a)):
             if not live:
                 break
             parts = partition(*chain)
@@ -632,22 +615,25 @@ def _solvability(
         verdicts.update((name, verdict(name, kept, counts[name])) for name, kept in live.items())
         return tuple(verdicts[name] for name in postulates)
 
-    # The first chain that is not level: on values <= 0, r below q's run and q
-    # so above the lowest run; on values >= 0, q below p's run.
-    first = None
-    if context.regime is Regime.NS_UTIL and any(v.sign() < 0 for v in values):
-        first = next(chains(lambda a: (end[0], a), start.__getitem__), None)
+    # The first chain that is not level, and the one relation it has: on
+    # values <= 0, r below q's run and q so above the lowest run, with
+    # a*p + (1-a)*r below q; on values >= 0, q below p's run, with it above.
+    first, relations = None, ()
+    if context.negative:
+        first = next(_triples(context, lambda a: (end[0], a), lambda a, b: (0, start[b])), None)
+        relations = (QOrdering.LESS,)
     elif context.regime is Regime.NS_UTIL:
-        first = next(chains(lambda a: (1, start[a])), None)
+        first = next(_triples(context, lambda a: (1, start[a])), None)
+        relations = (QOrdering.GREATER,)
     solve = functools.cache(partition)
 
     def by_rule(name: str) -> Verdict:
-        absent = [] if first is None else missing(name, first, rule(*first))
+        absent = [] if first is None else missing(name, first, relations)
         if absent:
             return verdict(name, [], 0, first, absent)
         # Exempting the first chain that is not level exempts them all.
         exempting, kept = absent is None, []
-        for chain in chains(level if exempting else lambda a: (1, a)):
+        for chain in _triples(context, level if exempting else lambda a: (1, a)):
             keep(name, kept, chain, solve(*chain))
             if len(kept) == _WITNESS_DISPLAY_CAP:
                 break

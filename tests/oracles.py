@@ -789,34 +789,70 @@ AUDIT_ORACLES = {
 }
 
 
+_ALL_RELATIONS = frozenset(QOrdering)
+
+
+def relation_rule(context):
+    """The relations present in the weight partition of a*p + (1-a)*r
+    against q on a strict chain p > q > r, read off leading exponents; None
+    when NS_UTIL values mix signs, where only the partition decides.  The
+    rule reads r only through whether r and q share a leading exponent.
+
+    STD and NS_PROB: the threshold ``(v_q - v_r)/(v_p - v_r)`` of the
+    values, or of their standard parts, lies inside (0, 1), so all three
+    relations occur.  NS_UTIL with every value >= 0: a*p + (1-a)*r leads at
+    p's order of magnitude, so it crosses q iff p and q share one, and lies
+    above q throughout otherwise.  With every value <= 0 it leads at r's,
+    so it crosses q iff q and r share one, and lies below q otherwise."""
+    if context.regime is not Regime.NS_UTIL:
+        return lambda i, j, k: _ALL_RELATIONS
+    if context.mixed_signs:
+        return None
+    leads = context.leads
+    greater, less = frozenset((QOrdering.GREATER,)), frozenset((QOrdering.LESS,))
+    if any(value.sign() < 0 for value in context.values):
+        return lambda i, j, k: _ALL_RELATIONS if leads[j] == leads[k] else less
+    return lambda i, j, k: _ALL_RELATIONS if leads[i] == leads[j] else greater
+
+
+def strict_pairs(context):
+    """Every (i, j) with i above j, in lexicographic order.  Unless NS_UTIL
+    values mix signs, the rule reads a lottery only through its class, so
+    only each class's first member is visited: the first failure among them
+    is the first among all lotteries."""
+    rank, classes = context.rank, context.classes
+    units = range(context.size) if context.mixed_signs else sorted(c[0] for c in classes)
+    return ((i, j) for i in units for j in units if rank[i] > rank[j])
+
+
 def oracle_solvability(postulates, structure: PrefStructure, context=None) -> tuple:
     """The solvability pass as it walked pairs of classes: the oracle of the
-    counts ``auditor._solvability`` takes from class sizes.  It reads the
-    auditor's leading-exponent rule (``_relation_rule``) and exemption table
+    counts ``auditor._solvability`` takes from class sizes and of the first
+    chain it finds by rank ranges.  It reads every chain's relations off
+    :func:`relation_rule` and the auditor's exemption table
     (``_SOLVABILITY``), so it checks how the pass counts, finds the first
     failure and picks witnesses, not the rule; the chain-by-chain oracles
-    above check the rule.
+    above, and the test of the rule against the weight partition, check
+    the rule.
 
     Per class q it tabulates the first r below of each kind (sharing q's
     leading exponent or not) and how many there are; the pass walks each
-    pair of classes with each kind, as one chain of its first members
-    weighted by the product of the class and kind sizes, and names the first
-    failure there.  A holding postulate then walks its unexempted chains in
-    scan order from its first p until its witnesses are kept.  Where NS_UTIL
-    values mix signs every chain is partitioned."""
+    pair of classes (:func:`strict_pairs`) with each kind, as one chain of
+    its first members weighted by the product of the class and kind sizes,
+    and names the first failure there.  A holding postulate then walks its
+    unexempted chains in scan order from its first p until its witnesses
+    are kept.  Where NS_UTIL values mix signs every chain is partitioned."""
     from qualutil.auditor import (
         _SOLVABILITY,
         _WITNESS_DISPLAY_CAP,
         _build_context,
         _domain,
         _mixture_partition,
-        _relation_rule,
-        _strict_pairs,
     )
 
     context = context or _build_context(structure)
     values, lotteries, leads, rank = context.values, context.lotteries, context.leads, context.rank
-    n, rule = context.size, _relation_rule(context)
+    n, rule = context.size, relation_rule(context)
     domains = {name: _domain(structure, context, _SOLVABILITY[name][0]) for name in postulates}
     failed = {}
     live = {postulate: [] for postulate in postulates}
@@ -834,7 +870,7 @@ def oracle_solvability(postulates, structure: PrefStructure, context=None) -> tu
 
     if rule is None:
         chains = (
-            (i, j, k, 1) for i, j in _strict_pairs(context) for k in range(n) if rank[k] < rank[j]
+            (i, j, k, 1) for i, j in strict_pairs(context) for k in range(n) if rank[k] < rank[j]
         )
     else:
         kinds = []
@@ -847,7 +883,7 @@ def oracle_solvability(postulates, structure: PrefStructure, context=None) -> tu
         sizes = [len(members) for members in context.classes]
         chains = (
             (i, j, k, sizes[rank[i]] * sizes[rank[j]] * size)
-            for i, j in _strict_pairs(context)
+            for i, j in strict_pairs(context)
             for k, size in kinds[rank[j]]
         )
     for i, j, k, size in chains:
@@ -1062,6 +1098,17 @@ def three_outcome_structure() -> PrefStructure:
     return PrefStructure(
         Regime.STD, utilities, tuple(Lottery.degenerate(o) for o in ("best", "middle", "worst"))
     )
+
+
+def one_magnitude_structure(closure_depth: int = 2, grid_denominator: int = 8) -> PrefStructure:
+    """NS_UTIL utilities 1, 2/3, 1/7 and 0 and their four sure lotteries.
+    Every nonzero value leads at one order of magnitude, so A2 holds, yet
+    the qualitative order, which reads leading coefficients, tells many
+    classes apart: 4,253 lotteries in 1,066 classes at depth 2, grid 8."""
+    values = {"one": 1, "two-thirds": Fraction(2, 3), "seventh": Fraction(1, 7), "zero": 0}
+    utilities = UtilityAssignment.from_mapping({o: rational(v) for o, v in values.items()})
+    generators = tuple(Lottery.degenerate(outcome) for outcome in values)
+    return PrefStructure(Regime.NS_UTIL, utilities, generators, grid_denominator, closure_depth)
 
 
 def signed_A4_structure() -> PrefStructure:

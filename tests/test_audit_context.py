@@ -27,14 +27,17 @@ import qualutil.solver
 from conftest import nonnegative_nsreals, nsreals, standard_fractions, unit_weights
 from oracles import (
     AUDIT_ORACLES,
+    oracle_A2,
     oracle_A4,
     oracle_A5prime,
     oracle_B2,
     oracle_is_negligible,
     oracle_solvability,
+    one_magnitude_structure,
     random_acts_structure,
     random_signed_acts_structure,
     random_structure,
+    relation_rule,
     signed_A4_structure,
 )
 from qualutil import (
@@ -52,6 +55,7 @@ from qualutil import (
     Regime,
     UtilityAssignment,
     audit,
+    check_A2,
     check_A3,
     check_A3doubleprime,
     check_A3prime,
@@ -78,7 +82,6 @@ from qualutil.auditor import (
     _build_context,
     _mixture_partition,
     _rank,
-    _relation_rule,
     _solvability,
 )
 from qualutil.fixtures import fixture_path
@@ -280,6 +283,43 @@ def test_independence_checks_solve_no_partition_and_mix_only_a_certificate(monke
         }
         assert mixed == failing[name], name
     assert failing == {"consolation": {"A2": 1}, "surgery": {"A2": 1}, "dice": {}}
+
+
+class CountedRanks(tuple):
+    """A ranking that counts how often it is read by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_A2_on_values_of_one_sign_reads_the_ranking_in_O_closure(monkeypatch):
+    # A2 finds its first failing triple, or shows there is none, by ranges
+    # of ranks: a bounded number of reads per lottery, where a walk over
+    # pairs of classes takes O(classes**2) of them.  Depth 2 is past the
+    # audit's closure cap, lifted here.
+    monkeypatch.setattr(qualutil.auditor, "AUDIT_SIZE_LIMIT", 20_000)
+    cases = [
+        (one_magnitude_structure(closure_depth=2, grid_denominator=8), True),
+        (bundled("maximin3", closure_depth=2, grid_denominator=8), False),
+    ]
+    for structure, holds in cases:
+        context = _build_context(structure)
+        assert not context.mixed_signs
+        assert len(context.classes) ** 2 > 3 * context.size
+        rank = CountedRanks(context.rank)
+        verdict = check_A2(structure, context=replace(context, rank=rank))
+        assert verdict.holds is holds
+        assert 0 < rank.reads <= 3 * context.size, (context.size, rank.reads)
+
+
+def test_A2_holds_on_a_closure_of_one_magnitude_like_its_oracle():
+    structure = one_magnitude_structure(closure_depth=1, grid_denominator=4)
+    verdict = check_A2(structure)
+    assert verdict.holds
+    assert verdict == oracle_A2(structure)
 
 
 # Only A2 on NS_UTIL values of both signs scans the grid; nothing else
@@ -731,8 +771,19 @@ def relation_rule_on(regime, values):
     """The rule of a context holding only what it reads: the regime, values
     of one sign and their leading exponents."""
     leads = tuple(_lead(value)[0] for value in values)
-    return _relation_rule(
-        _Context(regime, (), tuple(values), leads, mixed_signs=False, rank=(), classes=())
+    return relation_rule(
+        _Context(
+            regime,
+            (),
+            tuple(values),
+            leads,
+            mixed_signs=False,
+            negative=any(value.sign() < 0 for value in values),
+            rank=(),
+            classes=(),
+            start=(),
+            end=(),
+        )
     )
 
 
