@@ -26,12 +26,19 @@ The checks:
 * A4, A5p: act-level monotonicity and the tie between overriding at a state
   and that state being null.
 
-:func:`audit` builds one context (closure, expected utilities, leading
-exponents, the closure ranked into classes of indifferent lotteries by
-sorting its values' distinct keys, and the *runs* of consecutive classes
-sharing a leading exponent) and passes it to every ``check_*`` as
-``context``; called alone, a check builds its own.  Every pair and triple
-a check visits comes from one walk over ranges of ranks (:func:`_triples`).
+:func:`audit` builds one context and passes it to every ``check_*`` as
+``context``; called alone, a check builds its own.  The context is read off
+the integer vectors of the closure kernel, the rounds of
+:func:`~qualutil.prefcore.close_under_mixtures`: each member's expected
+utility as one integer product of its vector with the utilities, at a scale
+common to the closure; its leading exponent, the first nonzero coordinate;
+the closure ranked into classes of indifferent lotteries by sorting the
+distinct integer keys of the regime's order; and the *runs* of consecutive
+classes sharing a leading exponent (:func:`_build_context`).  The lotteries
+and the ``NSReal`` values are sequences that build a member when it is
+first read: for a witness, a certificate or a scan of values of both
+signs.  Every pair and triple a check visits comes from one walk over
+ranges of ranks (:func:`_triples`).
 
 The solvability family, A3, A3p, A3pp and gamma, reads on each strict chain
 p > q > r the relations in which ``a*p + (1-a)*r`` stands to q.  Outside
@@ -83,9 +90,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from math import inf
+from operator import mul
+from typing import Callable, Iterator
 
 from .acts import Act, AAModel, act_prefers, act_utility, is_null
 from .errors import (
@@ -96,9 +107,11 @@ from .errors import (
     MissingUtility,
     RegimeMismatch,
 )
-from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead
+from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead, _wrap
 from .prefcore import (
     _PREF_FROM_Q,
+    _closure_vectors,
+    _member_builder,
     _require_denominator,
     _require_int,
     Lottery,
@@ -276,7 +289,8 @@ def mixture_closure(
     Grows roughly quadratically in the current size per round; keep depth
     small for large generator sets.  With ``limit``, a closure of more than
     ``limit`` lotteries is refused with :class:`ClosureTooLarge` as soon as
-    it grows past it.
+    it grows past it.  An audit does not build these lotteries: it reads
+    the closure kernel's integer vectors (:func:`_build_context`).
     """
     return close_under_mixtures(
         structure.generators,
@@ -286,19 +300,40 @@ def mixture_closure(
     )
 
 
+class _Memo(Sequence):
+    """A sequence of ``size`` items, each built by ``build(index)`` on its
+    first read and kept."""
+
+    def __init__(self, size: int, build: Callable[[int], object]) -> None:
+        self._items: list = [None] * size
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index: int):
+        item = self._items[index]
+        if item is None:
+            index %= len(self._items)
+            item = self._items[index] = self._build(index)
+        return item
+
+
 @dataclass(frozen=True)
 class _Context:
-    """What the checks of one audit share: the closure, each lottery's
-    expected utility and leading exponent (``inf`` for zero), whether NS_UTIL
-    values mix signs and whether some is negative, each lottery's class in
-    the regime's weak order, 0 the lowest, so that i is above j exactly when
-    ``rank[i] > rank[j]``, each class's members in closure order, and each
-    class's run: the first class sharing its leading exponent in ``start``,
-    one past the last in ``end``."""
+    """What the checks of one audit share: the closure's lotteries and each
+    one's expected utility, as sequences that build an item on its first
+    read (:func:`_build_context`), each lottery's leading exponent (``inf``
+    for zero), whether NS_UTIL values mix signs and whether some is
+    negative, each lottery's class in the regime's weak order, 0 the
+    lowest, so that i is above j exactly when ``rank[i] > rank[j]``, each
+    class's members in closure order, and each class's run: the first class
+    sharing its leading exponent in ``start``, one past the last in
+    ``end``."""
 
     regime: Regime
-    lotteries: tuple[Lottery, ...]
-    values: tuple[NSReal, ...]
+    lotteries: Sequence[Lottery]
+    values: Sequence[NSReal]
     leads: tuple[float, ...]
     mixed_signs: bool
     negative: bool
@@ -312,24 +347,32 @@ class _Context:
         return len(self.lotteries)
 
 
-def _rank(
-    values: Sequence[NSReal], regime: Regime
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Each value's class in the regime's weak order, 0 the lowest, and each
-    class's indices: the distinct keys of the values by ``regime.key``,
-    sorted once and numbered."""
-    keys = [regime.key(value) for value in values]
-    ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
-    rank = tuple(ranks[key] for key in keys)
-    classes: list[list[int]] = [[] for _ in ranks]
-    for index, r in enumerate(rank):
-        classes[r].append(index)
-    return rank, tuple(tuple(members) for members in classes)
-
-
 def _build_context(structure: PrefStructure) -> _Context:
+    """Rank the closure from the integer vectors of the closure kernel,
+    building no lottery and no ``NSReal``.
+
+    Expected utility is linear, so a member with coefficients ``c/S`` at
+    coordinates (outcome o, exponent e) has the value whose coefficient at
+    exponent x, times ``S*U``, is the integer ``sum(c * U*u)`` over the
+    coordinates and the terms ``u*eps**(x - e)`` of ``u(o)``, U being the
+    lcm of the utilities' denominators: one integer product of the vector
+    with a column per value exponent.  Every value shares the scale S*U, so
+    its lead is its first nonzero coordinate (``inf`` for zero) and each
+    regime's sort key is an integer key: STD the row itself, in increasing
+    exponent order, which is the ring order; NS_UTIL ``_qkey`` of the
+    leading term; NS_PROB the exponent-0 coordinate, the standard part,
+    after a value of negative lead raises the
+    :class:`~qualutil.errors.InfiniteValue` of ``standard_part``.  The
+    distinct keys are ranked with one sort.  ``lotteries`` and ``values``
+    build a member, or its value, only when read: for a witness, a
+    certificate or a scan of values of both signs."""
     try:
-        lotteries = mixture_closure(structure, limit=AUDIT_SIZE_LIMIT)
+        generators, coordinates, scale, vectors = _closure_vectors(
+            structure.generators,
+            structure.grid_denominator,
+            structure.closure_depth,
+            AUDIT_SIZE_LIMIT,
+        )
     except ClosureTooLarge as error:
         raise ClosureTooLarge(
             f"{error}; an audit takes at most {AUDIT_SIZE_LIMIT} lotteries, since on NS_UTIL "
@@ -337,17 +380,77 @@ def _build_context(structure: PrefStructure) -> _Context:
             f"shipped models use 0) or grid-denominator, or audit fewer generators."
         ) from None
     regime = structure.regime
-    values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
-    leads = tuple(_lead(value)[0] for value in values)
-    signs = {v.sign() for v in values} if regime is Regime.NS_UTIL else set()
-    rank, classes = _rank(values, regime)
-    heads = [leads[members[0]] for members in classes]
-    runs = [list(run) for _, run in itertools.groupby(range(len(heads)), heads.__getitem__)]
+    utilities = {o: value.terms for o, value in structure.utilities.utilities}
+    unit = math.lcm(*(c.denominator for terms in utilities.values() for _, c in terms))
+    columns: dict[int, list[int]] = {
+        x: [0] * len(coordinates)
+        for x in sorted({e + u for o, e in coordinates for u, _ in utilities[o]})
+    }
+    for position, (o, e) in enumerate(coordinates):
+        for u, c in utilities[o]:
+            columns[e + u][position] += c.numerator * (unit // c.denominator)
+    exponents = tuple(columns)
+    products = [
+        [sum(map(mul, vector, column)) for vector in vectors] for column in columns.values()
+    ]
+    rows = list(zip(*products)) or [()] * len(vectors)
+    heads = []
+    for row in rows:
+        for head in zip(exponents, row):
+            if head[1]:
+                break
+        else:
+            head = (inf, 0)
+        heads.append(head)
+    leads = tuple(e for e, _ in heads)
+
+    def value(index: int) -> NSReal:
+        terms = zip(exponents, rows[index])
+        return _wrap(tuple([(x, Fraction(c, scale * unit)) for x, c in terms if c]))
+
+    def lottery(index: int) -> Lottery:
+        nonlocal member
+        if index < len(generators):
+            return generators[index]
+        if member is None:
+            member = _member_builder(coordinates, scale)
+        return member(vectors[index])
+
+    member = None
+    values, lotteries = _Memo(len(rows), value), _Memo(len(rows), lottery)
+    negative = positive = False
+    if regime is Regime.STD:
+        keys = rows
+    elif regime is Regime.NS_UTIL:
+        keys = [(0, e, c) if c < 0 else (1, -e, c) for e, c in heads]
+        negative = any(c < 0 for _, c in heads)
+        positive = any(c > 0 for _, c in heads)
+    else:
+        infinite = next((i for i, e in enumerate(leads) if e < 0), None)
+        if infinite is not None:
+            values[infinite].standard_part()  # raises InfiniteValue
+        zero = exponents.index(0) if 0 in exponents else None
+        keys = [0 if zero is None else row[zero] for row in rows]
+    ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = tuple(map(ranks.__getitem__, keys))
+    classes: list[list[int]] = [[] for _ in ranks]
+    for index, r in enumerate(rank):
+        classes[r].append(index)
+    firsts = [leads[members[0]] for members in classes]
+    runs = [list(run) for _, run in itertools.groupby(range(len(firsts)), firsts.__getitem__)]
     start = tuple(run[0] for run in runs for _ in run)
     end = tuple(run[-1] + 1 for run in runs for _ in run)
-    mixed_signs, negative = {1, -1} <= signs, -1 in signs
     return _Context(
-        regime, lotteries, values, leads, mixed_signs, negative, rank, classes, start, end
+        regime,
+        lotteries,
+        values,
+        leads,
+        negative and positive,
+        negative,
+        rank,
+        tuple(map(tuple, classes)),
+        start,
+        end,
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     ClosureTooLarge,
@@ -379,45 +379,15 @@ def _probability_error(
     return None
 
 
-def close_under_mixtures(
-    lotteries: Iterable[Lottery],
-    denominator: int = 8,
-    depth: int = 2,
-    *,
-    limit: int | None = None,
-) -> tuple[Lottery, ...]:
-    """Close a finite lottery set under grid-weight mixing.
-
-    Each round mixes every unordered pair of the current set with every
-    weight k/denominator and adds the (exactly deduplicated) results;
-    ``depth`` rounds are applied.  Deterministic: order of first appearance
-    is preserved.  With ``limit``, raises :class:`ClosureTooLarge`, naming
-    the round, as soon as the set holds more than ``limit`` lotteries, so
-    an oversized closure is refused before the rest of it is built.
-
-    The rounds mix integer vectors, not lotteries.  There is one
-    coordinate per (outcome, ``eps`` exponent) found in the generators,
-    sorted, at a scale S that starts at L, the lcm of the denominators of
-    the generators' coefficients.  Each round first multiplies S and every
-    vector by the denominator, so S is ``L * denominator**r`` after round
-    r, and the mix at k/denominator,
-    ``(k*a + (denominator - k)*b) / denominator``, is the integer
-    ``b + k*step`` with ``step = (a - b) // denominator`` exact.  Rounds
-    that never run cost no digits, so a huge ``depth`` refused by ``limit``
-    in an early round costs no more than that round.  Scaling is a
-    bijection, so deduplicating the vectors keeps the order of first
-    appearance.  The generators are returned as passed in; each new member
-    is built once, at the end, with the raw :class:`Lottery` constructor
-    and coefficients ``Fraction(c, S)``.
-
-    A mix with positive weights keeps every row sum and the sign of each
-    outcome's leading coordinate, so if every generator passes the checks
-    of :meth:`Lottery.from_mapping` (its rows sum to S at exponent 0 and to
-    0 elsewhere, and no outcome leads with a negative coordinate), so does
-    every mix.  If one does not (it was built with the raw constructor),
-    every mix is checked in integers, and the first that fails raises the
-    :class:`InvalidParameter` that ``from_mapping`` raises on it.
-    """
+def _closure_vectors(
+    lotteries: Iterable[Lottery], denominator: object, depth: object, limit: int | None = None
+) -> tuple[tuple[Lottery, ...], tuple[tuple[str, int], ...], int, list[tuple[int, ...]]]:
+    """The integer rounds of :func:`close_under_mixtures`: the distinct
+    generators, the sorted (outcome, ``eps`` exponent) coordinates, the
+    final scale S and every member's vector of coefficients times S, the
+    generators' first, in order of first appearance.  Refusals are those of
+    :func:`close_under_mixtures`, raised in the round that passes
+    ``limit``."""
     generators = _closure_generators(lotteries, denominator, depth)
     if limit is not None and len(generators) > limit:
         raise ClosureTooLarge(
@@ -464,16 +434,25 @@ def close_under_mixtures(
         if not additions:
             break
         items += additions
-    # Members share one (outcome, NSReal) entry per distinct run of an
-    # outcome's coordinates: fewer live objects, so less garbage-collector work.
+    return generators, coordinates, scale, items
+
+
+def _member_builder(
+    coordinates: tuple[tuple[str, int], ...], scale: int
+) -> Callable[[tuple[int, ...]], Lottery]:
+    """The function that builds the closure member whose scaled coordinates
+    are a vector, with the raw :class:`Lottery` constructor and coefficients
+    ``Fraction(c, scale)``.  Members it builds share one (outcome, NSReal)
+    entry per distinct run of an outcome's coordinates: fewer live objects,
+    so less garbage-collector work."""
     runs = []
     start = 0
     for outcome, keys in itertools.groupby(coordinates, key=lambda key: key[0]):
         exponents = tuple(e for _, e in keys)
         runs.append((outcome, start, start + len(exponents), exponents, {}))
         start += len(exponents)
-    members = []
-    for vector in items[len(generators) :]:
+
+    def build(vector: tuple[int, ...]) -> Lottery:
         probs: list[tuple[str, NSReal]] = []
         for outcome, start, stop, exponents, known in runs:
             coords = vector[start:stop]
@@ -482,8 +461,56 @@ def close_under_mixtures(
                 terms = tuple([(e, Fraction(c, scale)) for e, c in zip(exponents, coords) if c])
                 entry = known[coords] = ((outcome, _wrap(terms)),) if terms else ()
             probs += entry
-        members.append(Lottery(tuple(probs)))
-    return generators + tuple(members)
+        return Lottery(tuple(probs))
+
+    return build
+
+
+def close_under_mixtures(
+    lotteries: Iterable[Lottery],
+    denominator: int = 8,
+    depth: int = 2,
+    *,
+    limit: int | None = None,
+) -> tuple[Lottery, ...]:
+    """Close a finite lottery set under grid-weight mixing.
+
+    Each round mixes every unordered pair of the current set with every
+    weight k/denominator and adds the (exactly deduplicated) results;
+    ``depth`` rounds are applied.  Deterministic: order of first appearance
+    is preserved.  With ``limit``, raises :class:`ClosureTooLarge`, naming
+    the round, as soon as the set holds more than ``limit`` lotteries, so
+    an oversized closure is refused before the rest of it is built.
+
+    The rounds are one private kernel, which mixes integer vectors, not
+    lotteries; the audit reads its vectors directly.  There is one
+    coordinate per (outcome, ``eps`` exponent) found in the generators,
+    sorted, at a scale S that starts at L, the lcm of the denominators of
+    the generators' coefficients.  Each round first multiplies S and every
+    vector by the denominator, so S is ``L * denominator**r`` after round
+    r, and the mix at k/denominator,
+    ``(k*a + (denominator - k)*b) / denominator``, is the integer
+    ``b + k*step`` with ``step = (a - b) // denominator`` exact.  Rounds
+    that never run cost no digits, so a huge ``depth`` refused by ``limit``
+    in an early round costs no more than that round.  Scaling is a
+    bijection, so deduplicating the vectors keeps the order of first
+    appearance.  The generators are returned as passed in; each new member
+    is built once, at the end, with the raw :class:`Lottery` constructor
+    and coefficients ``Fraction(c, S)``.
+
+    A mix with positive weights keeps every row sum and the sign of each
+    outcome's leading coordinate, so if every generator passes the checks
+    of :meth:`Lottery.from_mapping` (its rows sum to S at exponent 0 and to
+    0 elsewhere, and no outcome leads with a negative coordinate), so does
+    every mix.  If one does not (it was built with the raw constructor),
+    every mix is checked in integers, and the first that fails raises the
+    :class:`InvalidParameter` that ``from_mapping`` raises on it.
+    """
+    generators, coordinates, scale, vectors = _closure_vectors(
+        lotteries, denominator, depth, limit
+    )
+    build = _member_builder(coordinates, scale)
+    return generators + tuple(map(build, vectors[len(generators) :]))
 
 
 def is_negligible(

@@ -789,6 +789,53 @@ AUDIT_ORACLES = {
 }
 
 
+def oracle_rank(values, regime: Regime):
+    """Each value's class in the regime's weak order, 0 the lowest, and each
+    class's indices: the distinct keys of the ``NSReal`` values by
+    ``regime.key``, sorted once and numbered.  The ranking the audit took
+    before it keyed the closure's integer vectors."""
+    keys = [regime.key(value) for value in values]
+    ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = tuple(ranks[key] for key in keys)
+    classes = [[] for _ in ranks]
+    for index, r in enumerate(rank):
+        classes[r].append(index)
+    return rank, tuple(tuple(members) for members in classes)
+
+
+def oracle_context(structure: PrefStructure):
+    """The audit context as it was built before integer keys: the closure's
+    lotteries from :func:`mixture_closure` (no size limit), each one's
+    ``expected_utility``, leading exponents and signs read off those
+    ``NSReal`` values, and :func:`oracle_rank`.  Under NS_PROB an infinite
+    value raises :class:`InfiniteValue` in the ranking.  The closure shares
+    the audit's kernel; :func:`oracle_close_under_mixtures` checks that
+    kernel by mixing ``Lottery`` objects."""
+    from qualutil.auditor import _Context
+
+    lotteries = mixture_closure(structure)
+    values = tuple(expected_utility(lottery, structure.utilities) for lottery in lotteries)
+    leads = tuple(
+        float("inf") if value.is_zero() else value.leading_exponent() for value in values
+    )
+    signs = {value.sign() for value in values} if structure.regime is Regime.NS_UTIL else set()
+    rank, classes = oracle_rank(values, structure.regime)
+    heads = [leads[members[0]] for members in classes]
+    runs = [list(run) for _, run in itertools.groupby(range(len(heads)), heads.__getitem__)]
+    return _Context(
+        structure.regime,
+        lotteries,
+        values,
+        leads,
+        mixed_signs={1, -1} <= signs,
+        negative=-1 in signs,
+        rank=rank,
+        classes=classes,
+        start=tuple(run[0] for run in runs for _ in run),
+        end=tuple(run[-1] + 1 for run in runs for _ in run),
+    )
+
+
 _ALL_RELATIONS = frozenset(QOrdering)
 
 

@@ -31,12 +31,15 @@ from oracles import (
     oracle_A4,
     oracle_A5prime,
     oracle_B2,
+    oracle_context,
     oracle_is_negligible,
+    oracle_rank,
     oracle_solvability,
     one_magnitude_structure,
     random_acts_structure,
     random_signed_acts_structure,
     random_structure,
+    random_tilted_acts_structure,
     relation_rule,
     signed_A4_structure,
 )
@@ -47,6 +50,7 @@ from qualutil import (
     Act,
     AffineValue,
     ClosureTooLarge,
+    InfiniteValue,
     Lottery,
     NSReal,
     PrefOrdering,
@@ -81,7 +85,6 @@ from qualutil.auditor import (
     _Context,
     _build_context,
     _mixture_partition,
-    _rank,
     _solvability,
 )
 from qualutil.fixtures import fixture_path
@@ -194,14 +197,15 @@ def strict_chain_count(structure):
 
 
 def audit_counting_partitions(monkeypatch, structure, checks):
-    """Audit ``structure``, counting its closures and, per auditor function
-    named in ``checks``, the weight partitions made inside it."""
+    """Audit ``structure``, counting its closures (calls of the closure
+    kernel) and, per auditor function named in ``checks``, the weight
+    partitions made inside it."""
     counts = Counter()
     active = []
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
-            if name == "mixture_closure":
+            if name == "_closure_vectors":
                 counts["closures"] += 1
             elif name == "partition_affine_comparison" and active:
                 counts[active[-1]] += 1
@@ -215,7 +219,7 @@ def audit_counting_partitions(monkeypatch, structure, checks):
 
         return wrapper
 
-    for name in ("mixture_closure", "partition_affine_comparison", *checks):
+    for name in ("_closure_vectors", "partition_affine_comparison", *checks):
         monkeypatch.setattr(qualutil.auditor, name, counted(name, getattr(qualutil.auditor, name)))
     return audit(structure), counts
 
@@ -384,9 +388,10 @@ def test_linear_regimes_take_the_closed_form(monkeypatch):
 
 
 def count_closures(monkeypatch, structure, check=audit):
-    """``check(structure)`` and the number of mixture closures it built."""
+    """``check(structure)`` and the number of mixture closures it built:
+    calls of the closure kernel, which every closure runs."""
     calls = 0
-    original = qualutil.prefcore.close_under_mixtures
+    original = qualutil.prefcore._closure_vectors
 
     def counted(*args, **kwargs):
         nonlocal calls
@@ -394,7 +399,7 @@ def count_closures(monkeypatch, structure, check=audit):
         return original(*args, **kwargs)
 
     for module in (qualutil.auditor, qualutil.prefcore):
-        monkeypatch.setattr(module, "close_under_mixtures", counted)
+        monkeypatch.setattr(module, "_closure_vectors", counted)
     return check(structure), calls
 
 
@@ -848,7 +853,7 @@ def test_ranks_reproduce_the_comparison_on_every_pair(regime, values, data):
         # relative change moves neither a standard part nor a leading term.
         ties += [value * (ONE + EPS) for value in ties]
     pool = data.draw(st.permutations(drawn + ties))
-    rank, classes = _rank(pool, regime)
+    rank, classes = oracle_rank(pool, regime)
     for i, j in itertools.product(range(len(pool)), repeat=2):
         ordering = ORDERING_OF_RANKS[(rank[i] > rank[j]) - (rank[i] < rank[j])]
         assert compare_values(pool[i], pool[j], regime) is ordering
@@ -856,6 +861,185 @@ def test_ranks_reproduce_the_comparison_on_every_pair(regime, values, data):
         tuple(i for i in range(len(pool)) if rank[i] == r) for r in range(len(classes))
     )
     assert all(classes)
+
+
+# --- the integer context -----------------------------------------------------
+#
+# The audit ranks its closure from the closure kernel's integer vectors, and
+# builds a lottery or a value only when it is read.  Every field must equal
+# the definitional context of tests/oracles.py, which values each member with
+# expected_utility and ranks the NSReal values by their sort keys.
+
+CONTEXT_FIELDS = (
+    "regime", "rank", "classes", "leads", "start", "end", "mixed_signs", "negative"
+)
+
+
+def assert_context_matches_oracle(structure):
+    """``_build_context`` against ``oracle_context``, field by field and
+    item by item of the lazily built values and lotteries; returns it."""
+    context, expected = _build_context(structure), oracle_context(structure)
+    for field in CONTEXT_FIELDS:
+        assert getattr(context, field) == getattr(expected, field), field
+    assert context.size == expected.size
+    for index in range(context.size):
+        value = context.values[index]
+        assert value.terms == expected.values[index].terms, index
+        assert context.lotteries[index] == expected.lotteries[index], index
+        assert context.values[index] is value
+    return context
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("depth, grid", [(d, g) for d in (0, 1, 2) for g in (3, 4, 8)])
+def test_integer_context_matches_the_definitional_one_on_bundled_models(
+    monkeypatch, name, depth, grid
+):
+    # Depth 2 is past the audit's closure cap, lifted here: consolation at
+    # grid 8 has 11,204 lotteries.
+    monkeypatch.setattr(qualutil.auditor, "AUDIT_SIZE_LIMIT", 20_000)
+    assert_context_matches_oracle(bundled(name, closure_depth=depth, grid_denominator=grid))
+
+
+@pytest.mark.parametrize(
+    "regime, signs",
+    [
+        (Regime.STD, None),
+        (Regime.NS_PROB, None),
+        (Regime.NS_UTIL, None),
+        (Regime.NS_UTIL, "nonpositive"),
+        (Regime.NS_UTIL, "mixed"),
+    ],
+)
+def test_integer_context_matches_the_definitional_one_on_random_structures(regime, signs):
+    rng = random.Random(2600)
+    mixed = 0
+    for index in range(24):
+        structure = random_structure(
+            rng,
+            regime,
+            generator_count=2 + index % 3,
+            grid_denominator=3 + index % 3,
+            closure_depth=index % 2,
+            signs=signs,
+        )
+        mixed += assert_context_matches_oracle(structure).mixed_signs
+    assert (mixed > 0) == (signs == "mixed")
+
+
+def test_integer_context_matches_the_definitional_one_on_act_structures():
+    rng = random.Random(2601)
+    structures = [
+        random_acts_structure(rng, regime, state_count=2 + index % 3)
+        for index in range(4)
+        for regime in Regime
+    ]
+    structures += [random_signed_acts_structure(rng, 2 + index % 3) for index in range(8)]
+    structures += [
+        random_tilted_acts_structure(rng, regime, signed=signed)
+        for regime in Regime
+        for signed in (False, True)
+        if not signed or regime is Regime.NS_UTIL
+    ]
+    for structure in structures:
+        assert_context_matches_oracle(structure)
+
+
+# Signed utilities that include zero, an infinite value and negative values,
+# on lotteries over them at standard probabilities.
+context_utilities = st.one_of(
+    st.sampled_from([rational(0), eps(-1), -eps(-1), rational(-1), -eps()]), nsreals
+)
+
+
+@given(
+    utilities=st.lists(context_utilities, min_size=1, max_size=4),
+    weights=st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+    depth=st.integers(min_value=0, max_value=1),
+    grid=st.integers(min_value=2, max_value=3),
+)
+def test_integer_context_matches_the_definitional_one_on_drawn_utilities(
+    utilities, weights, depth, grid
+):
+    outcomes = [f"o{index}" for index in range(len(utilities))]
+    generators = []
+    for row in weights:
+        row = row[: len(outcomes)]
+        assume(sum(row))
+        generators.append(
+            Lottery.from_mapping(
+                {o: rational(Fraction(w, sum(row))) for o, w in zip(outcomes, row) if w}
+            )
+        )
+    assignment = UtilityAssignment.from_mapping(dict(zip(outcomes, utilities)), signed=True)
+    structure = PrefStructure(Regime.NS_UTIL, assignment, tuple(generators), grid, depth)
+    assert_context_matches_oracle(structure)
+
+
+def test_an_infinite_value_raises_on_both_paths_under_NS_PROB():
+    # A raw lottery with an infinite probability: its value eps**-1 has no
+    # standard part, so the ranking raises, integer and definitional alike.
+    utilities = UtilityAssignment.from_mapping({"a": rational(1), "b": rational(0)})
+    infinite = Lottery((("a", eps(-1)), ("b", ONE - eps(-1))))
+    structure = PrefStructure(
+        Regime.NS_PROB, utilities, (Lottery.degenerate("b"), infinite), closure_depth=0
+    )
+    messages = []
+    for build in (_build_context, oracle_context):
+        with pytest.raises(InfiniteValue) as raised:
+            build(structure)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_context_values_no_member_and_builds_only_the_lotteries_it_names(monkeypatch):
+    # The ranking is taken from integers: expected_utility is never called,
+    # in prefcore or in the auditor.  An audit builds a closure lottery only
+    # when a witness or a certificate names it.
+    def refuse(*args):
+        raise AssertionError("expected_utility called")
+
+    mixed = random_structure(
+        random.Random(503), Regime.NS_UTIL, grid_denominator=3, closure_depth=1, signs="mixed"
+    )
+    structures = [bundled(name, closure_depth=1, grid_denominator=3) for name in MODELS]
+    with monkeypatch.context() as patched:
+        patched.setattr(qualutil.auditor, "expected_utility", refuse)
+        patched.setattr(qualutil.prefcore, "expected_utility", refuse)
+        for structure in [*structures, mixed]:
+            _build_context(structure)
+
+    structure = bundled("consolation", closure_depth=1, grid_denominator=3)
+    built = 0
+    original = Lottery.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lottery, "__init__", counted)
+    report = audit(structure)
+    monkeypatch.undo()
+    named = {
+        lottery
+        for verdict in report.verdicts
+        for witness in verdict.witnesses
+        for lottery in (witness.first, witness.middle, witness.second)
+    }
+    named.update(
+        value
+        for verdict in report.verdicts
+        if verdict.counterexample is not None
+        for _, value in verdict.counterexample.payload
+        if isinstance(value, Lottery)
+    )
+    members = report.closure_size - len(structure.generators)
+    assert 0 < built <= len(named - set(structure.generators)) < members
 
 
 # --- the independence rule -------------------------------------------------
