@@ -63,8 +63,9 @@ __all__ = ["MAXIMIN_SWEEP_LIMIT", "build_parser", "main", "console_main"]
 
 # Most comparisons an exhaustive ``maximin N --grid-denominator D`` sweep may
 # decide: every two-point bet against every other, (C(N,2)*(D-1))**2
-# comparisons, though it decides them a group of bets that share a key at a
-# time.  A sweep past this point is refused before any bet is built.
+# comparisons, though it counts them from the groups of bets that share a
+# key, with no pair of groups compared.  A sweep past this point is refused
+# before any bet is built.
 # ``maximin 10`` at the default grid (99,225 comparisons) fits.
 MAXIMIN_SWEEP_LIMIT = 250_000
 

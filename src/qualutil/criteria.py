@@ -19,7 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import cycle, groupby
+from math import lcm
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
 from .nsreal import NSReal, eps
@@ -137,17 +140,21 @@ def maximin_compare_oracle(
     return _worst_case_rule(low, w, other_low, other_w)
 
 
+def _worst_case_key(low: int, w: Weight) -> tuple[int, Weight]:
+    """The rule of :func:`maximin_compare_oracle` as a sort key: a bet ranks
+    above another exactly when its key is the greater.  The higher worst
+    outcome wins, and between equal ones the lower chance of it."""
+    return low, -w
+
+
+# A verdict indexed by the sign of a key comparison.
+_VERDICTS = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)
+
+
 def _worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -> PrefOrdering:
     """The rule of :func:`maximin_compare_oracle` on already validated bets."""
-    if low < other_low:
-        return PrefOrdering.WORSE
-    if low > other_low:
-        return PrefOrdering.BETTER
-    if w > other_w:
-        return PrefOrdering.WORSE
-    if w < other_w:
-        return PrefOrdering.BETTER
-    return PrefOrdering.INDIFFERENT
+    key, other = _worst_case_key(low, w), _worst_case_key(other_low, other_w)
+    return _VERDICTS[(key > other) - (key < other)]
 
 
 def _bet_values(
@@ -178,22 +185,67 @@ def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
     sum of its two terms ``w*u(x_low)`` and ``(1-w)*u(x_high)``
     (:func:`_bet_values`), with no :class:`Lottery` built.  Values compare
     as their ``Regime.NS_UTIL.key`` (:func:`compare_values`) and the rule
-    reads only ``(low, w)``, so bets sharing ``(key, low, w)`` meet every
-    bet with the same verdicts, from both sides: each pair of these
-    ``G <= B`` groups is compared once and a disagreement counts ``m * m'``
-    times, so a sweep costs ``2*N*(denominator-1)`` products, ``B`` sums
-    and ``G**2`` group comparisons.  Under :func:`maximin_utilities` a key
-    ignores ``high``, so ``G = (N-1)*(denominator-1)``."""
+    reads only ``(low, w)``, so bets sharing ``(key, low, w)`` form one of
+    ``G <= B`` groups with the same verdicts.  A group holds its key with
+    the coefficient scaled to an integer, and the grid index of ``w``: each
+    orders as what it stands for, and no ``Fraction`` is hashed or compared
+    while the groups are formed and counted.  The disagreements are counted
+    from the two orders of the groups (:func:`_group_disagreements`), so a
+    sweep costs ``2*N*(denominator-1)`` products, ``B`` sums, and a sort and
+    a Fenwick pass over the ``G`` groups: ``O(B + G log G)`` comparisons.
+    Under :func:`maximin_utilities` a key ignores ``high``, so
+    ``G = (N-1)*(denominator-1)``."""
     assignment, key = maximin_utilities(spec), Regime.NS_UTIL.key
     weights = grid_weights(denominator)
+    # _bet_values runs through the weights innermost, so this is each
+    # bet's grid index.
+    indices = cycle(range(len(weights)))
+    keyed = [
+        (key(value), low, index)
+        for index, (low, _, _, value) in zip(indices, _bet_values(spec, assignment, weights))
+    ]
+    # A key's coefficient times the common denominator of them all is an
+    # integer in the same order, so the groups hash and sort as ints.
+    scale = lcm(*(c.denominator for (_, _, c), _, _ in keyed))
     groups = Counter(
-        (key(value), low, w) for low, _, w, value in _bet_values(spec, assignment, weights)
+        ((sign, e, c.numerator * (scale // c.denominator)), low, index)
+        for (sign, e, c), low, index in keyed
     )
-    # The value verdict, indexed by the sign of the key comparison.
-    verdicts = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)
-    disagreements = 0
-    for (k, low, w), m in groups.items():
-        for (k2, low2, w2), m2 in groups.items():
-            if verdicts[(k > k2) - (k < k2)] is not _worst_case_rule(low, w, low2, w2):
-                disagreements += m * m2
-    return groups.total() ** 2, disagreements
+    return len(keyed) ** 2, _group_disagreements(groups)
+
+
+def _group_disagreements(groups: Mapping[tuple[Hashable, int, Weight], int]) -> int:
+    """How many ordered pairs of bets the value order and the rule order
+    judge differently, given how many bets share each ``(key, low, w)``.
+
+    The two verdicts on a pair agree exactly when both orders tie, which
+    happens only within a group, or when both put the pair the same way
+    round.  So with ``T`` bets in all, groups of ``m`` bets, and ``C`` the
+    ``m*m'``-weighted count of pairs of groups that both orders rank
+    strictly the same way round, ``T**2 - sum(m**2) - 2*C`` pairs disagree.
+
+    Each group is ranked once by :func:`_worst_case_key`, densely, and no
+    two groups are compared directly.  ``C`` is counted by walking the
+    groups in increasing value key, a block of equal keys at a time, and
+    asking a Fenwick tree over the rule ranks how many bets of earlier
+    blocks rank below each group.  A block is queried whole before it is
+    added, so pairs tied in value count as no agreement."""
+    entries = [(k, _worst_case_key(low, w), m) for (k, low, w), m in groups.items()]
+    ranks = {r: i for i, r in enumerate(sorted({r for _, r, _ in entries}), 1)}
+    entries.sort(key=itemgetter(0))
+    tree = [0] * (len(ranks) + 1)
+    concordant = 0
+    for _, block in groupby(entries, itemgetter(0)):
+        block = [(ranks[r], m) for _, r, m in block]
+        for rank, m in block:
+            i = rank - 1
+            while i:
+                concordant += m * tree[i]
+                i &= i - 1
+        for rank, m in block:
+            i = rank
+            while i < len(tree):
+                tree[i] += m
+                i += i & -i
+    total = sum(groups.values())
+    return total * total - sum(m * m for m in groups.values()) - 2 * concordant

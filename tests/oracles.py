@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import qualutil.criteria
 from qualutil import (
@@ -1022,6 +1023,36 @@ def oracle_maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]
                     if got is not expected:
                         disagreements += 1
     return comparisons, disagreements
+
+
+def oracle_worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -> PrefOrdering:
+    """The worst-case rule stated case by case: the worse worst outcome
+    loses, between equal ones the higher chance of it loses, and otherwise
+    the bets are indifferent."""
+    if low < other_low:
+        return PrefOrdering.WORSE
+    if low > other_low:
+        return PrefOrdering.BETTER
+    if w > other_w:
+        return PrefOrdering.WORSE
+    if w < other_w:
+        return PrefOrdering.BETTER
+    return PrefOrdering.INDIFFERENT
+
+
+def oracle_group_disagreements(groups: Mapping[tuple[object, int, Fraction], int]) -> int:
+    """The disagreements among groups of bets counted pair by pair of groups:
+    ``groups`` maps ``(key, low, w)`` to how many bets share it, the value
+    verdict on two groups is the order of their keys and the rule's is
+    :func:`oracle_worst_case_rule`, and a disagreement between groups of
+    ``m`` and ``m'`` bets counts ``m * m'`` times, both ways round."""
+    verdicts = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)
+    disagreements = 0
+    for (k, low, w), m in groups.items():
+        for (k2, low2, w2), m2 in groups.items():
+            if verdicts[(k > k2) - (k < k2)] is not oracle_worst_case_rule(low, w, low2, w2):
+                disagreements += m * m2
+    return disagreements
 
 
 def positive_ladder_utilities(spec: MaximinSpec) -> UtilityAssignment:

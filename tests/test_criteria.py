@@ -2,18 +2,28 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qualutil.criteria
-from oracles import oracle_maximin_sweep, positive_ladder_utilities
+from conftest import nsreals
+from oracles import (
+    oracle_group_disagreements,
+    oracle_maximin_sweep,
+    oracle_worst_case_rule,
+    positive_ladder_utilities,
+)
 from qualutil import (
     IndexOrder,
     InvalidWeight,
     MaximinSpec,
     PrefOrdering,
+    UtilityAssignment,
     best_case_power_utilities,
     eps,
     expected_utility,
@@ -24,7 +34,7 @@ from qualutil import (
     two_point_lottery,
 )
 from qualutil.cli import MAXIMIN_SWEEP_LIMIT
-from qualutil.criteria import maximin_sweep
+from qualutil.criteria import _group_disagreements, _worst_case_key, maximin_sweep
 
 F = Fraction
 
@@ -181,20 +191,88 @@ def test_sweep_counts_each_disagreement_of_a_group_by_its_size(monkeypatch, n, d
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (3, 4), (5, 8), (10, 8)])
-def test_sweep_applies_the_rule_once_per_pair_of_groups(monkeypatch, n, d):
+def test_sweep_ranks_each_group_once_and_compares_no_pair_of_groups(monkeypatch, n, d):
     # The work of a sweep is fixed: under the maximin encoding a bet's key
-    # ignores its upper outcome, so (N-1)*(D-1) groups meet each other once.
+    # ignores its upper outcome, so each of the (N-1)*(D-1) groups gets one
+    # rule key, and the count comes from the two orders, not from the rule
+    # applied to pairs of groups.
     calls = 0
-    rule = qualutil.criteria._worst_case_rule
+    rule_key = qualutil.criteria._worst_case_key
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return rule(*args)
+        return rule_key(*args)
 
-    monkeypatch.setattr(qualutil.criteria, "_worst_case_rule", counted)
+    def refuse(*args):
+        raise AssertionError("the sweep compared a pair of groups")
+
+    monkeypatch.setattr(qualutil.criteria, "_worst_case_key", counted)
+    monkeypatch.setattr(qualutil.criteria, "_worst_case_rule", refuse)
     assert maximin_sweep(MaximinSpec(n), d) == ((comb(n, 2) * (d - 1)) ** 2, 0)
-    assert calls == ((n - 1) * (d - 1)) ** 2
+    assert calls == (n - 1) * (d - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_rule_is_the_order_of_its_key(n):
+    # maximin_compare_oracle and the sweep read the rule through one key;
+    # its order must be the rule stated case by case on every pair of bets.
+    spec = MaximinSpec(n)
+    for d in range(2, 7):
+        bets = [
+            (low, w, high)
+            for low in range(n)
+            for high in range(low + 1, n)
+            for w in grid_weights(d)
+        ]
+        for (low, w, high), (low2, w2, high2) in itertools.product(bets, repeat=2):
+            key, other = _worst_case_key(low, w), _worst_case_key(low2, w2)
+            by_key = (
+                PrefOrdering.BETTER if key > other
+                else PrefOrdering.WORSE if key < other
+                else PrefOrdering.INDIFFERENT
+            )
+            assert by_key is oracle_worst_case_rule(low, w, low2, w2), (n, d, low, w, low2, w2)
+            assert by_key is maximin_compare_oracle(spec, low, w, high, low2, w2, high2)
+
+
+# Value keys of the qualitative shape, zero's among them, few enough that
+# groups often tie on the key, on (low, w), or on neither.
+_GROUP_KEYS = [(0, -1, F(-2)), (0, 0, F(-1, 2)), (1, -inf, F(0)), (1, 0, F(1, 3)), (1, 0, F(2, 3))]
+_groups = st.dictionaries(
+    st.tuples(
+        st.sampled_from(_GROUP_KEYS),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+    ),
+    st.integers(min_value=1, max_value=4),
+    max_size=12,
+).map(Counter)
+
+
+@given(_groups)
+@example(Counter({(_GROUP_KEYS[0], 0, F(1, 2)): 1, (_GROUP_KEYS[0], 1, F(1, 4)): 1}))
+@example(Counter({(_GROUP_KEYS[0], 1, F(1, 2)): 1, (_GROUP_KEYS[3], 1, F(1, 2)): 1}))
+@example(Counter({(_GROUP_KEYS[1], 0, F(3, 4)): 3, (_GROUP_KEYS[4], 2, F(1, 4)): 2}))
+@example(Counter())
+def test_ranked_group_count_equals_the_pairwise_count(groups):
+    # The examples tie on the value key only, on (low, w) only, and hold
+    # several bets a group.
+    assert _group_disagreements(groups) == oracle_group_disagreements(groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=4), st.data())
+def test_sweep_counts_exactly_on_any_signed_assignment(n, d, data):
+    # The sweep scales each key's coefficient by the common denominator of
+    # them all; on utilities of any sign, zero included, with coefficients
+    # of several denominators, it must still count what the plain loop does.
+    utilities = data.draw(st.lists(nsreals, min_size=n, max_size=n))
+    spec = MaximinSpec(n)
+    assignment = UtilityAssignment.from_mapping(dict(zip(spec.outcome_ids, utilities)), signed=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qualutil.criteria, "maximin_utilities", lambda spec: assignment)
+        assert maximin_sweep(spec, d) == oracle_maximin_sweep(spec, d)
 
 
 def test_sweep_values_each_bet_as_its_expected_utility(monkeypatch):
