@@ -12,7 +12,12 @@ in increasing exponent order, exponent 0 as a bare rational, exponent 1 as
 "eps", unit coefficients dropped, so parsing then rendering normalizes any
 well-formed literal and rendering then parsing is the identity.
 
-Model documents are INI-style section files (parsed with configparser):
+Model documents are INI-style section files, read in one pass by
+``_read_sections`` the same on every Python: ``[section]`` headers, ``=``
+as the only delimiter, ``#`` whole-line comments, case-sensitive keys, bare
+keys, indented continuation lines and ``[DEFAULT]`` keys inherited by every
+section -- what configparser reads with those options, which the tests keep
+as the reader's oracle.  The sections:
 
     [model]            regime, plus optional grid-denominator,
                        closure-depth, signed-utilities
@@ -30,6 +35,7 @@ no spaces inside a token, so output is diffable and splittable.
 from __future__ import annotations
 
 import configparser
+import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +45,7 @@ from typing import Sequence
 from .acts import AAModel, Act
 from .auditor import AuditReport, Counterexample, PrefStructure
 from .errors import ParseError, SchemaError, UnknownIdentifier, ZeroDenominator
-from .nsreal import NSReal
+from .nsreal import NSReal, _wrap
 from .prefcore import Lottery, Regime, UtilityAssignment
 from .solver import RationalIntervalSet
 
@@ -60,120 +66,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Number literals
 
-_TOKEN_RE = re.compile(r"(?P<INT>\d+)|(?P<EPS>eps)|(?P<OP>[+\-*/^])")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        if text[index].isspace():
-            index += 1
-            continue
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise ParseError(f"unexpected character {text[index]!r}", index)
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append(_Token(kind, match.group(), index))
-        index = match.end()
-    return tokens
-
-
-class _LiteralParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> _Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def take(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of literal", len(self.text))
-        self.index += 1
-        return token
-
-    def at_op(self, *symbols: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "OP" and token.text in symbols
-
-    def parse(self) -> NSReal:
-        if self.peek() is None:
-            raise ParseError("empty literal", 0)
-        terms: list[tuple[int, Fraction]] = []
-        sign = 1
-        if self.at_op("+", "-"):
-            sign = -1 if self.take().text == "-" else 1
-        while True:
-            exponent, magnitude = self.parse_term()
-            terms.append((exponent, sign * magnitude))
-            if not self.at_op("+", "-"):
-                break
-            sign = -1 if self.take().text == "-" else 1
-        trailing = self.peek()
-        if trailing is not None:
-            raise ParseError(f"unexpected {trailing.text!r}", trailing.position)
-        return NSReal.from_terms(terms)
-
-    def parse_term(self) -> tuple[int, Fraction]:
-        token = self.peek()
-        if token is None:
-            raise ParseError("expected a term", len(self.text))
-        if token.kind == "EPS":
-            self.take()
-            return self.parse_exponent(), Fraction(1)
-        if token.kind != "INT":
-            raise ParseError(f"expected a number or eps, found {token.text!r}", token.position)
-        self.take()
-        numerator = int(token.text)
-        if self.at_op("/"):
-            self.take()
-            denom_token = self.peek()
-            if denom_token is None or denom_token.kind != "INT":
-                position = denom_token.position if denom_token else len(self.text)
-                raise ParseError("expected a denominator", position)
-            self.take()
-            denominator = int(denom_token.text)
-            if denominator == 0:
-                raise ZeroDenominator("denominator is zero", denom_token.position)
-            magnitude = Fraction(numerator, denominator)
-        else:
-            magnitude = Fraction(numerator)
-        if self.at_op("*"):
-            star = self.take()
-            eps_token = self.peek()
-            if eps_token is None or eps_token.kind != "EPS":
-                raise ParseError("expected eps after '*'", star.position + 1)
-            self.take()
-            return self.parse_exponent(), magnitude
-        return 0, magnitude
-
-    def parse_exponent(self) -> int:
-        if not self.at_op("^"):
-            return 1
-        caret = self.take()
-        sign = 1
-        if self.at_op("+", "-"):
-            sign = -1 if self.take().text == "-" else 1
-        token = self.peek()
-        if token is None or token.kind != "INT":
-            position = token.position if token else len(self.text)
-            raise ParseError("expected an integer exponent", position)
-        self.take()
-        return sign * int(token.text)
+# One group per token kind, numbered as the kinds are; the last takes any
+# other character that is not whitespace, which no literal may hold.
+_TOKEN_RE = re.compile(r"(\d+)|(eps)|([+\-*/^])|(\S)")
+_INT, _EPS, _OP, _BAD = 1, 2, 3, 4
+_UNIT = Fraction(1)
 
 
 def parse_nsreal(text: str) -> NSReal:
@@ -182,7 +79,76 @@ def parse_nsreal(text: str) -> NSReal:
     Raises :class:`ParseError` (with the offending position) on malformed
     input and :class:`ZeroDenominator` on a zero denominator.
     """
-    return _LiteralParser(text).parse()
+    tokens = [
+        (match.lastindex, match.group(), match.start()) for match in _TOKEN_RE.finditer(text)
+    ]
+    if not tokens:
+        raise ParseError("empty literal", 0)
+    for kind, token, position in tokens:
+        if kind == _BAD:
+            raise ParseError(f"unexpected character {token!r}", position)
+    end = len(text)
+    tokens.append((None, "", end))  # the end of the literal, at its length
+    terms: dict[int, Fraction] = {}
+    kind, token, position = tokens[0]
+    index = 0
+    negative = kind == _OP and token == "-"
+    if kind == _OP and token in "+-":
+        index = 1
+    while True:
+        # TERM := RATIONAL | RATIONAL "*" EPS | EPS, then EPS's exponent.
+        kind, token, position = tokens[index]
+        index += 1
+        power = kind == _EPS
+        if power:
+            magnitude = _UNIT
+        elif kind == _INT:
+            numerator = int(token)
+            kind, token, position = tokens[index]
+            if kind == _OP and token == "/":
+                kind, token, position = tokens[index + 1]
+                if kind != _INT:
+                    raise ParseError("expected a denominator", position)
+                index += 2
+                denominator = int(token)
+                if denominator == 0:
+                    raise ZeroDenominator("denominator is zero", position)
+                magnitude = Fraction(numerator, denominator)
+                kind, token, position = tokens[index]
+            else:
+                magnitude = Fraction(numerator)
+            if kind == _OP and token == "*":
+                if tokens[index + 1][0] != _EPS:
+                    raise ParseError("expected eps after '*'", position + 1)
+                index += 2
+                power = True
+        elif kind is None:
+            raise ParseError("expected a term", end)
+        else:
+            raise ParseError(f"expected a number or eps, found {token!r}", position)
+        exponent = 0
+        if power:
+            exponent = 1
+            kind, token, _ = tokens[index]
+            if kind == _OP and token == "^":
+                kind, sign, _ = tokens[index + 1]
+                index += 2 if kind == _OP and sign in "+-" else 1
+                kind, token, position = tokens[index]
+                if kind != _INT:
+                    raise ParseError("expected an integer exponent", position)
+                index += 1
+                exponent = -int(token) if sign == "-" else int(token)
+        if negative:
+            magnitude = -magnitude
+        terms[exponent] = terms[exponent] + magnitude if exponent in terms else magnitude
+        kind, token, position = tokens[index]
+        if not (kind == _OP and token in "+-"):
+            break
+        negative = token == "-"
+        index += 1
+    if kind is not None:
+        raise ParseError(f"unexpected {token!r}", position)
+    return _wrap(tuple(sorted([(exponent, c) for exponent, c in terms.items() if c])))
 
 
 def render_nsreal(value: NSReal, compact: bool = False) -> str:
@@ -295,6 +261,81 @@ def _require_unique_names(kind: str, named: Sequence[tuple[str, object]]) -> Non
         seen.add(name)
 
 
+_HEADER_RE = re.compile(r"\[(?P<header>.+)\]")
+_SOURCE = "<string>"  # the source configparser names for a document read from a string
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str | None]]:
+    """The sections of a document, each a dict of its keys in document
+    order, ``None`` for a bare key; the keys of ``[DEFAULT]`` come first in
+    every section.
+
+    Reads what ``configparser.ConfigParser(delimiters=("=",),
+    comment_prefixes=("#",), allow_no_value=True, interpolation=None)``
+    with case-sensitive keys reads, quirks included, and raises its errors.
+    The one difference: an indented line under a bare key raises
+    :class:`SchemaError` where configparser before 3.13 fails on a ``None``.
+    """
+    sections: dict[str, dict[str, list[str] | None]] = {}
+    defaults: dict[str, list[str] | None] = {}
+    section: dict[str, list[str] | None] | None = None
+    name = key = ""  # the current section, and the key whose value may continue
+    lines: list[str] | None = None  # that key's value lines, None for a bare key
+    key_indent = 0
+    bad_lines = []
+    for lineno, line in enumerate(io.StringIO(text), start=1):  # lines end at "\n" only
+        value = line.strip()
+        if not value or value[0] == "#":
+            # A blank line belongs to the value above it; a comment does not.
+            if not value and key and lines is not None:
+                lines.append("")
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key and indent > key_indent:
+            if lines is None:
+                raise SchemaError(
+                    f"line {lineno} is indented under a key with no value: {value!r}",
+                    f"{name}/{key}",
+                )
+            lines.append(value)
+            continue
+        header = _HEADER_RE.match(value)
+        if header:
+            name, key = header["header"], ""
+            if name in sections:
+                raise configparser.DuplicateSectionError(name, _SOURCE, lineno)
+            if name == "DEFAULT":
+                section = defaults
+            else:
+                section = sections[name] = {}
+        elif section is None:
+            raise configparser.MissingSectionHeaderError(_SOURCE, lineno, line)
+        else:
+            key, delimiter, rest = value.partition("=")
+            key = key.rstrip()
+            key_indent = indent
+            if not key:
+                bad_lines.append((lineno, line))
+            if key in section:
+                raise configparser.DuplicateOptionError(name, key, _SOURCE, lineno)
+            lines = section[key] = [rest.strip()] if delimiter else None
+    if bad_lines:
+        # Worded as configparser words it up to 3.12, on every Python.
+        error = configparser.ParsingError(_SOURCE)
+        error.errors = bad_lines
+        error.message += "".join(f"\n\t[line {lineno:2d}]: {line!r}" for lineno, line in bad_lines)
+        raise error
+    inherited = {key: _joined(lines) for key, lines in defaults.items()}
+    return {
+        name: {**inherited, **{key: _joined(lines) for key, lines in options.items()}}
+        for name, options in sections.items()
+    }
+
+
+def _joined(lines: list[str] | None) -> str | None:
+    return None if lines is None else "\n".join(lines).rstrip()
+
+
 def parse_model(
     text: str,
     regime_override: Regime | None = None,
@@ -302,23 +343,20 @@ def parse_model(
     """Parse a model document, validating referential integrity and the
     regime's standardness constraints.  ``regime_override`` swaps the
     document's regime tag before validation (the CLI --regime flag)."""
-    parser = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#",),
-        inline_comment_prefixes=None,
-        allow_no_value=True,
-        strict=True,
-        interpolation=None,
-    )
-    parser.optionxform = str  # type: ignore[method-assign]
     try:
-        parser.read_string(text)
+        sections = _read_sections(text)
     except configparser.Error as error:
         raise SchemaError(f"malformed document: {error}") from error
+    return _document(sections, regime_override)
 
-    if not parser.has_section("model"):
+
+def _document(
+    sections: dict[str, dict[str, str | None]], regime_override: Regime | None
+) -> ModelDocument:
+    """Validate a document's sections, as :func:`_read_sections` reads them."""
+    model_section = sections.get("model")
+    if model_section is None:
         raise SchemaError("a [model] section is required", "model")
-    model_section = parser["model"]
     for key in model_section:
         if key not in _MODEL_KEYS:
             raise SchemaError(f"unknown key {key!r}", f"model/{key}")
@@ -349,7 +387,7 @@ def parse_model(
     # [lottery NAME] and [act NAME] sections, each as (section, name), in
     # document order.
     named: dict[str, list[tuple[str, str]]] = {"lottery": [], "act": []}
-    for section in parser.sections():
+    for section in sections:
         if section in ("model", "outcomes", "states", "belief"):
             continue
         head, _, rest = section.partition(" ")
@@ -357,10 +395,10 @@ def parse_model(
             raise SchemaError(f"unknown section [{section}]", section)
         named[head].append((section, rest.strip()))
 
-    if not parser.has_section("outcomes") or not parser["outcomes"]:
+    if not sections.get("outcomes"):
         raise SchemaError("at least one outcome is required", "outcomes")
     utility_map: dict[str, NSReal] = {}
-    for outcome, literal in parser["outcomes"].items():
+    for outcome, literal in sections["outcomes"].items():
         path = f"outcomes/{outcome}"
         value = _parse_literal(literal, path)
         if not signed and value.sign() < 0:
@@ -374,10 +412,10 @@ def parse_model(
 
     lotteries: list[tuple[str, Lottery]] = []
     for section, name in named["lottery"]:
-        if not parser[section]:
+        if not sections[section]:
             raise SchemaError("a lottery needs at least one outcome", section)
         probabilities: dict[str, NSReal] = {}
-        for outcome, literal in parser[section].items():
+        for outcome, literal in sections[section].items():
             path = f"{section}/{outcome}"
             if outcome not in utility_map:
                 raise SchemaError(f"unknown outcome {outcome!r}", path)
@@ -393,20 +431,20 @@ def parse_model(
     _require_unique_names("lottery", lotteries)
 
     states: tuple[str, ...] = ()
-    if parser.has_section("states"):
-        for state, value in parser["states"].items():
+    if "states" in sections:
+        for state, value in sections["states"].items():
             if value not in (None, ""):
                 raise SchemaError("state lines carry no value", f"states/{state}")
-        states = tuple(parser["states"].keys())
+        states = tuple(sections["states"])
         if not states:
             raise SchemaError("the states section is empty", "states")
 
     model: AAModel | None = None
-    if parser.has_section("belief"):
+    if "belief" in sections:
         if not states:
             raise SchemaError("belief requires a [states] section", "belief")
         belief: dict[str, NSReal] = {}
-        for state, literal in parser["belief"].items():
+        for state, literal in sections["belief"].items():
             path = f"belief/{state}"
             if state not in states:
                 raise SchemaError(f"unknown state {state!r}", path)
@@ -427,7 +465,7 @@ def parse_model(
         if model is None:
             raise SchemaError("acts require [states] and [belief] sections", section)
         arms: dict[str, Lottery] = {}
-        for state, lottery_name in parser[section].items():
+        for state, lottery_name in sections[section].items():
             path = f"{section}/{state}"
             if state not in states:
                 raise SchemaError(f"unknown state {state!r}", path)

@@ -12,8 +12,11 @@ which rebuilds each sample value through ``NSReal`` arithmetic.
 
 from __future__ import annotations
 
+import configparser
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,6 +36,7 @@ from qualutil import (
     MaximinSpec,
     MixtureWitness,
     NSReal,
+    ParseError,
     PrefOrdering,
     PrefStructure,
     QOrdering,
@@ -41,6 +45,7 @@ from qualutil import (
     Regime,
     UtilityAssignment,
     Verdict,
+    ZeroDenominator,
     act_prefers,
     act_utility,
     compare_values,
@@ -1064,6 +1069,192 @@ def positive_ladder_utilities(spec: MaximinSpec) -> UtilityAssignment:
     return UtilityAssignment.from_mapping(
         {spec.outcome(i): eps(-(spec.n - 1 - i)) for i in range(spec.n)}
     )
+
+
+# --- model document reading --------------------------------------------------
+#
+# The literal grammar as a token list and a recursive-descent parser, and a
+# document's sections as configparser reads them with the options of the
+# model format.
+
+_ORACLE_TOKEN_RE = re.compile(r"(?P<INT>\d+)|(?P<EPS>eps)|(?P<OP>[+\-*/^])")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    index = 0
+    length = len(text)
+    while index < length:
+        if text[index].isspace():
+            index += 1
+            continue
+        match = _ORACLE_TOKEN_RE.match(text, index)
+        if match is None:
+            raise ParseError(f"unexpected character {text[index]!r}", index)
+        kind = match.lastgroup
+        assert kind is not None
+        tokens.append(_Token(kind, match.group(), index))
+        index = match.end()
+    return tokens
+
+
+class _LiteralParser:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def peek(self) -> _Token | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def take(self) -> _Token:
+        token = self.peek()
+        if token is None:
+            raise ParseError("unexpected end of literal", len(self.text))
+        self.index += 1
+        return token
+
+    def at_op(self, *symbols: str) -> bool:
+        token = self.peek()
+        return token is not None and token.kind == "OP" and token.text in symbols
+
+    def parse(self) -> NSReal:
+        if self.peek() is None:
+            raise ParseError("empty literal", 0)
+        terms: list[tuple[int, Fraction]] = []
+        sign = 1
+        if self.at_op("+", "-"):
+            sign = -1 if self.take().text == "-" else 1
+        while True:
+            exponent, magnitude = self.parse_term()
+            terms.append((exponent, sign * magnitude))
+            if not self.at_op("+", "-"):
+                break
+            sign = -1 if self.take().text == "-" else 1
+        trailing = self.peek()
+        if trailing is not None:
+            raise ParseError(f"unexpected {trailing.text!r}", trailing.position)
+        return NSReal.from_terms(terms)
+
+    def parse_term(self) -> tuple[int, Fraction]:
+        token = self.peek()
+        if token is None:
+            raise ParseError("expected a term", len(self.text))
+        if token.kind == "EPS":
+            self.take()
+            return self.parse_exponent(), Fraction(1)
+        if token.kind != "INT":
+            raise ParseError(f"expected a number or eps, found {token.text!r}", token.position)
+        self.take()
+        numerator = int(token.text)
+        if self.at_op("/"):
+            self.take()
+            denom_token = self.peek()
+            if denom_token is None or denom_token.kind != "INT":
+                position = denom_token.position if denom_token else len(self.text)
+                raise ParseError("expected a denominator", position)
+            self.take()
+            denominator = int(denom_token.text)
+            if denominator == 0:
+                raise ZeroDenominator("denominator is zero", denom_token.position)
+            magnitude = Fraction(numerator, denominator)
+        else:
+            magnitude = Fraction(numerator)
+        if self.at_op("*"):
+            star = self.take()
+            eps_token = self.peek()
+            if eps_token is None or eps_token.kind != "EPS":
+                raise ParseError("expected eps after '*'", star.position + 1)
+            self.take()
+            return self.parse_exponent(), magnitude
+        return 0, magnitude
+
+    def parse_exponent(self) -> int:
+        if not self.at_op("^"):
+            return 1
+        caret = self.take()
+        sign = 1
+        if self.at_op("+", "-"):
+            sign = -1 if self.take().text == "-" else 1
+        token = self.peek()
+        if token is None or token.kind != "INT":
+            position = token.position if token else len(self.text)
+            raise ParseError("expected an integer exponent", position)
+        self.take()
+        return sign * int(token.text)
+
+
+def oracle_parse_nsreal(text: str) -> NSReal:
+    """The literal grammar by recursive descent over token objects, one
+    method per rule, summing the terms through ``NSReal.from_terms``."""
+    return _LiteralParser(text).parse()
+
+
+def oracle_read_sections(text: str) -> dict[str, dict[str, str | None]]:
+    """Each section of a model document, as ``configparser`` reads it with
+    the model format's options: ``=`` only, ``#`` whole-line comments,
+    case-sensitive keys, bare keys, strict, no interpolation."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",),
+        comment_prefixes=("#",),
+        inline_comment_prefixes=None,
+        allow_no_value=True,
+        strict=True,
+        interpolation=None,
+    )
+    parser.optionxform = str  # type: ignore[method-assign]
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+# Documents on which the section reader must read what configparser reads:
+# headers matched anywhere they close ([a]x, [a]b]), [DEFAULT] inherited and
+# repeatable, bare and empty keys, continuation lines with blank lines and
+# comments inside, characters that are whitespace to str.strip but end no
+# line (\r, \x0c, \u2028) or are no whitespace at all (\ufeff), and each
+# error configparser raises.
+READER_QUIRKS = (
+    "",
+    "# only a comment\n\n",
+    "[a]\nk = 1",
+    "[a]x\nk = 1\n",
+    "[a]b]\nk = 1\n",
+    "[lottery a ]\nk=1\n[ lottery b]\n",
+    "[a]\n[]\n[]]\n",
+    "[A]\nKey = 1\nkey = 2\n[a]\n",
+    "[DEFAULT]\nk = 1\n[a]\nj = 2\n[b]\n",
+    "[a]\nk = 2\nj\n[DEFAULT]\nk = 1\nm = 3\n",
+    "[DEFAULT]\na = 1\n[DEFAULT]\nb\n[s]\nc = 3\n",
+    "[a]\nk\nj =\nm = = 2\n  n   =   v  \n",
+    "# c\n\n[a]\n  # indented comment\nk = 1\n\n# c\n",
+    "[a]\nk = 1\n  + eps\n\n  - eps\n\n\nj = 2\n",
+    "[a]\nk =\n  1\n\tmore\n",
+    "[a]\nk = 1\n# c\n  2\n   # indented comment\n",
+    "  [a]\n  k = 1\n  j = 2\n    m\n",
+    "[a]\n  k = 1\nj = 2\n   m = 3\n",
+    "[a]\r\nk = 1\r\n\r\n",
+    "[a]\nk = 1\x0c\n\x0cj = 2\n",
+    "[a]\nk = 1\u2028j = 2\n",
+    "[a]\n\ufeffk = 1\n",
+    "\ufeff[a]\nk = 1\n",
+    "k = 1\n[a]\n",
+    "  \n  k\n",
+    "[a]\n[a]\n",
+    "[a]\nk = 1\n[b]\n[a]\n",
+    "[a]\nk = 1\nk = 2\n",
+    "[DEFAULT]\na = 1\n[DEFAULT]\na = 2\n",
+    "[a]\n= 1\nk = 2\n[b]\n =2\n",
+    "[a]\n= 1\n  more\n= 2\n",
+)
 
 
 # --- random model generators -------------------------------------------------

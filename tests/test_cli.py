@@ -481,6 +481,16 @@ def test_schema_error_exits_2(capsys, tmp_path):
     assert "regime" in err
 
 
+def test_indented_line_under_a_state_exits_2(capsys, tmp_path):
+    path = tmp_path / "indented.model"
+    path.write_text(ACTS_MODEL.replace("rain\nshine\n", "rain\n  shine\n"))
+    code, out, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert "states/rain" in err
+    assert "Traceback" not in err
+
+
 def test_regime_override_flag(capsys, std_model):
     # Reinterpreting the standard model under qualitative comparison is
     # allowed from the command line without editing the file.

@@ -1,13 +1,17 @@
 """Tests for the numeric literal grammar and the model file format."""
 
+import configparser
+import re
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nsreals
+from oracles import READER_QUIRKS, oracle_parse_nsreal, oracle_read_sections
 from qualutil import (
     ParseError,
     Regime,
@@ -19,7 +23,8 @@ from qualutil import (
     parse_nsreal,
     render_nsreal,
 )
-from qualutil.formats import display_name, render_lottery
+from qualutil.fixtures import fixture_path
+from qualutil.formats import _document, _read_sections, display_name, render_lottery
 
 F = Fraction
 
@@ -119,6 +124,36 @@ def test_round_trip_value(value):
 def test_render_is_canonical_fixed_point(value):
     rendered = render_nsreal(value)
     assert render_nsreal(parse_nsreal(rendered)) == rendered
+
+
+def _outcome(parse, text):
+    """A parse's value, or its exception's type, message and position."""
+    try:
+        return parse(text)
+    except ParseError as error:
+        return type(error), str(error), error.position
+
+
+# Digits (one a non-ASCII ``\d``), eps and its prefix, every operator,
+# whitespace that str.isspace knows, and a stray letter.
+literal_texts = st.lists(
+    st.sampled_from(
+        ["0", "1", "7", "12", "\u0661", "eps", "e", "+", "-", "*", "/", "^", " ", "\t", "\x0c", "x"]
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(literal_texts)
+@example("\u0661/\u0662*eps^-\u0663")
+@example("2 eps")
+@example("1/0*eps")
+@example("3 * 4")
+@example("eps^+")
+@example("-")
+def test_literal_scanner_matches_the_descent_parser(text):
+    assert _outcome(parse_nsreal, text) == _outcome(oracle_parse_nsreal, text)
 
 
 # --- model documents ---------------------------------------------------------
@@ -448,3 +483,81 @@ def test_each_schema_error_names_its_path(text, path, message):
         parse_model(text)
     assert excinfo.value.path == path
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_indented_line_under_a_bare_key_is_a_schema_error():
+    # configparser before 3.13 fails here on appending to the bare key's
+    # None; the reader names the key and the line on every Python.
+    text = WITH_ACTS.replace("rain\nshine\n", "rain\n  shine\n")
+    with pytest.raises(SchemaError) as excinfo:
+        parse_model(text)
+    assert excinfo.value.path == "states/rain"
+    assert str(excinfo.value) == "states/rain: line 18 is indented under a key with no value: 'shine'"
+
+
+def _sections_or_error(read, text):
+    try:
+        return read(text)
+    except configparser.Error as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("text", READER_QUIRKS)
+def test_section_reader_reads_what_configparser_reads(text):
+    assert _sections_or_error(_read_sections, text) == _sections_or_error(oracle_read_sections, text)
+
+
+# Line pieces: headers (repeated, [DEFAULT], closed early, empty), option
+# lines (empty key, bare key, empty value, a second "="), comments and
+# blank lines, each after an optional indent and before an optional tail.
+# Lines join on "\n" only, so \r, \x0c, \u2028 and \ufeff stay inside one.
+document_texts = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", " ", "  ", "\t", "\x0c", "\ufeff", "\u2028", "\r"]),
+        st.sampled_from(
+            ["[DEFAULT]", "[a]", "[a]x", "[b]", "[lottery a ]", "[]", "[a", "[a]b]"]
+            + ["k = 1", "k=1", "K = 2", "= 1", "k", "j =", "k = = 2", "j = v"]
+            + ["# c", "#", "", " "]
+        ),
+        st.sampled_from(["", "", " ", "\r", "\x0c", "\u2028", "\ufeff"]),
+    ).map("".join),
+    max_size=10,
+).map("\n".join)
+
+
+@settings(max_examples=500)
+@given(document_texts)
+@example("[a]\nk = 1\n\n  2\n# c\n\t3\n[DEFAULT]\nj\n")
+@example("[a]\n= 1\n[b]\n=2\n")
+def test_section_reader_matches_configparser(text):
+    try:
+        expected = _sections_or_error(oracle_read_sections, text)
+    except AttributeError:
+        # configparser's own crash on an indented line under a bare key.
+        with pytest.raises(SchemaError):
+            _read_sections(text)
+        return
+    assert _sections_or_error(_read_sections, text) == expected
+
+
+def test_model_documents_are_read_without_configparser(monkeypatch):
+    # Each document read by configparser and validated must be the document
+    # parse_model builds with configparser unusable.
+    names = ("consolation", "dice", "maximin3", "surgery")
+    texts = [fixture_path(name).read_text(encoding="utf-8") for name in names] + [WITH_ACTS]
+    expected = [_document(oracle_read_sections(text), None) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_model built a ConfigParser")
+
+    monkeypatch.setattr(configparser, "ConfigParser", refuse)
+    assert [parse_model(text) for text in texts] == expected
+
+
+def test_readme_model_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example_text = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    document = parse_model(example_text)
+    assert document.lottery_names() == ("ticket",)
+    assert document.states == ("rain", "shine")
+    assert [name for name, _ in document.acts] == ["umbrella"]
