@@ -77,7 +77,8 @@ def parse_nsreal(text: str) -> NSReal:
     """Parse a number literal such as ``"1/6 - 1/6*eps"`` or ``"eps^-1"``.
 
     Raises :class:`ParseError` (with the offending position) on malformed
-    input and :class:`ZeroDenominator` on a zero denominator.
+    input or an integer past the interpreter's limit for integer strings, and
+    :class:`ZeroDenominator` on a zero denominator.
     """
     tokens = [
         (match.lastindex, match.group(), match.start()) for match in _TOKEN_RE.finditer(text)
@@ -95,57 +96,67 @@ def parse_nsreal(text: str) -> NSReal:
     negative = kind == _OP and token == "-"
     if kind == _OP and token in "+-":
         index = 1
-    while True:
-        # TERM := RATIONAL | RATIONAL "*" EPS | EPS, then EPS's exponent.
-        kind, token, position = tokens[index]
-        index += 1
-        power = kind == _EPS
-        if power:
-            magnitude = _UNIT
-        elif kind == _INT:
-            numerator = int(token)
+    try:
+        while True:
+            # TERM := RATIONAL | RATIONAL "*" EPS | EPS, then EPS's exponent.
             kind, token, position = tokens[index]
-            if kind == _OP and token == "/":
-                kind, token, position = tokens[index + 1]
-                if kind != _INT:
-                    raise ParseError("expected a denominator", position)
-                index += 2
-                denominator = int(token)
-                if denominator == 0:
-                    raise ZeroDenominator("denominator is zero", position)
-                magnitude = Fraction(numerator, denominator)
+            index += 1
+            power = kind == _EPS
+            if power:
+                magnitude = _UNIT
+            elif kind == _INT:
+                numerator = int(token)
                 kind, token, position = tokens[index]
+                if kind == _OP and token == "/":
+                    kind, token, position = tokens[index + 1]
+                    if kind != _INT:
+                        raise ParseError("expected a denominator", position)
+                    index += 2
+                    denominator = int(token)
+                    if denominator == 0:
+                        raise ZeroDenominator("denominator is zero", position)
+                    magnitude = Fraction(numerator, denominator)
+                    kind, token, position = tokens[index]
+                else:
+                    magnitude = Fraction(numerator)
+                if kind == _OP and token == "*":
+                    if tokens[index + 1][0] != _EPS:
+                        raise ParseError("expected eps after '*'", position + 1)
+                    index += 2
+                    power = True
+            elif kind is None:
+                raise ParseError("expected a term", end)
             else:
-                magnitude = Fraction(numerator)
-            if kind == _OP and token == "*":
-                if tokens[index + 1][0] != _EPS:
-                    raise ParseError("expected eps after '*'", position + 1)
-                index += 2
-                power = True
-        elif kind is None:
-            raise ParseError("expected a term", end)
-        else:
-            raise ParseError(f"expected a number or eps, found {token!r}", position)
-        exponent = 0
-        if power:
-            exponent = 1
-            kind, token, _ = tokens[index]
-            if kind == _OP and token == "^":
-                kind, sign, _ = tokens[index + 1]
-                index += 2 if kind == _OP and sign in "+-" else 1
-                kind, token, position = tokens[index]
-                if kind != _INT:
-                    raise ParseError("expected an integer exponent", position)
-                index += 1
-                exponent = -int(token) if sign == "-" else int(token)
-        if negative:
-            magnitude = -magnitude
-        terms[exponent] = terms[exponent] + magnitude if exponent in terms else magnitude
-        kind, token, position = tokens[index]
-        if not (kind == _OP and token in "+-"):
-            break
-        negative = token == "-"
-        index += 1
+                raise ParseError(f"expected a number or eps, found {token!r}", position)
+            exponent = 0
+            if power:
+                exponent = 1
+                kind, token, _ = tokens[index]
+                if kind == _OP and token == "^":
+                    kind, sign, _ = tokens[index + 1]
+                    index += 2 if kind == _OP and sign in "+-" else 1
+                    kind, token, position = tokens[index]
+                    if kind != _INT:
+                        raise ParseError("expected an integer exponent", position)
+                    index += 1
+                    exponent = -int(token) if sign == "-" else int(token)
+            if negative:
+                magnitude = -magnitude
+            terms[exponent] = terms[exponent] + magnitude if exponent in terms else magnitude
+            kind, token, position = tokens[index]
+            if not (kind == _OP and token in "+-"):
+                break
+            negative = token == "-"
+            index += 1
+    except ParseError:
+        raise
+    except ValueError as error:
+        # int() refuses a token of more digits than the interpreter's integer
+        # string limit; token and position are still that token's.
+        raise ParseError(
+            f"integer of {len(token)} digits is past this Python's limit for integer strings",
+            position,
+        ) from error
     if kind is not None:
         raise ParseError(f"unexpected {token!r}", position)
     return _wrap(tuple(sorted([(exponent, c) for exponent, c in terms.items() if c])))

@@ -28,6 +28,7 @@ from conftest import nonnegative_nsreals, nsreals, standard_fractions, unit_weig
 from oracles import (
     AUDIT_ORACLES,
     oracle_A2,
+    oracle_A2prime,
     oracle_A4,
     oracle_A5prime,
     oracle_B2,
@@ -60,6 +61,7 @@ from qualutil import (
     UtilityAssignment,
     audit,
     check_A2,
+    check_A2prime,
     check_A3,
     check_A3doubleprime,
     check_A3prime,
@@ -320,10 +322,50 @@ def test_A2_on_values_of_one_sign_reads_the_ranking_in_O_closure(monkeypatch):
 
 
 def test_A2_holds_on_a_closure_of_one_magnitude_like_its_oracle():
-    structure = one_magnitude_structure(closure_depth=1, grid_denominator=4)
-    verdict = check_A2(structure)
-    assert verdict.holds
-    assert verdict == oracle_A2(structure)
+    for grid in (3, 4):
+        structure = one_magnitude_structure(closure_depth=1, grid_denominator=grid)
+        verdict = check_A2(structure)
+        assert verdict.holds
+        assert verdict == oracle_A2(structure)
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("grid", [3, 4])
+def test_A2_matches_its_oracle_on_bundled_models(monkeypatch, name, grid):
+    monkeypatch.setattr(qualutil.auditor, "AUDIT_SIZE_LIMIT", 10_000)
+    structure = bundled(name, closure_depth=1, grid_denominator=grid)
+    assert check_A2(structure) == oracle_A2(structure)
+
+
+def test_independence_checks_match_their_oracles_on_random_structures():
+    # Independence fails only through overriding, under nonstandard
+    # utilities: A2 scans only NS_UTIL, and B2 and A2p hold by theorem.  One
+    # generator draws every family's structures in turn.
+    rng = random.Random(19)
+    families = [
+        (Regime.STD, None),
+        (Regime.NS_PROB, None),
+        (Regime.NS_UTIL, None),
+        (Regime.NS_UTIL, "nonpositive"),
+        (Regime.NS_UTIL, "mixed"),
+    ]
+    for regime, signs in families:
+        for index in range(24):
+            structure = random_structure(
+                rng,
+                regime,
+                generator_count=2 + index % 2,
+                grid_denominator=3 + index % 2,
+                closure_depth=index % 2,
+                signs=signs,
+            )
+            pairs = [(check_A2, oracle_A2)]
+            if regime is Regime.NS_PROB:
+                pairs = [(check_B2, oracle_B2)]
+            elif signs is None:
+                pairs.append((check_A2prime, oracle_A2prime))
+            for check, oracle in pairs:
+                assert check(structure) == oracle(structure), (regime, signs, index, check)
 
 
 # Only A2 on NS_UTIL values of both signs scans the grid; nothing else

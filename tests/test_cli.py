@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import sys
 import textwrap
+import time
 import tracemalloc
 
 import pytest
@@ -399,6 +401,38 @@ def test_maximin_grid_below_two_is_an_invalid_parameter(capsys):
     assert "grid denominator must be at least 2" in err
 
 
+# Work that grows with a number given is bounded: a closure depth of 10**9
+# is refused in round 2, a grid of 10**9 audits at depth 0 without being
+# enumerated, and a comparison among 10**9 ranked outcomes values only the
+# compared ones.  Each takes milliseconds.
+HUGE = "1000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        pytest.param(["audit", "--model", DICE, "--closure-depth", HUGE], {2}, id="dice-depth"),
+        *(
+            pytest.param(
+                ["audit", "--model", str(fixture_path(name)), "--closure-depth", "0",
+                 "--grid-denominator", HUGE],
+                {0, 1},
+                id=f"{name}-grid",
+            )
+            for name in ("consolation", "dice", "maximin3", "surgery")
+        ),
+        pytest.param(
+            ["maximin", HUGE, "--compare", "0", "1/2", "1", "0", "1/3", "1"], {0}, id="maximin"
+        ),
+    ],
+)
+def test_huge_sizes_cost_only_the_work_they_ask_for(capsys, argv, codes):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert code in codes
+
+
 def _audit_raising(monkeypatch, error):
     def broken(structure):
         raise error
@@ -479,6 +513,21 @@ def test_schema_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--model", str(path))
     assert code == 2
     assert "regime" in err
+
+
+# 0 where the interpreter has no limit for integer strings (CPython before
+# 3.10.7) or where it is switched off.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings")
+def test_an_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.model"
+    path.write_text(STD_MODEL.replace("good = 1\n", f"good = {'1' * (DIGIT_LIMIT + 1)}\n"))
+    code, out, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: outcomes/good: bad literal")
 
 
 def test_indented_line_under_a_state_exits_2(capsys, tmp_path):

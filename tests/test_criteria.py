@@ -23,6 +23,7 @@ from qualutil import (
     InvalidWeight,
     MaximinSpec,
     PrefOrdering,
+    Regime,
     UtilityAssignment,
     best_case_power_utilities,
     eps,
@@ -188,6 +189,33 @@ def test_sweep_counts_each_disagreement_of_a_group_by_its_size(monkeypatch, n, d
     bets = comb(n, 2) * (d - 1)
     assert maximin_sweep(spec, d) == oracle_maximin_sweep(spec, d) == (bets**2, expected)
     assert expected > 0
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [maximin_utilities, best_case_power_utilities, positive_ladder_utilities],
+    ids=lambda assignment: assignment.__name__,
+)
+def test_sweep_and_group_count_match_their_oracles_on_every_small_shape(monkeypatch, assignment):
+    # Three assignments: the maximin utilities (no disagreement), the
+    # best-case powers (groups of one bet) and the positive infinite ladders
+    # (groups of several bets that disagree).
+    monkeypatch.setattr(qualutil.criteria, "maximin_utilities", assignment)
+    disagreements = 0
+    for n in range(2, 7):
+        for d in range(2, 7):
+            got = maximin_sweep(MaximinSpec(n), d)
+            assert got == oracle_maximin_sweep(MaximinSpec(n), d), (n, d)
+            disagreements += got[1]
+    assert (disagreements == 0) == (assignment is maximin_utilities)
+    for n in range(2, 8):
+        spec = MaximinSpec(n)
+        for d in range(2, 9):
+            values = qualutil.criteria._bet_values(spec, assignment(spec), grid_weights(d))
+            groups = Counter((Regime.NS_UTIL.key(value), low, w) for low, _, w, value in values)
+            got = _group_disagreements(groups)
+            assert got == oracle_group_disagreements(groups), (n, d)
+            assert maximin_sweep(spec, d)[1] == got, (n, d)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (3, 4), (5, 8), (10, 8)])

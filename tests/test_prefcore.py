@@ -1,5 +1,6 @@
 """Tests for lotteries, expected utility, and the preference comparisons."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from oracles import (
     oracle_close_under_mixtures,
     oracle_compare_values,
     oracle_property_P_failure,
+    oracle_rank,
     oracle_threshold_shaped,
     random_structure,
     random_tilted_lottery,
@@ -32,6 +34,7 @@ from qualutil import (
     Lottery,
     MaximinSpec,
     MissingUtility,
+    NSReal,
     ONE,
     PreconditionViolated,
     PrefOrdering,
@@ -242,6 +245,36 @@ def test_compare_values_is_the_definitional_order(regime, x, y):
                 compare_values(left, right, regime)
         else:
             assert compare_values(left, right, regime) is expected
+
+
+def test_compare_values_and_ranks_are_the_definitional_order_on_a_seeded_corpus():
+    # Zero and twenty signed values of up to three terms, each beside
+    # v * (1 + eps).  The definitional ranking, against which the audit's
+    # integer ranking is tested, must order every pair as the oracle does.
+    rng = random.Random(18)
+    values = [ZERO]
+    while len(values) < 40:
+        terms = [
+            (rng.randint(-2, 2), F(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        value = NSReal.from_terms(terms)
+        values += [value, value * (ONE + EPS)]
+    orderings = {1: PrefOrdering.BETTER, 0: PrefOrdering.INDIFFERENT, -1: PrefOrdering.WORSE}
+    for regime in Regime:
+        for x, y in itertools.product(values, repeat=2):
+            try:
+                expected = oracle_compare_values(x, y, regime)
+            except InfiniteValue:
+                with pytest.raises(InfiniteValue):
+                    compare_values(x, y, regime)
+            else:
+                assert compare_values(x, y, regime) is expected, (regime, x, y)
+        pool = [v for v in values if regime is not Regime.NS_PROB or v.is_finite()]
+        rank, _ = oracle_rank(pool, regime)
+        for i, j in itertools.product(range(len(pool)), repeat=2):
+            ordering = orderings[(rank[i] > rank[j]) - (rank[i] < rank[j])]
+            assert ordering is oracle_compare_values(pool[i], pool[j], regime), (regime, i, j)
 
 
 def test_prefers_and_flipped_are_consistent():
@@ -460,6 +493,14 @@ def test_depth_two_grid_eight_closure_sizes(name, members, against_oracle):
     assert closure[: len(set(generators))] == tuple(dict.fromkeys(generators))
     if against_oracle:
         assert closure == oracle_close_under_mixtures(generators, 8, 2)
+
+
+@pytest.mark.parametrize("name", ["consolation", "dice", "maximin3", "surgery"])
+def test_bundled_closures_at_depth_one_match_the_mix_oracle(name):
+    generators = load_model(fixture_path(name)).structure().generators
+    for grid in (3, 4):
+        closure = close_under_mixtures(generators, grid, 1)
+        assert closure == oracle_close_under_mixtures(generators, grid, 1), grid
 
 
 # --- negligible weights ------------------------------------------------------
