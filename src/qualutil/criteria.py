@@ -19,20 +19,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, groupby
-from math import lcm
-from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import groupby, repeat
+from math import inf, lcm
+from operator import add, itemgetter
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
-from .nsreal import NSReal, eps
+from .nsreal import NSReal, _lead, eps
 from .prefcore import (
+    _require_denominator,
     _require_int,
     Lottery,
     PrefOrdering,
-    Regime,
     UtilityAssignment,
-    grid_weights,
 )
 
 __all__ = [
@@ -157,22 +156,69 @@ def _worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -
     return _VERDICTS[(key > other) - (key < other)]
 
 
-def _bet_values(
-    spec: MaximinSpec, assignment: UtilityAssignment, weights: Sequence[Fraction]
-) -> Iterator[tuple[int, int, Fraction, NSReal]]:
-    """``(low, high, w, value)`` for every two-point bet on ``weights``, by
-    ``low``, then ``high``, then ``w``.  ``value`` is the two-term sum
-    ``w*u(x_low) + (1-w)*u(x_high)`` that ``expected_utility`` takes of
-    ``two_point_lottery(spec, low, w, high)``; each term is formed once per
-    outcome and weight.  The grid and the outcome pairs make every bet valid,
-    so no lottery is built or validated."""
+# A ``Regime.NS_UTIL.key`` with its coefficient scaled by :func:`_bet_keys`.
+Key = tuple[int, float, Union[int, Fraction]]
+
+
+def _bet_keys(
+    spec: MaximinSpec, assignment: UtilityAssignment, denominator: int
+) -> tuple[int, list[tuple[Key, int, int]]]:
+    """``(scale, keyed)``: ``keyed`` holds ``(key, low, k)`` for every
+    two-point bet with weight ``w = k/denominator`` on ``x_low``, by ``low``,
+    then ``high``, then ``k``.  ``key`` is the ``Regime.NS_UTIL.key`` of the
+    bet's expected utility ``w*u(x_low) + (1-w)*u(x_high)`` with its
+    coefficient times ``scale``, a positive integer common to every key, so
+    the keys order as the values do.
+
+    The key reads only leading terms.  Each utility's is read once, as an
+    exponent (``inf`` for zero) and an integer coefficient ``a`` scaled by
+    the common denominator of them all, so that the bet's two terms are
+    ``k*a`` and ``(denominator-k)*b`` in units of ``1/scale``.  Where the
+    exponents differ, the smaller one's term leads.  Where they are equal
+    the key is their sum, unless the sum is zero: only then does a deeper
+    term lead, and only that bet is valued in full (:func:`_cancelled_key`).
+    No :class:`NSReal` is added or multiplied otherwise."""
     utilities = [assignment.utility(outcome) for outcome in spec.outcome_ids]
-    low_terms = [[w * u for w in weights] for u in utilities]
-    high_terms = [[(1 - w) * u for w in weights] for u in utilities]
+    leads = [_lead(u) for u in utilities]
+    common = lcm(*(c.denominator for _, c in leads))
+    exponents = [e for e, _ in leads]
+    coefficients = [c.numerator * (common // c.denominator) for _, c in leads]
+    scale = common * denominator
+    ks = range(1, denominator)
+    low_terms = [[k * a for k in ks] for a in coefficients]
+    high_terms = [[(denominator - k) * b for k in ks] for b in coefficients]
+    low_keys = [[_term_key(e, c) for c in cs] for e, cs in zip(exponents, low_terms)]
+    high_keys = [[_term_key(e, c) for c in cs] for e, cs in zip(exponents, high_terms)]
+    keyed: list[tuple[Key, int, int]] = []
     for low in range(spec.n):
+        e = exponents[low]
         for high in range(low + 1, spec.n):
-            for w, low_term, high_term in zip(weights, low_terms[low], high_terms[high]):
-                yield low, high, w, low_term + high_term
+            other = exponents[high]
+            if e < other or e == other == inf:
+                keys = low_keys[low]
+            elif e > other:
+                keys = high_keys[high]
+            else:
+                keys = [
+                    _term_key(e, c) if c
+                    else _cancelled_key(utilities[low], utilities[high], Fraction(k, denominator), scale)
+                    for k, c in zip(ks, map(add, low_terms[low], high_terms[high]))
+                ]
+            keyed.extend(zip(keys, repeat(low), ks))
+    return scale, keyed
+
+
+def _term_key(exponent: float, coefficient: Union[int, Fraction]) -> Key:
+    """The ``Regime.NS_UTIL.key`` of a value whose leading term is
+    ``coefficient * eps**exponent``, zero's for ``(inf, 0)``."""
+    return (0, exponent, coefficient) if coefficient < 0 else (1, -exponent, coefficient)
+
+
+def _cancelled_key(u_low: NSReal, u_high: NSReal, w: Fraction, scale: int) -> Key:
+    """The key of :func:`_bet_keys` for a bet whose two leading terms cancel,
+    read off the exact sum ``w*u_low + (1-w)*u_high``."""
+    e, c = _lead(w * u_low + (1 - w) * u_high)
+    return _term_key(e, c * scale)
 
 
 def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
@@ -181,37 +227,25 @@ def maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]:
     and by the rule of :func:`maximin_compare_oracle`.  Returns the number
     of comparisons and how many of them the two disagree on.
 
-    Each of the ``B = C(N,2)*(denominator-1)`` bets is valued once, as the
-    sum of its two terms ``w*u(x_low)`` and ``(1-w)*u(x_high)``
-    (:func:`_bet_values`), with no :class:`Lottery` built.  Values compare
-    as their ``Regime.NS_UTIL.key`` (:func:`compare_values`) and the rule
-    reads only ``(low, w)``, so bets sharing ``(key, low, w)`` form one of
-    ``G <= B`` groups with the same verdicts.  A group holds its key with
-    the coefficient scaled to an integer, and the grid index of ``w``: each
-    orders as what it stands for, and no ``Fraction`` is hashed or compared
-    while the groups are formed and counted.  The disagreements are counted
-    from the two orders of the groups (:func:`_group_disagreements`), so a
-    sweep costs ``2*N*(denominator-1)`` products, ``B`` sums, and a sort and
-    a Fenwick pass over the ``G`` groups: ``O(B + G log G)`` comparisons.
-    Under :func:`maximin_utilities` a key ignores ``high``, so
+    Values compare as their ``Regime.NS_UTIL.key`` (:func:`compare_values`)
+    and the rule reads only ``(low, w)``, so bets sharing ``(key, low, w)``
+    form one of ``G <= B`` groups with the same verdicts, where
+    ``B = C(N,2)*(denominator-1)`` is the number of bets.  Each bet's key is
+    formed from the utilities' leading terms in integers (:func:`_bet_keys`),
+    with no :class:`Lottery` built and no value computed, and ``w`` is held
+    as its grid index ``k``: each orders as what it stands for, and no
+    ``Fraction`` is hashed or compared while the groups are formed and
+    counted, bar a bet whose leading terms cancel.  The disagreements are
+    counted from the two orders of the groups (:func:`_group_disagreements`),
+    so a sweep costs ``O(N*denominator)`` integer products, ``B`` tuples
+    (and an integer sum per bet where two leading exponents are equal), and
+    a sort and a Fenwick pass over the ``G`` groups: ``O(B + G log G)``
+    comparisons.  Under :func:`maximin_utilities` a bet's low outcome has
+    the smaller exponent, so its key ignores ``high`` and
     ``G = (N-1)*(denominator-1)``."""
-    assignment, key = maximin_utilities(spec), Regime.NS_UTIL.key
-    weights = grid_weights(denominator)
-    # _bet_values runs through the weights innermost, so this is each
-    # bet's grid index.
-    indices = cycle(range(len(weights)))
-    keyed = [
-        (key(value), low, index)
-        for index, (low, _, _, value) in zip(indices, _bet_values(spec, assignment, weights))
-    ]
-    # A key's coefficient times the common denominator of them all is an
-    # integer in the same order, so the groups hash and sort as ints.
-    scale = lcm(*(c.denominator for (_, _, c), _, _ in keyed))
-    groups = Counter(
-        ((sign, e, c.numerator * (scale // c.denominator)), low, index)
-        for (sign, e, c), low, index in keyed
-    )
-    return len(keyed) ** 2, _group_disagreements(groups)
+    _require_denominator(denominator)
+    _, keyed = _bet_keys(spec, maximin_utilities(spec), denominator)
+    return len(keyed) ** 2, _group_disagreements(Counter(keyed))
 
 
 def _group_disagreements(groups: Mapping[tuple[Hashable, int, Weight], int]) -> int:

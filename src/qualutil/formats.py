@@ -44,7 +44,13 @@ from typing import Sequence
 
 from .acts import AAModel, Act
 from .auditor import AuditReport, Counterexample, PrefStructure
-from .errors import ParseError, SchemaError, UnknownIdentifier, ZeroDenominator
+from .errors import (
+    ParseError,
+    PreconditionViolated,
+    SchemaError,
+    UnknownIdentifier,
+    ZeroDenominator,
+)
 from .nsreal import NSReal, _wrap
 from .prefcore import Lottery, Regime, UtilityAssignment
 from .solver import RationalIntervalSet
@@ -164,23 +170,45 @@ def parse_nsreal(text: str) -> NSReal:
 
 def render_nsreal(value: NSReal, compact: bool = False) -> str:
     """Canonical literal for a value; ``compact`` drops the spaces around
-    the term separators (machine output)."""
+    the term separators (machine output).  A coefficient whose numerator or
+    denominator has more digits than the interpreter's limit for integer
+    strings raises :class:`PreconditionViolated`, which names the count."""
     if not value.terms:
         return "0"
     plus, minus = ("+", "-") if compact else (" + ", " - ")
     parts: list[str] = []
     for position, (exponent, coefficient) in enumerate(value.terms):
-        magnitude = abs(coefficient)
+        magnitude = _render_rational(abs(coefficient))
         if exponent == 0:
-            body = str(magnitude)
+            body = magnitude
         else:
             power = "eps" if exponent == 1 else f"eps^{exponent}"
-            body = power if magnitude == 1 else f"{magnitude}*{power}"
+            body = power if magnitude == "1" else f"{magnitude}*{power}"
         if position == 0:
             parts.append(body if coefficient > 0 else f"-{body}")
         else:
             parts.append(f"{plus}{body}" if coefficient > 0 else f"{minus}{body}")
     return "".join(parts)
+
+
+def _render_rational(q: Fraction) -> str:
+    try:
+        return str(q)
+    except ValueError as error:
+        # str() refuses an integer of more digits than the interpreter's
+        # integer string limit.
+        digits = max(_digit_count(q.numerator), _digit_count(q.denominator))
+        raise PreconditionViolated(
+            f"a coefficient of {digits} digits is past this Python's limit for integer strings"
+        ) from error
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of ``abs(n)``, counted without ``str``."""
+    n = abs(n) or 1
+    # bit_length * log10(2) overestimates the digits by at most one.
+    digits = int(n.bit_length() * 0.30102999566398120) + 1
+    return digits - 1 if n < 10 ** (digits - 1) else digits
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +259,21 @@ _MODEL_KEYS = {"regime", "grid-denominator", "closure-depth", "signed-utilities"
 _BOOLEAN = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
+# A bad literal is quoted in an error up to this many characters, and
+# longer ones by that prefix and their length, so the line stays short.
+_QUOTED_PREFIX = 40
+
+
 def _parse_literal(text: str | None, path: str) -> NSReal:
     if text is None or not text.strip():
         raise SchemaError("a value literal is required", path)
     try:
         return parse_nsreal(text)
     except ParseError as error:
-        raise SchemaError(f"bad literal {text!r}: {error}", path) from error
+        quoted = repr(text)
+        if len(text) > _QUOTED_PREFIX:
+            quoted = f"{text[:_QUOTED_PREFIX]!r}... ({len(text)} characters)"
+        raise SchemaError(f"bad literal {quoted}: {error}", path) from error
 
 
 def _positive_int(text: str, path: str, minimum: int) -> int:

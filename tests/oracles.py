@@ -1030,6 +1030,23 @@ def oracle_maximin_sweep(spec: MaximinSpec, denominator: int) -> tuple[int, int]
     return comparisons, disagreements
 
 
+def oracle_bet_values(spec: MaximinSpec, assignment: UtilityAssignment, weights):
+    """``(low, high, w, value)`` for every two-point bet on ``weights``, by
+    ``low``, then ``high``, then ``w``: ``value`` is the two-term sum
+    ``w*u(x_low) + (1-w)*u(x_high)`` that ``expected_utility`` takes of
+    ``two_point_lottery(spec, low, w, high)``, each term a full ``NSReal``
+    product formed once per outcome and weight.  The sweep keys each bet
+    from the leading terms alone; this is the valuation that key stands
+    for."""
+    utilities = [assignment.utility(outcome) for outcome in spec.outcome_ids]
+    low_terms = [[w * u for w in weights] for u in utilities]
+    high_terms = [[(1 - w) * u for w in weights] for u in utilities]
+    for low in range(spec.n):
+        for high in range(low + 1, spec.n):
+            for w, low_term, high_term in zip(weights, low_terms[low], high_terms[high]):
+                yield low, high, w, low_term + high_term
+
+
 def oracle_worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -> PrefOrdering:
     """The worst-case rule stated case by case: the worse worst outcome
     loses, between equal ones the higher chance of it loses, and otherwise

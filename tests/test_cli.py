@@ -373,7 +373,7 @@ def _forbid_sweep_work(monkeypatch):
 
     monkeypatch.setattr(qualutil.cli, "two_point_lottery", refuse)
     monkeypatch.setattr(qualutil.criteria, "two_point_lottery", refuse)
-    monkeypatch.setattr(qualutil.criteria, "grid_weights", refuse)
+    monkeypatch.setattr(qualutil.criteria, "_bet_keys", refuse)
 
 
 def test_oversized_maximin_sweep_is_refused_before_any_work(capsys, monkeypatch):
@@ -528,6 +528,38 @@ def test_an_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: outcomes/good: bad literal")
+
+
+def test_a_bad_literal_is_quoted_by_a_prefix_and_its_length(capsys, tmp_path):
+    # The literal is bad at its last character whatever the digit limit.
+    path = tmp_path / "long.model"
+    path.write_text(STD_MODEL.replace("good = 1\n", f"good = {'1' * 5000}x\n"))
+    code, out, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: outcomes/good: bad literal '111")
+    assert "(5001 characters)" in err
+    assert "unexpected character 'x' (at position 5000)" in err
+    assert len(err) < 200
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings")
+def test_a_value_past_the_digit_limit_is_refused_when_rendered(capsys, tmp_path):
+    # Each utility parses, but the lottery's value has a numerator of
+    # DIGIT_LIMIT + 2 digits, which str() refuses.
+    path = tmp_path / "wide.model"
+    path.write_text(
+        "[model]\nregime = std\n\n[outcomes]\n"
+        f"a = {'9' * (DIGIT_LIMIT - 1)}\nb = 0\n\n"
+        "[lottery x]\na = 999/1000\nb = 1/1000\n"
+    )
+    code, out, err = run(capsys, "eval", "--model", str(path), "x")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: a coefficient of {DIGIT_LIMIT + 2} digits is past this Python's "
+        "limit for integer strings\n"
+    )
 
 
 def test_indented_line_under_a_state_exits_2(capsys, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qualutil.criteria
 from conftest import nsreals
 from oracles import (
+    oracle_bet_values,
     oracle_group_disagreements,
     oracle_maximin_sweep,
     oracle_worst_case_rule,
@@ -22,6 +23,7 @@ from qualutil import (
     IndexOrder,
     InvalidWeight,
     MaximinSpec,
+    NSReal,
     PrefOrdering,
     Regime,
     UtilityAssignment,
@@ -35,7 +37,7 @@ from qualutil import (
     two_point_lottery,
 )
 from qualutil.cli import MAXIMIN_SWEEP_LIMIT
-from qualutil.criteria import _group_disagreements, _worst_case_key, maximin_sweep
+from qualutil.criteria import _bet_keys, _group_disagreements, _worst_case_key, maximin_sweep
 
 F = Fraction
 
@@ -191,6 +193,12 @@ def test_sweep_counts_each_disagreement_of_a_group_by_its_size(monkeypatch, n, d
     assert expected > 0
 
 
+def _rescaled(key, scale):
+    """A ``Regime.NS_UTIL.key`` with its coefficient in the sweep's units."""
+    sign, exponent, coefficient = key
+    return sign, exponent, coefficient * scale
+
+
 @pytest.mark.parametrize(
     "assignment",
     [maximin_utilities, best_case_power_utilities, positive_ladder_utilities],
@@ -211,8 +219,13 @@ def test_sweep_and_group_count_match_their_oracles_on_every_small_shape(monkeypa
     for n in range(2, 8):
         spec = MaximinSpec(n)
         for d in range(2, 9):
-            values = qualutil.criteria._bet_values(spec, assignment(spec), grid_weights(d))
-            groups = Counter((Regime.NS_UTIL.key(value), low, w) for low, _, w, value in values)
+            scale, keyed = _bet_keys(spec, assignment(spec), d)
+            groups = Counter(keyed)
+            values = oracle_bet_values(spec, assignment(spec), grid_weights(d))
+            assert groups == Counter(
+                (_rescaled(Regime.NS_UTIL.key(value), scale), low, int(w * d))
+                for low, _, w, value in values
+            ), (n, d)
             got = _group_disagreements(groups)
             assert got == oracle_group_disagreements(groups), (n, d)
             assert maximin_sweep(spec, d)[1] == got, (n, d)
@@ -292,9 +305,11 @@ def test_ranked_group_count_equals_the_pairwise_count(groups):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=4), st.data())
 def test_sweep_counts_exactly_on_any_signed_assignment(n, d, data):
-    # The sweep scales each key's coefficient by the common denominator of
-    # them all; on utilities of any sign, zero included, with coefficients
-    # of several denominators, it must still count what the plain loop does.
+    # The sweep keys each bet from the utilities' leading terms, scaled to
+    # integers by the common denominator of their coefficients; on utilities
+    # of any sign, zero included, with coefficients of several denominators
+    # and leading terms that cancel, it must still count what the plain
+    # loop does.
     utilities = data.draw(st.lists(nsreals, min_size=n, max_size=n))
     spec = MaximinSpec(n)
     assignment = UtilityAssignment.from_mapping(dict(zip(spec.outcome_ids, utilities)), signed=True)
@@ -304,23 +319,26 @@ def test_sweep_counts_exactly_on_any_signed_assignment(n, d, data):
 
 
 def test_sweep_values_each_bet_as_its_expected_utility(monkeypatch):
-    # The sweep sums each bet's two terms without building its lottery; the
-    # sums must be the validated path's expected utilities, bet by bet.
+    # The sweep keys each bet from the utilities' leading terms, without
+    # building its lottery or its value; each key must be the validated
+    # path's expected utility's key, bet by bet, in integers.
     for utilities in (maximin_utilities, best_case_power_utilities, positive_ladder_utilities):
         for n in range(2, 8):
             spec = MaximinSpec(n)
             assignment = utilities(spec)
             for d in range(2, 9):
-                values = list(qualutil.criteria._bet_values(spec, assignment, grid_weights(d)))
-                assert [(low, high, w) for low, high, w, _ in values] == [
-                    (low, high, F(k, d))
+                scale, keyed = _bet_keys(spec, assignment, d)
+                bets = [
+                    (low, high, k)
                     for low in range(n)
                     for high in range(low + 1, n)
                     for k in range(1, d)
                 ]
-                for low, high, w, value in values:
-                    lottery = two_point_lottery(spec, low, w, high)
-                    assert value == expected_utility(lottery, assignment), (n, d, low, high, w)
+                assert [(low, k) for _, low, k in keyed] == [(low, k) for low, _, k in bets]
+                for (key, _, _), (low, high, k) in zip(keyed, bets):
+                    value = expected_utility(two_point_lottery(spec, low, F(k, d), high), assignment)
+                    assert key == _rescaled(Regime.NS_UTIL.key(value), scale), (n, d, low, high, k)
+                    assert type(key[2]) is int
 
     def refuse(*args):
         raise AssertionError("the sweep built a lottery")
@@ -328,3 +346,39 @@ def test_sweep_values_each_bet_as_its_expected_utility(monkeypatch):
     monkeypatch.setattr(qualutil.criteria, "two_point_lottery", refuse)
     for n, d in [(2, 2), (4, 5), (6, 8)]:
         assert maximin_sweep(MaximinSpec(n), d) == ((comb(n, 2) * (d - 1)) ** 2, 0)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_sweep_keys_bets_whose_leading_terms_cancel_by_their_exact_values(monkeypatch, d):
+    # x0 against x1 or x2 leads with -k + (d-k) times eps**-1, which cancels
+    # at w = 1/2: those bets are worth 5/2 and 3/2, a difference that only
+    # their exact sums show, and the rule ties them.
+    assignment = UtilityAssignment.from_mapping(
+        {"x0": -eps(-1) + 3, "x1": eps(-1) + 2, "x2": eps(-1)}, signed=True
+    )
+    monkeypatch.setattr(qualutil.criteria, "maximin_utilities", lambda spec: assignment)
+    calls = 0
+    cancelled = qualutil.criteria._cancelled_key
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return cancelled(*args)
+
+    monkeypatch.setattr(qualutil.criteria, "_cancelled_key", counted)
+    for n in (2, 3):
+        calls = 0
+        assert maximin_sweep(MaximinSpec(n), d) == oracle_maximin_sweep(MaximinSpec(n), d), (n, d)
+        assert calls == (n - 1) * (d % 2 == 0), (n, d)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (4, 5), (10, 12)])
+def test_sweep_adds_and_multiplies_no_value_under_the_maximin_utilities(monkeypatch, n, d):
+    # Under the maximin utilities no two leading terms cancel, so the keys
+    # come from integers alone.
+    def refuse(*args):
+        raise AssertionError("the sweep did NSReal arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(NSReal, name, refuse)
+    assert maximin_sweep(MaximinSpec(n), d) == ((comb(n, 2) * (d - 1)) ** 2, 0)

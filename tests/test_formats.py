@@ -25,7 +25,7 @@ from qualutil import (
     render_nsreal,
 )
 from qualutil.fixtures import fixture_path
-from qualutil.formats import _document, _read_sections, display_name, render_lottery
+from qualutil.formats import _digit_count, _document, _read_sections, display_name, render_lottery
 
 F = Fraction
 
@@ -103,6 +103,15 @@ def test_an_integer_past_the_digit_limit_is_a_schema_error():
         parse_model(text)
     assert excinfo.value.path == "outcomes/draw"
     assert isinstance(excinfo.value.__cause__, ParseError)
+
+
+def test_digit_count_is_the_length_of_the_decimal_string():
+    # The count names a refused coefficient in errors, so it is taken without
+    # str(); at each power of ten the bit-length estimate is one too many.
+    cases = [0, 1, 9, 10, 11, 99, 100, 2**64, 3**500]
+    cases += [10**k + d for k in range(1, 400) for d in (-1, 0, 1)]
+    for n in cases + [-n for n in cases]:
+        assert _digit_count(n) == len(str(abs(n))), n
 
 
 def test_zero_denominator_is_its_own_error():
