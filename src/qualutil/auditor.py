@@ -51,8 +51,12 @@ exempt.  Each postulate holds on level chains and has one verdict on all the
 others, so the first chain that is not level decides it, and its witnesses
 are counted from class sizes in O(classes) (:func:`_solvability`).  Where
 values mix signs, every chain's weight partition is solved.  A holding
-verdict counts its witnesses and keeps the first four, each weight read off
-its own chain's partition, solved at most once per chain; nothing else is
+verdict counts its witnesses and keeps the first four.  Outside mixed signs
+a kept chain's weights come from the context's integer terms: the threshold
+of the threshold partition, a ratio of integer coefficients at the scale
+common to the closure, and the witness at it, half of it or halfway past
+it to 1, or 1/2 where one relation holds throughout
+(:func:`_witness_weights`), solved at most once per chain; nothing else is
 kept per chain.
 
 A2, B2 and A2p compare ``w*p + (1-w)*r`` with ``w*q + (1-w)*r``, whose
@@ -77,6 +81,14 @@ utilities, so only A2 is ever scanned, and only on NS_UTIL:
 * NS_UTIL values of both signs can cancel: A2 then mixes every strict pair
   with every closure lottery at every grid weight, the one check whose work
   grows with the grid denominator.
+
+A4, the act-level form of independence, holds by the same theorem in the
+Anscombe-Aumann framework: patching an act at one state moves its utility
+by the belief there times the difference of the two arms' values, and a
+strict drop of the total forces a strict drop of the arm in STD (exact ring
+order), in NS_PROB (standard parts of finite values) and on NS_UTIL values
+of one sign (no cancellation).  Only NS_UTIL utilities of both signs are
+scanned, patch by patch (:func:`check_A4`).
 
 The weight partitions of STD, NS_PROB and one-signed NS_UTIL are threshold
 partitions, written without sampling (:mod:`qualutil.solver`).
@@ -130,6 +142,7 @@ from .prefcore import (
 from .solver import (
     AffineValue,
     RationalIntervalSet,
+    _sign_label,
     partition_affine_comparison,
 )
 
@@ -329,12 +342,16 @@ class _Context:
     lowest, so that i is above j exactly when ``rank[i] > rank[j]``, each
     class's members in closure order, and each class's run: the first class
     sharing its leading exponent in ``start``, one past the last in
-    ``end``."""
+    ``end``.  ``heads`` holds the term each value's witness weights are
+    solved from, an (exponent, integer coefficient) pair at the scale
+    common to the closure: the leading term under NS_UTIL, and
+    ``(0, standard part)`` under STD and NS_PROB."""
 
     regime: Regime
     lotteries: Sequence[Lottery]
     values: Sequence[NSReal]
     leads: tuple[float, ...]
+    heads: Sequence[tuple[float, int]]
     mixed_signs: bool
     negative: bool
     rank: tuple[int, ...]
@@ -358,9 +375,9 @@ def _build_context(structure: PrefStructure) -> _Context:
     lcm of the utilities' denominators: one integer product of the vector
     with a column per value exponent.  Every value shares the scale S*U, so
     its lead is its first nonzero coordinate (``inf`` for zero) and each
-    regime's sort key is an integer key: STD the row itself, in increasing
-    exponent order, which is the ring order; NS_UTIL ``_qkey`` of the
-    leading term; NS_PROB the exponent-0 coordinate, the standard part,
+    regime's sort key is an integer key: NS_UTIL ``_qkey`` of the leading
+    term; STD and NS_PROB the exponent-0 coordinate, the standard part,
+    which under STD is the row's one coordinate, and under NS_PROB comes
     after a value of negative lead raises the
     :class:`~qualutil.errors.InfiniteValue` of ``standard_part``.  The
     distinct keys are ranked with one sort.  ``lotteries`` and ``values``
@@ -419,18 +436,19 @@ def _build_context(structure: PrefStructure) -> _Context:
     member = None
     values, lotteries = _Memo(len(rows), value), _Memo(len(rows), lottery)
     negative = positive = False
-    if regime is Regime.STD:
-        keys = rows
-    elif regime is Regime.NS_UTIL:
+    if regime is Regime.NS_UTIL:
         keys = [(0, e, c) if c < 0 else (1, -e, c) for e, c in heads]
         negative = any(c < 0 for _, c in heads)
         positive = any(c > 0 for _, c in heads)
     else:
-        infinite = next((i for i, e in enumerate(leads) if e < 0), None)
-        if infinite is not None:
-            values[infinite].standard_part()  # raises InfiniteValue
+        if regime is Regime.NS_PROB:
+            infinite = next((i for i, e in enumerate(leads) if e < 0), None)
+            if infinite is not None:
+                values[infinite].standard_part()  # raises InfiniteValue
+        # Every STD row has its one coordinate at exponent 0.
         zero = exponents.index(0) if 0 in exponents else None
         keys = [0 if zero is None else row[zero] for row in rows]
+        heads = [(0, key) for key in keys]
     ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
     rank = tuple(map(ranks.__getitem__, keys))
     classes: list[list[int]] = [[] for _ in ranks]
@@ -445,6 +463,7 @@ def _build_context(structure: PrefStructure) -> _Context:
         lotteries,
         values,
         leads,
+        heads,
         negative and positive,
         negative,
         rank,
@@ -490,6 +509,46 @@ def _mixture_partition(
     return partition_affine_comparison(
         AffineValue(endpoint, other_endpoint), AffineValue(target, target), regime.comparison
     )
+
+
+_HALF = Fraction(1, 2)
+
+
+def _witness_weights(
+    p: tuple[float, int], q: tuple[float, int], r: tuple[float, int], negative: bool
+) -> dict[QOrdering, Fraction]:
+    """The weight ``RationalIntervalSet.witness()`` gives each relation in
+    which ``a*p + (1-a)*r`` stands to q for some a in (0, 1), from each
+    value's term in ``_Context.heads``, outside NS_UTIL values of both
+    signs; ``negative`` when those values are <= 0.
+
+    It is the threshold partition :func:`partition_affine_comparison` takes
+    there, in integers: the mixture leads at ``e = min(e(p), e(r))`` with
+    coefficient ``a*x1 + (1-a)*x0``, where x1 is p's coefficient if p leads
+    there and 0 otherwise, and x0 likewise r's.  If q leads at another
+    exponent, one relation holds throughout, at weight 1/2: for the
+    mixture of the larger order of magnitude, "greater" on values >= 0 and
+    "less" on values <= 0.  Otherwise, with
+    ``d1 = x1 - c(q)`` and ``d0 = x0 - c(q)`` of opposite signs, the sign
+    of ``d0 + a*(d1 - d0)`` changes at ``t = |d0|/(|d0| + |d1|)``: d0's
+    relation at t/2, indifference at t and d1's at (t+1)/2; with no change
+    of sign, the one relation of ``d0 + d1`` at 1/2.  Every coefficient
+    shares the context's scale, so t is that of the ``NSReal`` values."""
+    (ep, cp), (eq, cq), (er, cr) = p, q, r
+    e = min(ep, er)
+    if e != eq:
+        larger = QOrdering.LESS if negative else QOrdering.GREATER
+        return {larger if e < eq else larger.flipped(): _HALF}
+    d1 = (cp if ep == e else 0) - cq
+    d0 = (cr if er == e else 0) - cq
+    if (d0 > 0 > d1) or (d0 < 0 < d1):
+        low, total = abs(d0), abs(d0) + abs(d1)
+        return {
+            _sign_label(d0): Fraction(low, 2 * total),
+            QOrdering.EQUIVALENT: Fraction(low, total),
+            _sign_label(d1): Fraction(low + total, 2 * total),
+        }
+    return {_sign_label(d0 + d1): _HALF}
 
 
 def solve_mixture_relation(
@@ -670,9 +729,6 @@ def _solvability(
     sizes, start, end = [len(members) for members in context.classes], context.start, context.end
     below = list(itertools.accumulate(sizes, initial=0))
 
-    def partition(i: int, j: int, k: int) -> dict[QOrdering, RationalIntervalSet]:
-        return _mixture_partition(values[i], values[k], values[j], context.regime)
-
     def missing(name: str, chain: tuple[int, int, int], parts) -> list | None:
         """The needed pairs absent from the chain's relations; None if exempt."""
         _, exempt, needed = _SOLVABILITY[name]
@@ -680,9 +736,10 @@ def _solvability(
             return None
         return [(label, relation) for label, relation in needed if relation not in parts]
 
-    def keep(name: str, witnesses: list, chain: tuple[int, int, int], parts: dict) -> None:
+    def keep(name: str, witnesses: list, chain: tuple[int, int, int], weights: dict) -> None:
+        """Keep the chain's witnesses, ``weights`` giving each relation's weight."""
         for label, relation in _SOLVABILITY[name][2][: _WITNESS_DISPLAY_CAP - len(witnesses)]:
-            weight = parts[relation].witness()
+            weight = weights[relation]
             witnesses.append(MixtureWitness(label, *(lotteries[x] for x in chain), weight))
 
     def verdict(name: str, witnesses: list, count: int, chain=None, absent=()) -> Verdict:
@@ -706,7 +763,8 @@ def _solvability(
         for chain in _triples(context, lambda a: (1, a)):
             if not live:
                 break
-            parts = partition(*chain)
+            p, q, r = (values[x] for x in chain)
+            parts = _mixture_partition(p, r, q, context.regime)
             for name in list(live):
                 absent = missing(name, chain, parts)
                 if absent:
@@ -714,7 +772,9 @@ def _solvability(
                     del live[name]
                 elif absent is not None:
                     counts[name] += len(_SOLVABILITY[name][2])
-                    keep(name, live[name], chain, parts)
+                    if len(live[name]) < _WITNESS_DISPLAY_CAP:
+                        weights = {relation: part.witness() for relation, part in parts.items()}
+                        keep(name, live[name], chain, weights)
         verdicts.update((name, verdict(name, kept, counts[name])) for name, kept in live.items())
         return tuple(verdicts[name] for name in postulates)
 
@@ -728,7 +788,10 @@ def _solvability(
     elif context.regime is Regime.NS_UTIL:
         first = next(_triples(context, lambda a: (1, start[a])), None)
         relations = (QOrdering.GREATER,)
-    solve = functools.cache(partition)
+    heads, negative = context.heads, context.negative
+    solve = functools.cache(
+        lambda i, j, k: _witness_weights(heads[i], heads[j], heads[k], negative)
+    )
 
     def by_rule(name: str) -> Verdict:
         absent = [] if first is None else missing(name, first, relations)
@@ -816,15 +879,35 @@ def check_A4(structure: PrefStructure, *, context: _Context | None = None) -> Ve
     """Acts agreeing everywhere but one state: strict preference between
     them forces the same strict preference between their lotteries there.
 
-    Each arm's expected utility, its belief-weighted share and each act's
-    utility are computed once: patching ``base`` at a state with ``other``'s
-    arm swaps one share, exactly."""
+    It holds by theorem unless NS_UTIL utilities take both signs.  Patching
+    act b at state s with act o's arm there moves b's utility ``T_b`` by
+    ``belief(s) * (v_b(s) - v_o(s))``, beliefs being >= 0, so a strict drop
+    of the total needs a strict drop of the arm:
+
+    * STD: the ring order is exact, so the drop is positive and both
+      factors are.
+    * NS_PROB: every value is finite, so the standard part distributes over
+      the product, and ``st(belief(s)) * st(v_b(s) - v_o(s)) > 0`` puts
+      ``st(v_b(s))`` above ``st(v_o(s))``.
+    * NS_UTIL on values of one sign: nothing cancels, so a sum's leading
+      term is that of its largest order of magnitude, and a strict
+      qualitative drop in the total needs the patched share to lead it.
+      A positive belief, even an infinitesimal one, multiplies both shares
+      by one leading term, which keeps the order of the arms.
+
+    Where the utilities take both signs, each arm's expected utility, its
+    belief-weighted share and each act's utility are computed once:
+    patching ``base`` at a state with ``other``'s arm swaps one share,
+    exactly."""
     model, acts = _require_acts(structure)
     domain = (
         f"all ordered act pairs ({len(acts)}) patched to agree off each of "
         f"{len(model.states)} states"
     )
     better, regime = PrefOrdering.BETTER, model.regime
+    signs = {value.sign() for _, value in model.utilities.utilities}
+    if regime is not Regime.NS_UTIL or not {1, -1} <= signs:
+        return Verdict("A4", True, domain)
     arm_values = [
         [expected_utility(act.arm(state), model.utilities) for state in model.states]
         for act in acts

@@ -79,6 +79,19 @@ _INT, _EPS, _OP, _BAD = 1, 2, 3, 4
 _UNIT = Fraction(1)
 
 
+# A bad literal or token is quoted in an error up to this many characters,
+# and a longer one by that prefix and its length, so the line stays short.
+_QUOTED_PREFIX = 40
+
+
+def _quoted(text: str) -> str:
+    """``text`` as an error message quotes it: its repr, or its first
+    ``_QUOTED_PREFIX`` characters' and its length."""
+    if len(text) > _QUOTED_PREFIX:
+        return f"{text[:_QUOTED_PREFIX]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
 def parse_nsreal(text: str) -> NSReal:
     """Parse a number literal such as ``"1/6 - 1/6*eps"`` or ``"eps^-1"``.
 
@@ -93,7 +106,7 @@ def parse_nsreal(text: str) -> NSReal:
         raise ParseError("empty literal", 0)
     for kind, token, position in tokens:
         if kind == _BAD:
-            raise ParseError(f"unexpected character {token!r}", position)
+            raise ParseError(f"unexpected character {_quoted(token)}", position)
     end = len(text)
     tokens.append((None, "", end))  # the end of the literal, at its length
     terms: dict[int, Fraction] = {}
@@ -133,7 +146,7 @@ def parse_nsreal(text: str) -> NSReal:
             elif kind is None:
                 raise ParseError("expected a term", end)
             else:
-                raise ParseError(f"expected a number or eps, found {token!r}", position)
+                raise ParseError(f"expected a number or eps, found {_quoted(token)}", position)
             exponent = 0
             if power:
                 exponent = 1
@@ -164,7 +177,7 @@ def parse_nsreal(text: str) -> NSReal:
             position,
         ) from error
     if kind is not None:
-        raise ParseError(f"unexpected {token!r}", position)
+        raise ParseError(f"unexpected {_quoted(token)}", position)
     return _wrap(tuple(sorted([(exponent, c) for exponent, c in terms.items() if c])))
 
 
@@ -259,21 +272,13 @@ _MODEL_KEYS = {"regime", "grid-denominator", "closure-depth", "signed-utilities"
 _BOOLEAN = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
-# A bad literal is quoted in an error up to this many characters, and
-# longer ones by that prefix and their length, so the line stays short.
-_QUOTED_PREFIX = 40
-
-
 def _parse_literal(text: str | None, path: str) -> NSReal:
     if text is None or not text.strip():
         raise SchemaError("a value literal is required", path)
     try:
         return parse_nsreal(text)
     except ParseError as error:
-        quoted = repr(text)
-        if len(text) > _QUOTED_PREFIX:
-            quoted = f"{text[:_QUOTED_PREFIX]!r}... ({len(text)} characters)"
-        raise SchemaError(f"bad literal {quoted}: {error}", path) from error
+        raise SchemaError(f"bad literal {_quoted(text)}: {error}", path) from error
 
 
 def _positive_int(text: str, path: str, minimum: int) -> int:

@@ -336,14 +336,14 @@ def _require_denominator(denominator: object, name: str = "denominator") -> None
 def _closure_generators(
     lotteries: Iterable[Lottery], denominator: object, depth: object
 ) -> tuple[Lottery, ...]:
-    """The distinct lotteries in order of first appearance, after refusing a
-    bad grid denominator, a depth that is not an ``int`` of at least 0, or
-    no lottery."""
+    """The lotteries as passed in, repeats included, after refusing a bad
+    grid denominator, a depth that is not an ``int`` of at least 0, or no
+    lottery."""
     _require_denominator(denominator)
     _require_int("depth", depth)
     if depth < 0:
         raise InvalidParameter(f"depth must be nonnegative, got {depth}")
-    generators = tuple(dict.fromkeys(lotteries))
+    generators = tuple(lotteries)
     if not generators:
         raise InvalidParameter("need at least one lottery to close")
     return generators
@@ -387,26 +387,39 @@ def _closure_vectors(
     final scale S and every member's vector of coefficients times S, the
     generators' first, in order of first appearance.  Refusals are those of
     :func:`close_under_mixtures`, raised in the round that passes
-    ``limit``."""
-    generators = _closure_generators(lotteries, denominator, depth)
+    ``limit``.
+
+    The generators are deduplicated on their vectors, which hash as tuples
+    of ints, where hashing a ``Lottery`` hashes every ``Fraction`` of it.
+    Equal lotteries have equal vectors; a lottery built with the raw
+    constructor (out of order, or with a zero entry) can share a vector
+    with one it does not equal, and is kept beside it, as deduplicating the
+    lotteries would keep it."""
+    lotteries = _closure_generators(lotteries, denominator, depth)
+    coordinates = tuple(
+        sorted({(o, e) for g in lotteries for o, p in g.probs for e, _ in p.terms})
+    )
+    position = {key: i for i, key in enumerate(coordinates)}
+    scale = math.lcm(
+        *(c.denominator for g in lotteries for _, p in g.probs for _, c in p.terms)
+    )
+    generators, items, kept = [], [], {}
+    for lottery in lotteries:
+        vector = [0] * len(coordinates)
+        for outcome, p in lottery.probs:
+            for exponent, c in p.terms:
+                vector[position[outcome, exponent]] += c.numerator * (scale // c.denominator)
+        vector = tuple(vector)
+        same = kept.setdefault(vector, [])
+        if not any(lottery is other or lottery == other for other in same):
+            same.append(lottery)
+            generators.append(lottery)
+            items.append(vector)
+    generators = tuple(generators)
     if limit is not None and len(generators) > limit:
         raise ClosureTooLarge(
             f"the {len(generators)} distinct generators alone exceed the limit of {limit} lotteries"
         )
-    coordinates = tuple(
-        sorted({(o, e) for g in generators for o, p in g.probs for e, _ in p.terms})
-    )
-    position = {key: i for i, key in enumerate(coordinates)}
-    scale = math.lcm(
-        *(c.denominator for g in generators for _, p in g.probs for _, c in p.terms)
-    )
-    items = []
-    for generator in generators:
-        vector = [0] * len(coordinates)
-        for outcome, p in generator.probs:
-            for exponent, c in p.terms:
-                vector[position[outcome, exponent]] += c.numerator * (scale // c.denominator)
-        items.append(tuple(vector))
     check_every_mix = any(_probability_error(vector, coordinates, scale) for vector in items)
     for round_number in range(1, depth + 1):
         scale *= denominator

@@ -826,13 +826,18 @@ def oracle_context(structure: PrefStructure):
     )
     signs = {value.sign() for value in values} if structure.regime is Regime.NS_UTIL else set()
     rank, classes = oracle_rank(values, structure.regime)
-    heads = [leads[members[0]] for members in classes]
-    runs = [list(run) for _, run in itertools.groupby(range(len(heads)), heads.__getitem__)]
+    if structure.regime is Regime.NS_UTIL:
+        heads = tuple(value.leading() or (float("inf"), Fraction(0)) for value in values)
+    else:
+        heads = tuple((0, value.standard_part()) for value in values)
+    firsts = [leads[members[0]] for members in classes]
+    runs = [list(run) for _, run in itertools.groupby(range(len(firsts)), firsts.__getitem__)]
     return _Context(
         structure.regime,
         lotteries,
         values,
         leads,
+        heads,
         mixed_signs={1, -1} <= signs,
         negative=-1 in signs,
         rank=rank,
@@ -1104,6 +1109,12 @@ class _Token:
     position: int
 
 
+def _quoted(text: str) -> str:
+    """A token as the parser's errors quote it: whole up to 40 characters,
+    else its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     index = 0
@@ -1114,7 +1125,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         match = _ORACLE_TOKEN_RE.match(text, index)
         if match is None:
-            raise ParseError(f"unexpected character {text[index]!r}", index)
+            raise ParseError(f"unexpected character {_quoted(text[index])}", index)
         kind = match.lastgroup
         assert kind is not None
         tokens.append(_Token(kind, match.group(), index))
@@ -1159,7 +1170,7 @@ class _LiteralParser:
             sign = -1 if self.take().text == "-" else 1
         trailing = self.peek()
         if trailing is not None:
-            raise ParseError(f"unexpected {trailing.text!r}", trailing.position)
+            raise ParseError(f"unexpected {_quoted(trailing.text)}", trailing.position)
         return NSReal.from_terms(terms)
 
     def parse_term(self) -> tuple[int, Fraction]:
@@ -1170,7 +1181,9 @@ class _LiteralParser:
             self.take()
             return self.parse_exponent(), Fraction(1)
         if token.kind != "INT":
-            raise ParseError(f"expected a number or eps, found {token.text!r}", token.position)
+            raise ParseError(
+                f"expected a number or eps, found {_quoted(token.text)}", token.position
+            )
         self.take()
         numerator = int(token.text)
         if self.at_op("/"):
@@ -1530,6 +1543,7 @@ def random_tilted_acts_structure(
     signed: bool = False,
     state_count: int = 3,
     act_count: int = 3,
+    signs: str = "mixed",
 ) -> PrefStructure:
     """A random structure whose belief weighs states infinitesimally.
 
@@ -1537,15 +1551,16 @@ def random_tilted_acts_structure(
     ``1/4 + eps``, and the first the rest, so some states carry an
     infinitesimal belief and some a standard one.  The model is built with
     ``validate=False``, which lets STD and NS_UTIL take such a belief.  With
-    ``signed``, two of the four utilities are negated.  Each arm is a random
-    lottery (with infinitesimal probabilities under NS_PROB) or a sure
-    outcome, so arms of one value recur and patching an arm can cancel."""
+    ``signed``, two of the four utilities are negated, or all four when
+    ``signs`` is "nonpositive".  Each arm is a random lottery (with
+    infinitesimal probabilities under NS_PROB) or a sure outcome, so arms
+    of one value recur and patching an arm can cancel."""
     if regime is Regime.NS_UTIL:
-        pool = _signed_utility_pool(rng, "mixed") if signed else _nonstandard_utility_pool(rng)
+        pool = _signed_utility_pool(rng, signs) if signed else _nonstandard_utility_pool(rng)
     else:
         pool = _standard_utility_pool(rng)
         if signed:
-            negated = rng.sample(range(len(pool)), 2)
+            negated = rng.sample(range(len(pool)), 2) if signs == "mixed" else range(len(pool))
             pool = [-value if index in negated else value for index, value in enumerate(pool)]
     outcomes = ["a", "b", "c", "d"]
     utilities = UtilityAssignment.from_mapping(dict(zip(outcomes, pool)), signed=signed)

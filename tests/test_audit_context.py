@@ -1,12 +1,13 @@
 """The audit engine against the definitional checks, and the work and memory
 one audit takes: one closure, and no enumerated grid unless A2 scans NS_UTIL
-values of both signs; in the one pass that decides the solvability family, a
-weight partition only for the chains of the four witnesses each postulate
-keeps, except on NS_UTIL values of both signs, where every strict chain gets
-one; for A2, B2 and A2p, outside values of both signs, no partition and no
-mixture but a failing certificate's; no sampled partition in the linear
-regimes or on values of one sign; and nothing kept once the audit returns.  A4 and A5p are checked
-against their loops over acts and states."""
+values of both signs; in the one pass that decides the solvability family,
+no weight partition but on NS_UTIL values of both signs, where every strict
+chain gets one, and elsewhere integer witness weights only for the chains
+of the four witnesses each postulate keeps; for A2, B2 and A2p, outside
+values of both signs, no partition and no mixture but a failing
+certificate's; and nothing kept once the audit returns.  A4 and A5p are
+checked against their loops over acts and states, A4 by theorem outside
+NS_UTIL utilities of both signs."""
 
 import gc
 import itertools
@@ -34,6 +35,7 @@ from oracles import (
     oracle_B2,
     oracle_context,
     oracle_is_negligible,
+    oracle_partition_affine_comparison,
     oracle_rank,
     oracle_solvability,
     one_magnitude_structure,
@@ -88,6 +90,8 @@ from qualutil.auditor import (
     _build_context,
     _mixture_partition,
     _solvability,
+    _triples,
+    _witness_weights,
 )
 from qualutil.fixtures import fixture_path
 from qualutil.nsreal import _lead
@@ -201,7 +205,8 @@ def strict_chain_count(structure):
 def audit_counting_partitions(monkeypatch, structure, checks):
     """Audit ``structure``, counting its closures (calls of the closure
     kernel) and, per auditor function named in ``checks``, the weight
-    partitions made inside it."""
+    partitions made inside it, under its name, and the chains whose witness
+    weights it solved from integers, under ``("integers", name)``."""
     counts = Counter()
     active = []
 
@@ -211,6 +216,8 @@ def audit_counting_partitions(monkeypatch, structure, checks):
                 counts["closures"] += 1
             elif name == "partition_affine_comparison" and active:
                 counts[active[-1]] += 1
+            elif name == "_witness_weights" and active:
+                counts["integers", active[-1]] += 1
             elif name in checks:
                 active.append(name)
             try:
@@ -221,15 +228,16 @@ def audit_counting_partitions(monkeypatch, structure, checks):
 
         return wrapper
 
-    for name in ("_closure_vectors", "partition_affine_comparison", *checks):
+    for name in ("_closure_vectors", "partition_affine_comparison", "_witness_weights", *checks):
         monkeypatch.setattr(qualutil.auditor, name, counted(name, getattr(qualutil.auditor, name)))
     return audit(structure), counts
 
 
 def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(monkeypatch):
     # Every solvability postulate holds on values of one sign, so the one
-    # pass decides all 910 strict chains by rule and partitions only the
-    # chains of the witnesses it keeps, each once.
+    # pass decides all 910 strict chains by rule, partitions none, and
+    # solves the weights of only the chains of the witnesses it keeps, each
+    # once, from the context's integers.
     structure = bundled("consolation", closure_depth=1, grid_denominator=3)
     report, counts = audit_counting_partitions(monkeypatch, structure, ("_solvability",))
     assert [v.postulate for v in report.verdicts] == ["A1", "A2", "A2p", "A3p", "A3pp", "gamma"]
@@ -241,7 +249,8 @@ def test_one_audit_builds_one_closure_solves_each_chain_once_and_keeps_nothing(m
         for verdict in report.verdicts
         for witness in verdict.witnesses
     }
-    assert counts["_solvability"] == len(kept_chains) == 7
+    assert counts["_solvability"] == 0
+    assert counts["integers", "_solvability"] == len(kept_chains) == 7
 
     audited = weakref.ref(structure)
     del structure, report
@@ -549,23 +558,27 @@ def test_B2_holds_on_a_set_that_does_not_separate(depth):
     assert verdict == oracle_B2(structure)
 
 
-@pytest.mark.parametrize("name, partitions", [("consolation", 7), ("surgery", 7)])
-def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, partitions):
-    # The work of an audit is fixed: a cheaper partition must not come from
-    # solving fewer of them.  Every partition left is the chain of a kept
-    # solvability witness.
+@pytest.mark.parametrize("name, chains", [("consolation", 7), ("surgery", 7)])
+def test_audit_solves_a_fixed_number_of_partitions(monkeypatch, name, chains):
+    # The work of an audit is fixed: a cheaper solve must not come from
+    # solving fewer chains.  On values of one sign no weight partition is
+    # made; each chain of a kept solvability witness is solved once, from
+    # the context's integer terms.
     structure = bundled(name, closure_depth=1, grid_denominator=3)
-    calls = 0
-    original = qualutil.auditor.partition_affine_comparison
+    calls = Counter()
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(qualutil.auditor, "partition_affine_comparison", counted)
+        return wrapper
+
+    for function in ("partition_affine_comparison", "_witness_weights"):
+        original = getattr(qualutil.auditor, function)
+        monkeypatch.setattr(qualutil.auditor, function, counted(function, original))
     audit(structure)
-    assert calls == partitions
+    assert calls == {"_witness_weights": chains}
 
 
 def test_mixed_sign_closure_partitions_every_strict_chain(monkeypatch):
@@ -584,6 +597,7 @@ def test_mixed_sign_closure_partitions_every_strict_chain(monkeypatch):
         if not report.verdict("A3p").holds:
             continue
         assert counts["_solvability"] == strict_chain_count(structure) > 0
+        assert counts["integers", "_solvability"] == 0
         checked += 1
     assert checked >= 5
 
@@ -808,6 +822,94 @@ def test_A4_certificate_matches_the_oracle_on_signed_utilities():
     assert replay(verdict.counterexample, structure)
 
 
+A4_SIGNS = (None, "mixed", "nonpositive")
+
+
+@pytest.mark.parametrize("signs", A4_SIGNS, ids=str)
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.name)
+def test_A4_by_theorem_matches_the_oracle_under_infinitesimal_beliefs(regime, signs):
+    # Beliefs of 0, eps, eps/3 and eps**2 beside standard ones, on
+    # utilities >= 0, of both signs and all <= 0: A4 fails only on NS_UTIL
+    # utilities of both signs, the one case still decided patch by patch.
+    rng = random.Random(3100 + 3 * list(Regime).index(regime) + A4_SIGNS.index(signs))
+    failed = 0
+    for _ in range(40):
+        structure = random_tilted_acts_structure(
+            rng, regime, signs is not None, rng.randint(2, 4), signs=signs or "mixed"
+        )
+        verdict = check_A4(structure)
+        assert verdict == oracle_A4(structure)
+        failed += not verdict.holds
+    if not (regime is Regime.NS_UTIL and signs == "mixed"):
+        assert failed == 0
+
+
+def one_signed_solvability(structure):
+    """The solvability postulates that apply to the structure's regime."""
+    postulates = ["A3", "A3p", "gamma"]
+    if structure.regime is Regime.NS_UTIL and not structure.utilities.signed:
+        postulates.append("A3pp")
+    return _solvability(postulates, structure, None)
+
+
+def test_A4_and_the_one_signed_solvability_pass_add_and_multiply_no_value(monkeypatch):
+    # A4 by theorem, and witness weights from the context's integer terms:
+    # outside NS_UTIL values of both signs neither adds nor multiplies an
+    # NSReal, and each gives what it gave before the ring operations went.
+    rng = random.Random(3102)
+    acts = [random_acts_structure(rng, regime, state_count=3) for regime in Regime]
+    lotteries = [
+        bundled("consolation", closure_depth=1, grid_denominator=3),
+        bundled("maximin3", closure_depth=1, grid_denominator=4),
+    ]
+    assert _build_context(lotteries[1]).negative
+    solved = [one_signed_solvability(structure) for structure in lotteries + acts]
+    verdicts = [check_A4(structure) for structure in acts]
+    assert all(verdict.holds for verdict in verdicts)
+    assert any(witness for verdict in solved[0] for witness in verdict.witnesses)
+
+    def refuse(*args):
+        raise AssertionError("NSReal arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(NSReal, name, refuse)
+    assert [one_signed_solvability(structure) for structure in lotteries + acts] == solved
+    assert [check_A4(structure) for structure in acts] == verdicts
+
+
+def test_witness_weights_are_the_partition_witnesses_on_every_strict_chain():
+    # The integer threshold gives each relation the weight that
+    # RationalIntervalSet.witness() reads off the chain's sampled partition,
+    # on every strict chain outside NS_UTIL values of both signs.
+    rng = random.Random(3103)
+    structures = [bundled(name, closure_depth=1, grid_denominator=3) for name in MODELS]
+    structures += [
+        random_structure(rng, regime, grid_denominator=3, closure_depth=1, signs=signs)
+        for regime, signs in [
+            (Regime.STD, None),
+            (Regime.NS_PROB, None),
+            (Regime.NS_UTIL, None),
+            (Regime.NS_UTIL, "nonpositive"),
+        ]
+        for _ in range(3)
+    ]
+    chains = 0
+    for structure in structures:
+        context = _build_context(structure)
+        assert not context.mixed_signs
+        comparison = context.regime.comparison
+        for chain in itertools.islice(_triples(context, lambda a: (1, a)), 300):
+            p, q, r = (context.values[x] for x in chain)
+            parts = oracle_partition_affine_comparison(
+                AffineValue(p, r), AffineValue(q, q), comparison
+            )
+            expected = {relation: part.witness() for relation, part in parts.items()}
+            heads = (context.heads[x] for x in chain)
+            assert _witness_weights(*heads, context.negative) == expected, chain
+            chains += 1
+    assert chains > 1000
+
+
 # --- the solvability rule ----------------------------------------------------
 #
 # On a strict chain p > q > r, the relations in which a*p + (1-a)*r stands to
@@ -824,6 +926,7 @@ def relation_rule_on(regime, values):
             (),
             tuple(values),
             leads,
+            heads=(),
             mixed_signs=False,
             negative=any(value.sign() < 0 for value in values),
             rank=(),

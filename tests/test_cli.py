@@ -543,6 +543,21 @@ def test_a_bad_literal_is_quoted_by_a_prefix_and_its_length(capsys, tmp_path):
     assert len(err) < 200
 
 
+def test_a_long_unexpected_token_is_quoted_by_a_prefix_and_its_length(capsys, tmp_path):
+    # The literal and the token the parser stops at are each quoted by a
+    # prefix and a length, so the error line stays short.
+    path = tmp_path / "long.model"
+    path.write_text(STD_MODEL.replace("good = 1\n", f"good = 1 {'2' * 5000}\n"))
+    code, out, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: outcomes/good: bad literal '1 222")
+    assert "(5002 characters)" in err
+    assert "unexpected '2222" in err
+    assert "'... (5000 characters) (at position 2)" in err
+    assert len(err) < 200
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings")
 def test_a_value_past_the_digit_limit_is_refused_when_rendered(capsys, tmp_path):
     # Each utility parses, but the lottery's value has a numerator of

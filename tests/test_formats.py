@@ -187,7 +187,24 @@ literal_texts = st.lists(
 @example("3 * 4")
 @example("eps^+")
 @example("-")
+@example("1 " + "2" * 5000)
+@example("* " + "9" * 60)
 def test_literal_scanner_matches_the_descent_parser(text):
+    assert _outcome(parse_nsreal, text) == _outcome(oracle_parse_nsreal, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 " + "2" * 5000, "unexpected '" + "2" * 40 + "'... (5000 characters) (at position 2)"),
+        ("1 " + "2" * 40, "unexpected '" + "2" * 40 + "' (at position 2)"),
+        ("* " + "9" * 41, "expected a number or eps, found '*' (at position 0)"),
+    ],
+)
+def test_a_parse_error_quotes_a_long_token_by_a_prefix_and_its_length(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_nsreal(text)
+    assert str(raised.value) == message
     assert _outcome(parse_nsreal, text) == _outcome(oracle_parse_nsreal, text)
 
 

@@ -471,6 +471,28 @@ def test_close_under_mixtures_rejects_a_raw_generator_like_the_oracle(generators
     assert close_under_mixtures(generators, 3, 0) == tuple(generators)
 
 
+def test_generators_are_deduplicated_as_lotteries():
+    """Repeats of a lottery, the same object or an equal one, collapse to
+    the first passed in.  A raw-constructed lottery with the same
+    probabilities out of order, or with a zero entry, has the same vector
+    but is a different ``Lottery``, so it stays a generator of its own, as
+    deduplicating the lotteries keeps it."""
+    half = lottery(best=F(1, 2), worst=F(1, 2))
+    equal = lottery(best=F(1, 2), worst=F(1, 2))
+    unsorted = Lottery((("worst", rational(F(1, 2))), ("best", rational(F(1, 2)))))
+    padded = Lottery((("best", rational(F(1, 2))), ("middle", ZERO), ("worst", rational(F(1, 2)))))
+    generators = [half, equal, unsorted, half, padded, unsorted, lottery(best=1)]
+    for depth in (0, 1):
+        closure = close_under_mixtures(generators, 3, depth)
+        assert closure == oracle_close_under_mixtures(generators, 3, depth)
+        assert closure[:4] == (half, unsorted, padded, lottery(best=1))
+        assert closure[0] is half and closure[1] is unsorted and closure[2] is padded
+    for limit in (3, 4):
+        assert closure_or_error(
+            close_under_mixtures, generators, 3, 0, limit=limit
+        ) == closure_or_error(oracle_close_under_mixtures, generators, 3, 0, limit=limit)
+
+
 @pytest.mark.parametrize(
     "name, members, against_oracle",
     [
