@@ -42,20 +42,18 @@ ranges of ranks (:func:`_triples`).
 
 The solvability family, A3, A3p, A3pp and gamma, reads on each strict chain
 p > q > r the relations in which ``a*p + (1-a)*r`` stands to q.  Outside
-NS_UTIL values of both signs, leading exponents e give them, and a chain is
-*level* when all three occur: always in STD and NS_PROB; on NS_UTIL values
->= 0 when ``e(p) == e(q)``, "greater" alone otherwise; on values <= 0 when
-``e(q) == e(r)``, "less" alone otherwise.  Under nonstandard utilities
+NS_UTIL values of both signs, the threshold rule of :mod:`qualutil.solver`
+gives them from leading exponents e, and a chain is *level* when all three
+occur: always in STD and NS_PROB; on NS_UTIL values >= 0 when ``e(p) ==
+e(q)``, "greater" alone otherwise; on values <= 0 when ``e(q) == e(r)``,
+"less" alone otherwise.  Under nonstandard utilities
 solvability thus fails only through overriding, which the primed postulates
 exempt.  Each postulate holds on level chains and has one verdict on all the
 others, so the first chain that is not level decides it, and its witnesses
 are counted from class sizes in O(classes) (:func:`_solvability`).  Where
 values mix signs, every chain's weight partition is solved.  A holding
 verdict counts its witnesses and keeps the first four.  Outside mixed signs
-a kept chain's weights come from the context's integer terms: the threshold
-of the threshold partition, a ratio of integer coefficients at the scale
-common to the closure, and the witness at it, half of it or halfway past
-it to 1, or 1/2 where one relation holds throughout
+a kept chain's weights come from that rule on the context's integer terms
 (:func:`_witness_weights`), solved at most once per chain; nothing else is
 kept per chain.
 
@@ -90,8 +88,8 @@ order), in NS_PROB (standard parts of finite values) and on NS_UTIL values
 of one sign (no cancellation).  Only NS_UTIL utilities of both signs are
 scanned, patch by patch (:func:`check_A4`).
 
-The weight partitions of STD, NS_PROB and one-signed NS_UTIL are threshold
-partitions, written without sampling (:mod:`qualutil.solver`).
+The weight partitions of STD, NS_PROB and one-signed NS_UTIL follow the
+threshold rule of :mod:`qualutil.solver`, with no sampling.
 
 The lexicographic contrast orders pairs ``(x, y)`` of rationals by ``x``,
 then by ``y``: the plain ring order on ``x + y*EPS``.  Its comparison and
@@ -119,7 +117,7 @@ from .errors import (
     MissingUtility,
     RegimeMismatch,
 )
-from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead, _wrap
+from .nsreal import EPS, NSReal, ZERO, QOrdering, _lead, _term_key, _wrap
 from .prefcore import (
     _PREF_FROM_Q,
     _closure_vectors,
@@ -142,7 +140,7 @@ from .prefcore import (
 from .solver import (
     AffineValue,
     RationalIntervalSet,
-    _sign_label,
+    _threshold,
     partition_affine_comparison,
 )
 
@@ -215,6 +213,9 @@ class PrefStructure:
                 f"the model's regime {self.model.regime.value} differs from "
                 f"the structure's regime {regime.value}"
             )
+        # Acts are valued with the model's utilities, lotteries with these.
+        if self.model is not None and self.model.utilities != self.utilities:
+            raise InvalidParameter("the model's utilities differ from the structure's")
         if self.acts:
             if self.model is None:
                 raise MissingModel("acts were supplied without a model")
@@ -375,7 +376,7 @@ def _build_context(structure: PrefStructure) -> _Context:
     lcm of the utilities' denominators: one integer product of the vector
     with a column per value exponent.  Every value shares the scale S*U, so
     its lead is its first nonzero coordinate (``inf`` for zero) and each
-    regime's sort key is an integer key: NS_UTIL ``_qkey`` of the leading
+    regime's sort key is an integer key: NS_UTIL ``_term_key`` of the leading
     term; STD and NS_PROB the exponent-0 coordinate, the standard part,
     which under STD is the row's one coordinate, and under NS_PROB comes
     after a value of negative lead raises the
@@ -437,7 +438,7 @@ def _build_context(structure: PrefStructure) -> _Context:
     values, lotteries = _Memo(len(rows), value), _Memo(len(rows), lottery)
     negative = positive = False
     if regime is Regime.NS_UTIL:
-        keys = [(0, e, c) if c < 0 else (1, -e, c) for e, c in heads]
+        keys = list(itertools.starmap(_term_key, heads))
         negative = any(c < 0 for _, c in heads)
         positive = any(c > 0 for _, c in heads)
     else:
@@ -522,33 +523,19 @@ def _witness_weights(
     value's term in ``_Context.heads``, outside NS_UTIL values of both
     signs; ``negative`` when those values are <= 0.
 
-    It is the threshold partition :func:`partition_affine_comparison` takes
-    there, in integers: the mixture leads at ``e = min(e(p), e(r))`` with
-    coefficient ``a*x1 + (1-a)*x0``, where x1 is p's coefficient if p leads
-    there and 0 otherwise, and x0 likewise r's.  If q leads at another
-    exponent, one relation holds throughout, at weight 1/2: for the
-    mixture of the larger order of magnitude, "greater" on values >= 0 and
-    "less" on values <= 0.  Otherwise, with
-    ``d1 = x1 - c(q)`` and ``d0 = x0 - c(q)`` of opposite signs, the sign
-    of ``d0 + a*(d1 - d0)`` changes at ``t = |d0|/(|d0| + |d1|)``: d0's
-    relation at t/2, indifference at t and d1's at (t+1)/2; with no change
-    of sign, the one relation of ``d0 + d1`` at 1/2.  Every coefficient
-    shares the context's scale, so t is that of the ``NSReal`` values."""
-    (ep, cp), (eq, cq), (er, cr) = p, q, r
-    e = min(ep, er)
-    if e != eq:
-        larger = QOrdering.LESS if negative else QOrdering.GREATER
-        return {larger if e < eq else larger.flipped(): _HALF}
-    d1 = (cp if ep == e else 0) - cq
-    d0 = (cr if er == e else 0) - cq
-    if (d0 > 0 > d1) or (d0 < 0 < d1):
-        low, total = abs(d0), abs(d0) + abs(d1)
-        return {
-            _sign_label(d0): Fraction(low, 2 * total),
-            QOrdering.EQUIVALENT: Fraction(low, total),
-            _sign_label(d1): Fraction(low + total, 2 * total),
-        }
-    return {_sign_label(d0 + d1): _HALF}
+    These are the threshold rule's cells (:mod:`qualutil.solver`) on those
+    terms: t/2, t and (t+1)/2 about a threshold t, or 1/2 for one relation
+    throughout.  Every term shares the context's scale, so t is the
+    ``NSReal`` values' own."""
+    below, t, above = _threshold(p, r, q, q, negative)
+    if t is None:
+        return {below: _HALF}
+    low, total = t
+    return {
+        below: Fraction(low, 2 * total),
+        QOrdering.EQUIVALENT: Fraction(low, total),
+        above: Fraction(low + total, 2 * total),
+    }
 
 
 def solve_mixture_relation(

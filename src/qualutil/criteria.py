@@ -25,8 +25,9 @@ from operator import add, itemgetter
 from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import IndexOrder, IndexOutOfRange, InvalidParameter, InvalidWeight
-from .nsreal import NSReal, _lead, eps
+from .nsreal import NSReal, _lead, _ordering, _term_key, eps
 from .prefcore import (
+    _PREF_FROM_Q,
     _require_denominator,
     _require_int,
     Lottery,
@@ -146,14 +147,9 @@ def _worst_case_key(low: int, w: Weight) -> tuple[int, Weight]:
     return low, -w
 
 
-# A verdict indexed by the sign of a key comparison.
-_VERDICTS = (PrefOrdering.INDIFFERENT, PrefOrdering.BETTER, PrefOrdering.WORSE)
-
-
 def _worst_case_rule(low: int, w: Fraction, other_low: int, other_w: Fraction) -> PrefOrdering:
     """The rule of :func:`maximin_compare_oracle` on already validated bets."""
-    key, other = _worst_case_key(low, w), _worst_case_key(other_low, other_w)
-    return _VERDICTS[(key > other) - (key < other)]
+    return _PREF_FROM_Q[_ordering(_worst_case_key(low, w), _worst_case_key(other_low, other_w))]
 
 
 # A ``Regime.NS_UTIL.key`` with its coefficient scaled by :func:`_bet_keys`.
@@ -206,12 +202,6 @@ def _bet_keys(
                 ]
             keyed.extend(zip(keys, repeat(low), ks))
     return scale, keyed
-
-
-def _term_key(exponent: float, coefficient: Union[int, Fraction]) -> Key:
-    """The ``Regime.NS_UTIL.key`` of a value whose leading term is
-    ``coefficient * eps**exponent``, zero's for ``(inf, 0)``."""
-    return (0, exponent, coefficient) if coefficient < 0 else (1, -exponent, coefficient)
 
 
 def _cancelled_key(u_low: NSReal, u_high: NSReal, w: Fraction, scale: int) -> Key:

@@ -92,6 +92,16 @@ def _quoted(text: str) -> str:
     return repr(text)
 
 
+# The error for an integer literal longer than the interpreter's limit.
+_PAST_DIGIT_LIMIT = "integer of {} digits is past this Python's limit for integer strings"
+
+
+def _named(name: str) -> str:
+    """A document's section or key name as an error path holds it: as it
+    is, or by :func:`_quoted` when longer than ``_QUOTED_PREFIX``."""
+    return name if len(name) <= _QUOTED_PREFIX else _quoted(name)
+
+
 def parse_nsreal(text: str) -> NSReal:
     """Parse a number literal such as ``"1/6 - 1/6*eps"`` or ``"eps^-1"``.
 
@@ -172,10 +182,7 @@ def parse_nsreal(text: str) -> NSReal:
     except ValueError as error:
         # int() refuses a token of more digits than the interpreter's integer
         # string limit; token and position are still that token's.
-        raise ParseError(
-            f"integer of {len(token)} digits is past this Python's limit for integer strings",
-            position,
-        ) from error
+        raise ParseError(_PAST_DIGIT_LIMIT.format(len(token)), position) from error
     if kind is not None:
         raise ParseError(f"unexpected {_quoted(token)}", position)
     return _wrap(tuple(sorted([(exponent, c) for exponent, c in terms.items() if c])))
@@ -245,7 +252,7 @@ class ModelDocument:
         for candidate, value in self.lotteries:
             if candidate == name:
                 return value
-        raise UnknownIdentifier(f"unknown lottery {name!r}")
+        raise UnknownIdentifier(f"unknown lottery {_quoted(name)}")
 
     def lottery_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.lotteries)
@@ -254,7 +261,7 @@ class ModelDocument:
         for candidate, value in self.acts:
             if candidate == name:
                 return value
-        raise UnknownIdentifier(f"unknown act {name!r}")
+        raise UnknownIdentifier(f"unknown act {_quoted(name)}")
 
     def structure(self) -> PrefStructure:
         return PrefStructure(
@@ -285,7 +292,11 @@ def _positive_int(text: str, path: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError as error:
-        raise SchemaError(f"expected an integer, found {text!r}", path) from error
+        message = f"expected an integer, found {_quoted(text)}"
+        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+        if digits:  # int() refuses more digits than the interpreter's limit
+            message = _PAST_DIGIT_LIMIT.format(len(digits[1]))
+        raise SchemaError(message, path) from error
     if value < minimum:
         raise SchemaError(f"value must be at least {minimum}", path)
     return value
@@ -309,7 +320,7 @@ def _require_unique_names(kind: str, named: Sequence[tuple[str, object]]) -> Non
     seen = set()
     for name, _ in named:
         if name in seen:
-            raise SchemaError(f"duplicate {kind} name {name!r}", f"{kind} {name}")
+            raise SchemaError(f"duplicate {kind} name {_quoted(name)}", _named(f"{kind} {name}"))
         seen.add(name)
 
 
@@ -346,8 +357,8 @@ def _read_sections(text: str) -> dict[str, dict[str, str | None]]:
         if key and indent > key_indent:
             if lines is None:
                 raise SchemaError(
-                    f"line {lineno} is indented under a key with no value: {value!r}",
-                    f"{name}/{key}",
+                    f"line {lineno} is indented under a key with no value: {_quoted(value)}",
+                    f"{_named(name)}/{_named(key)}",
                 )
             lines.append(value)
             continue
@@ -411,14 +422,15 @@ def _document(
         raise SchemaError("a [model] section is required", "model")
     for key in model_section:
         if key not in _MODEL_KEYS:
-            raise SchemaError(f"unknown key {key!r}", f"model/{key}")
+            raise SchemaError(f"unknown key {_quoted(key)}", f"model/{_named(key)}")
     regime_text = model_section.get("regime")
     if regime_text is None or not regime_text.strip():
         raise SchemaError("regime is required (std, ns-util, or ns-prob)", "model/regime")
     try:
         regime = Regime(regime_text.strip())
     except ValueError as error:
-        raise SchemaError(f"unknown regime {regime_text.strip()!r}", "model/regime") from error
+        message = f"unknown regime {_quoted(regime_text.strip())}"
+        raise SchemaError(message, "model/regime") from error
     if regime_override is not None:
         regime = regime_override
     denominator = 8
@@ -433,7 +445,8 @@ def _document(
     if model_section.get("signed-utilities") is not None:
         flag = model_section["signed-utilities"].strip().lower()
         if flag not in _BOOLEAN:
-            raise SchemaError(f"expected yes or no, found {flag!r}", "model/signed-utilities")
+            message = f"expected yes or no, found {_quoted(flag)}"
+            raise SchemaError(message, "model/signed-utilities")
         signed = _BOOLEAN[flag]
 
     # [lottery NAME] and [act NAME] sections, each as (section, name), in
@@ -444,14 +457,14 @@ def _document(
             continue
         head, _, rest = section.partition(" ")
         if head not in named or not rest.strip():
-            raise SchemaError(f"unknown section [{section}]", section)
+            raise SchemaError(f"unknown section [{_named(section)}]", _named(section))
         named[head].append((section, rest.strip()))
 
     if not sections.get("outcomes"):
         raise SchemaError("at least one outcome is required", "outcomes")
     utility_map: dict[str, NSReal] = {}
     for outcome, literal in sections["outcomes"].items():
-        path = f"outcomes/{outcome}"
+        path = f"outcomes/{_named(outcome)}"
         value = _parse_literal(literal, path)
         if not signed and value.sign() < 0:
             raise SchemaError(
@@ -465,19 +478,19 @@ def _document(
     lotteries: list[tuple[str, Lottery]] = []
     for section, name in named["lottery"]:
         if not sections[section]:
-            raise SchemaError("a lottery needs at least one outcome", section)
+            raise SchemaError("a lottery needs at least one outcome", _named(section))
         probabilities: dict[str, NSReal] = {}
         for outcome, literal in sections[section].items():
-            path = f"{section}/{outcome}"
+            path = f"{_named(section)}/{_named(outcome)}"
             if outcome not in utility_map:
-                raise SchemaError(f"unknown outcome {outcome!r}", path)
+                raise SchemaError(f"unknown outcome {_quoted(outcome)}", path)
             probabilities[outcome] = _weight_literal(
                 literal, path, regime, "probabilities", "standard probabilities"
             )
         try:
             lotteries.append((name, Lottery.from_mapping(probabilities)))
         except ValueError as error:
-            raise SchemaError(str(error), section) from error
+            raise SchemaError(str(error), _named(section)) from error
     if not lotteries:
         raise SchemaError("at least one [lottery NAME] section is required", "lottery")
     _require_unique_names("lottery", lotteries)
@@ -486,7 +499,7 @@ def _document(
     if "states" in sections:
         for state, value in sections["states"].items():
             if value not in (None, ""):
-                raise SchemaError("state lines carry no value", f"states/{state}")
+                raise SchemaError("state lines carry no value", f"states/{_named(state)}")
         states = tuple(sections["states"])
         if not states:
             raise SchemaError("the states section is empty", "states")
@@ -497,15 +510,16 @@ def _document(
             raise SchemaError("belief requires a [states] section", "belief")
         belief: dict[str, NSReal] = {}
         for state, literal in sections["belief"].items():
-            path = f"belief/{state}"
+            path = f"belief/{_named(state)}"
             if state not in states:
-                raise SchemaError(f"unknown state {state!r}", path)
+                raise SchemaError(f"unknown state {_quoted(state)}", path)
             belief[state] = _weight_literal(
                 literal, path, regime, "belief weights", "a standard belief"
             )
         for state in states:
             if state not in belief:
-                raise SchemaError(f"missing belief for state {state!r}", f"belief/{state}")
+                message = f"missing belief for state {_quoted(state)}"
+                raise SchemaError(message, f"belief/{_named(state)}")
         try:
             model = AAModel.from_mappings(states, belief, utilities, regime)
         except ValueError as error:
@@ -515,18 +529,20 @@ def _document(
     acts: list[tuple[str, Act]] = []
     for section, name in named["act"]:
         if model is None:
-            raise SchemaError("acts require [states] and [belief] sections", section)
+            raise SchemaError("acts require [states] and [belief] sections", _named(section))
         arms: dict[str, Lottery] = {}
         for state, lottery_name in sections[section].items():
-            path = f"{section}/{state}"
+            path = f"{_named(section)}/{_named(state)}"
             if state not in states:
-                raise SchemaError(f"unknown state {state!r}", path)
+                raise SchemaError(f"unknown state {_quoted(state)}", path)
             if lottery_name is None or lottery_name.strip() not in lottery_map:
-                raise SchemaError(f"unknown lottery {lottery_name!r}", path)
+                shown = "None" if lottery_name is None else _quoted(lottery_name)
+                raise SchemaError(f"unknown lottery {shown}", path)
             arms[state] = lottery_map[lottery_name.strip()]
         for state in states:
             if state not in arms:
-                raise SchemaError(f"missing lottery for state {state!r}", f"{section}/{state}")
+                message = f"missing lottery for state {_quoted(state)}"
+                raise SchemaError(message, f"{_named(section)}/{_named(state)}")
         acts.append((name, Act.from_mapping(arms)))
     _require_unique_names("act", acts)
 

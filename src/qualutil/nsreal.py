@@ -398,17 +398,22 @@ def _lead(value: NSReal) -> tuple[float, Fraction]:
     return value.terms[0] if value.terms else _NO_TERM
 
 
+def _term_key(exponent: float, coefficient: Scalar) -> tuple[int, float, Scalar]:
+    """The sort key of the qualitative order for the leading term
+    ``(exponent, coefficient)`` of a value, ``(inf, 0)`` for zero, with an
+    ``int`` or ``Fraction`` coefficient: sign class first, then order of
+    magnitude (the larger the greater among nonnegative values, the lesser
+    among negative ones), then leading coefficient."""
+    return (0, exponent, coefficient) if coefficient.numerator < 0 else (1, -exponent, coefficient)
+
+
 def _qkey(value: NSReal) -> tuple[int, float, Fraction]:
-    """The sort key of the qualitative order: sign class first, then order
-    of magnitude (the larger the greater among nonnegative values, the
-    lesser among negative ones), then leading coefficient.  Zero, of lower
-    order than any other value, is ``(1, -inf, 0)``."""
-    e, c = _lead(value)
-    return (0, e, c) if c.numerator < 0 else (1, -e, c)
+    """The sort key of the qualitative order; zero's is ``(1, -inf, 0)``."""
+    return _term_key(*_lead(value))
 
 
 def _ordering(left: object, right: object) -> QOrdering:
-    """The verdict of comparing two sort keys."""
+    """The verdict of comparing two sort keys, or a number's sign with 0."""
     if left > right:
         return QOrdering.GREATER
     return QOrdering.LESS if left < right else QOrdering.EQUIVALENT

@@ -39,7 +39,7 @@ from .errors import (
     MissingUtility,
     PreconditionViolated,
 )
-from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, _wrap, qcompare, rational
+from .nsreal import NSReal, ONE, QOrdering, ZERO, _lead, _ordering, _wrap, qcompare, rational
 from .solver import ORDER_KEYS, AffineValue, RationalIntervalSet, partition_affine_comparison
 
 __all__ = [
@@ -247,11 +247,7 @@ def compare_values(left: NSReal, right: NSReal, regime: Regime) -> PrefOrdering:
     """Order two expected utilities as their keys by the regime's sort key,
     ``regime.key``, compare.  Under NS_PROB an infinite value has no key and
     raises :class:`~qualutil.errors.InfiniteValue`."""
-    key = regime.key
-    left, right = key(left), key(right)
-    if left > right:
-        return PrefOrdering.BETTER
-    return PrefOrdering.WORSE if left < right else PrefOrdering.INDIFFERENT
+    return _PREF_FROM_Q[_ordering(regime.key(left), regime.key(right))]
 
 
 def prefers(

@@ -10,26 +10,31 @@ constant; one exact sample per cell plus the breakpoints themselves decide
 the whole interval.  No approximation is involved anywhere.
 
 :func:`partition_affine_comparison` needs those samples only in the last
-of its three routes.  The first two write the partition down directly, as
-the threshold partition of one linear function ``d0 + a*(d1 - d0)`` of the
-weight: its only breakpoint is ``d0/(d0 - d1)``, so there are at most three
-cells.
+of its three routes.  The first two write the partition down directly by
+the *threshold rule* on the leading terms of the operands, which
+:func:`_threshold` decides, as it does for the audit's solvability
+witnesses (:func:`qualutil.auditor._witness_weights`).  Operands of one
+sign cannot cancel, so a side ``a*x + (1-a)*y`` leads on all of (0, 1) at
+the smaller leading exponent of x and y (``inf`` for zero), with the
+coefficient ``a*x1 + (1-a)*x0``, x1 being x's leading coefficient if x
+leads there and 0 otherwise, x0 likewise y's.  Sides of different leading
+exponent take one label throughout: the larger order of magnitude is the
+greater among nonnegative values, the lesser among nonpositive ones.
+Sides of one exponent compare by the sign of ``d0 + a*(d1 - d0)``, the
+differences of their coefficients being ``d1`` at ``a = 1`` and ``d0`` at
+``a = 0``.  If d0 and d1 have opposite signs, d0's label holds on (0, t),
+indifference at the threshold ``t = d0/(d0 - d1)`` and d1's label on
+(t, 1); otherwise the label of ``d0 + d1`` holds throughout.
 
 1. *Order of standard parts; ring order on standard operands* (the STD and
    NS_PROB regimes).  Taking the standard part is additive and
-   multiplicative on finite values, so ``d1`` and ``d0`` are the
-   differences of the standard parts of the operands at ``a = 1`` and
-   ``a = 0``.  An infinite operand has no standard part and raises
-   :class:`~qualutil.errors.InfiniteValue`.
+   multiplicative on finite values, so each operand's term is its standard
+   part at exponent 0, of either sign: no term is dropped where all share
+   one exponent.  An infinite operand raises :class:`~qualutil.errors.InfiniteValue`.
 2. *Qualitative order on operands of one sign* (NS_UTIL).  Among values of
    one sign the qualitative order ranks by leading term: order of magnitude
    first, zero being of lower order than any other value, and coefficient
-   second.  A mixture of two such values cannot cancel at the smaller of
-   their leading exponents, so each side keeps one leading exponent on all
-   of (0, 1), and its coefficient there is linear in ``a``.  Sides of
-   different order take one label throughout: the larger order is the
-   greater among nonnegative values, the lesser among nonpositive ones.
-   Sides of one order compare their leading coefficients by the threshold.
+   second.  Each operand's term is its leading term.
 3. *Everything else*: the qualitative order on operands of mixed sign and
    the ring order on nonstandard operands (the lexicographic contrast).
    Each sample ``a*at_one + (1 - a)*at_zero`` is built by ``NSReal``
@@ -45,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import InvalidParameter
-from .nsreal import NSReal, QOrdering, _lead, _ordering, _qkey
+from .nsreal import NSReal, QOrdering, Scalar, _lead, _ordering, _qkey
 
 __all__ = [
     "AffineValue",
@@ -217,15 +222,6 @@ class AffineValue:
     at_zero: NSReal
 
 
-def _sign_label(n: int) -> QOrdering:
-    """The verdict read off the sign of ``n``."""
-    if n > 0:
-        return QOrdering.GREATER
-    if n < 0:
-        return QOrdering.LESS
-    return QOrdering.EQUIVALENT
-
-
 # The sort key of each order :func:`partition_affine_comparison` accepts:
 # two values compare as their keys do.
 ORDER_KEYS: dict[str, Callable[[NSReal], object]] = {
@@ -255,11 +251,10 @@ def partition_affine_comparison(
     infinitesimals.  One of three routes decides (module docstring):
 
     1. the order of standard parts, and the ring order on standard
-       operands, take the threshold partition of the standard parts; an
+       operands, take the threshold rule on the standard parts; an
        infinite operand raises :class:`~qualutil.errors.InfiniteValue`;
-    2. the qualitative order on operands of one sign takes the leading
-       terms of both sides: one label throughout when they differ in order
-       of magnitude, else the threshold partition of their coefficients;
+    2. the qualitative order on operands of one sign takes the threshold
+       rule on the leading terms;
     3. everything else is sampled by definition, at breakpoints from the
        coefficient roots of both operands and of their difference.
     """
@@ -267,18 +262,11 @@ def partition_affine_comparison(
     if comparison == "standard-part" or (
         comparison == "quantitative" and all(x.is_standard() for x in operands)
     ):
-        return _threshold_partition(*(x.standard_part() for x in operands))
+        return _threshold_partition(*_threshold(*[(0, x.standard_part()) for x in operands], False))
     if comparison == "qualitative":
         signs = {x.sign() for x in operands}
         if not {1, -1} <= signs:
-            left_exponent, l1, l0 = _leading_row(left)
-            right_exponent, r1, r0 = _leading_row(right)
-            if left_exponent == right_exponent:
-                return _threshold_partition(l1, l0, r1, r0)
-            # The larger order of magnitude is the greater among nonnegative
-            # values and the lesser among nonpositive ones.
-            larger = QOrdering.LESS if -1 in signs else QOrdering.GREATER
-            return {larger if left_exponent < right_exponent else larger.flipped(): _WHOLE}
+            return _threshold_partition(*_threshold(*map(_lead, operands), -1 in signs))
 
     difference = AffineValue(left.at_one - right.at_one, left.at_zero - right.at_zero)
     breakpoints = {t for value in (left, right, difference) for t in _coefficient_roots(value)}
@@ -295,43 +283,60 @@ def partition_affine_comparison(
 _WHOLE = RationalIntervalSet((_interval(_ZERO, _ONE, True, True),))
 
 
-def _threshold_partition(
-    x1: Fraction, x0: Fraction, y1: Fraction, y0: Fraction
-) -> dict[QOrdering, RationalIntervalSet]:
-    """The partition of ``a*x1 + (1-a)*x0`` against ``a*y1 + (1-a)*y0`` in
-    the order of the rationals, for the standard parts of four operands or
-    the leading coefficients of two sides of one order: the sign of ``d0 + a*(d1 - d0)``, which
-    crosses zero inside (0, 1) exactly when ``d0`` and ``d1`` have opposite
-    signs, at ``d0/(d0 - d1)``; otherwise it is the sign of ``d0 + d1``
-    throughout.  Labels are keyed in increasing order of weight.
+Term = tuple[float, Scalar]  # a leading (exponent, coefficient), (inf, 0) for zero
 
-    Each difference is held as an unreduced ``n/m`` with ``m > 0``, so the
-    threshold is the only ``Fraction`` built."""
+
+def _threshold(
+    left_one: Term, left_zero: Term, right_one: Term, right_zero: Term, negative: bool
+) -> tuple[QOrdering, tuple[int, int] | None, QOrdering]:
+    """The threshold rule (module docstring) for ``a*left_one +
+    (1-a)*left_zero`` against ``a*right_one + (1-a)*right_zero``, given the
+    leading terms of four operands of one sign, or all at one exponent, with
+    ``int`` or ``Fraction`` coefficients; ``negative`` when the values are
+    <= 0.  Returns ``(below, t, above)``: the labels on (0, t) and (t, 1)
+    for ``t = (n, d)`` standing for n/d, or one label throughout for ``t``
+    None.  Each coefficient difference is held as an unreduced ``n/m`` with
+    ``m > 0``, so no ``Fraction`` is built."""
+    e, x1, x0 = _leading_row(left_one, left_zero)
+    f, y1, y0 = _leading_row(right_one, right_zero)
+    if e != f:
+        larger = QOrdering.LESS if negative else QOrdering.GREATER
+        label = larger if e < f else larger.flipped()
+        return label, None, label
     n1 = x1.numerator * y1.denominator - y1.numerator * x1.denominator
     n0 = x0.numerator * y0.denominator - y0.numerator * x0.denominator
     if (n0 > 0 > n1) or (n0 < 0 < n1):
-        m1 = x1.denominator * y1.denominator
-        m0 = x0.denominator * y0.denominator
-        t = Fraction(n0 * m1, n0 * m1 - n1 * m0)
-        return {
-            _sign_label(n0): RationalIntervalSet((_interval(_ZERO, t, True, True),)),
-            QOrdering.EQUIVALENT: RationalIntervalSet((_interval(t, t, False, False),)),
-            _sign_label(n1): RationalIntervalSet((_interval(t, _ONE, True, True),)),
-        }
-    return {_sign_label(n0 + n1): _WHOLE}
+        low = abs(n0) * x1.denominator * y1.denominator
+        t = low, low + abs(n1) * x0.denominator * y0.denominator
+        return _ordering(n0, 0), t, _ordering(n1, 0)
+    label = _ordering(n0 + n1, 0)
+    return label, None, label
 
 
-def _leading_row(value: AffineValue) -> tuple[float, Fraction, Fraction]:
-    """The leading exponent of ``value`` on (0, 1), the smaller of its two
-    endpoints' (``inf`` for zero), and that exponent's coefficients at
-    ``a = 1`` and ``a = 0``; an endpoint that does not lead there has none."""
-    e1, c1 = _lead(value.at_one)
-    e0, c0 = _lead(value.at_zero)
+def _leading_row(one: Term, zero: Term) -> tuple[float, Scalar, Scalar]:
+    """The leading exponent of ``a*one + (1-a)*zero`` on (0, 1), the smaller
+    of the two, and its coefficients at ``a = 1`` and ``a = 0`` (0 for a
+    term that does not lead there)."""
+    (e1, c1), (e0, c0) = one, zero
     if e1 < e0:
-        return e1, c1, _ZERO
+        return e1, c1, 0
     if e0 < e1:
-        return e0, _ZERO, c0
+        return e0, 0, c0
     return e0, c1, c0
+
+
+def _threshold_partition(
+    below: QOrdering, t: tuple[int, int] | None, above: QOrdering
+) -> dict[QOrdering, RationalIntervalSet]:
+    """The cells of :func:`_threshold` as interval sets."""
+    if t is None:
+        return {below: _WHOLE}
+    t = Fraction(*t)
+    return {
+        below: RationalIntervalSet((_interval(_ZERO, t, True, True),)),
+        QOrdering.EQUIVALENT: RationalIntervalSet((_interval(t, t, False, False),)),
+        above: RationalIntervalSet((_interval(t, _ONE, True, True),)),
+    }
 
 
 def _coefficient_roots(value: AffineValue) -> Iterator[Fraction]:

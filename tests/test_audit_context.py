@@ -11,6 +11,7 @@ NS_UTIL utilities of both signs."""
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 import weakref
@@ -49,6 +50,7 @@ from oracles import (
 from qualutil import (
     EPS,
     ONE,
+    ZERO,
     AAModel,
     Act,
     AffineValue,
@@ -908,6 +910,30 @@ def test_witness_weights_are_the_partition_witnesses_on_every_strict_chain():
             assert _witness_weights(*heads, context.negative) == expected, chain
             chains += 1
     assert chains > 1000
+
+
+def _one_signed_terms(negative):
+    """Three (exponent, integer coefficient) terms of one sign, zero's
+    ``(inf, 0)`` among them, over few exponents so that they often tie."""
+    sign = -1 if negative else 1
+    term = st.one_of(
+        st.just((math.inf, 0)),
+        st.tuples(st.integers(-2, 2), st.integers(1, 60).map(sign.__mul__)),
+    )
+    return st.tuples(st.just(negative), st.tuples(term, term, term))
+
+
+@given(st.booleans().flatmap(_one_signed_terms))
+def test_witness_weights_are_the_partition_witnesses_on_any_one_signed_terms(drawn):
+    # Any three terms, not only chains of a closure: the threshold rule in
+    # integers against the sampled partition of the values they lead.
+    negative, heads = drawn
+    p, q, r = (ZERO if c == 0 else c * eps(e) for e, c in heads)
+    parts = oracle_partition_affine_comparison(
+        AffineValue(p, r), AffineValue(q, q), "qualitative"
+    )
+    expected = {relation: part.witness() for relation, part in parts.items()}
+    assert _witness_weights(*heads, negative) == expected
 
 
 # --- the solvability rule ----------------------------------------------------

@@ -28,6 +28,7 @@ from qualutil import (
     ConsistencyError,
     Counterexample,
     EPS,
+    InvalidParameter,
     Lottery,
     MissingModel,
     MissingUtility,
@@ -139,6 +140,29 @@ def test_structure_acts_need_a_model():
     act = Act.from_mapping({"s": Lottery.degenerate("a")})
     with pytest.raises(MissingModel):
         PrefStructure(Regime.STD, utilities, degenerates("a"), acts=(act,))
+
+
+def test_structure_refuses_a_model_with_other_utilities():
+    # Acts are valued with the model's utilities and lotteries with the
+    # structure's, so the two must agree: a signed model beside unsigned
+    # structure utilities would make audit() raise from check_A5prime.
+    values = {"a": EPS, "b": rational(0)}
+    unsigned = UtilityAssignment.from_mapping(values)
+    act = Act.from_mapping({"s": Lottery.degenerate("a"), "t": Lottery.degenerate("b")})
+    belief = {"s": rational(F(1, 2)), "t": rational(F(1, 2))}
+    others = (
+        UtilityAssignment.from_mapping(values, signed=True),
+        UtilityAssignment.from_mapping({"a": 2 * EPS, "b": rational(0)}),
+    )
+    for utilities in others:
+        model = AAModel.from_mappings(("s", "t"), belief, utilities, Regime.NS_UTIL)
+        with pytest.raises(InvalidParameter, match="utilities differ"):
+            PrefStructure(Regime.NS_UTIL, unsigned, degenerates("a", "b"), model=model, acts=(act,))
+    model = AAModel.from_mappings(("s", "t"), belief, unsigned, Regime.NS_UTIL)
+    structure = PrefStructure(
+        Regime.NS_UTIL, unsigned, degenerates("a", "b"), closure_depth=0, model=model, acts=(act,)
+    )
+    assert audit(structure).verdict("A5p").holds
 
 
 def test_mixture_closure_depth_override():

@@ -558,6 +558,33 @@ def test_a_long_unexpected_token_is_quoted_by_a_prefix_and_its_length(capsys, tm
     assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("regime = std", "regime = " + "x" * 5000),
+        ("closure-depth = 0", "closure-depth = 0\nsigned-utilities = " + "y" * 5000),
+        ("closure-depth = 0", "closure-depth = 0\n" + "k" * 5000 + " = 1"),
+        ("[lottery g]\ngood = 1", "[lottery g]\n" + "o" * 5000 + " = 1"),
+        pytest.param(
+            "closure-depth = 0",
+            f"closure-depth = {'9' * (DIGIT_LIMIT + 1)}",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings"),
+        ),
+    ],
+    ids=["regime", "signed-utilities", "model-key", "lottery-outcome", "closure-depth"],
+)
+def test_a_long_document_token_gives_one_short_error_line(capsys, tmp_path, old, new):
+    # Every name and value of the document an error quotes is quoted by a
+    # prefix and a length once it is long.
+    path = tmp_path / "long.model"
+    path.write_text(STD_MODEL.replace(old, new))
+    code, out, err = run(capsys, "audit", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings")
 def test_a_value_past_the_digit_limit_is_refused_when_rendered(capsys, tmp_path):
     # Each utility parses, but the lottery's value has a numerator of

@@ -537,6 +537,66 @@ def test_each_schema_error_names_its_path(text, path, message):
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+LONG = "z" * 5000
+QUOTED_LONG = f"{'z' * 40!r}... (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "text, path, message",
+    [
+        (BASIC.replace("ns-util", LONG), "model/regime", f"unknown regime {QUOTED_LONG}"),
+        (
+            BASIC.replace("closure-depth = 1", f"signed-utilities = {LONG}"),
+            "model/signed-utilities",
+            f"expected yes or no, found {QUOTED_LONG}",
+        ),
+        (
+            BASIC.replace("closure-depth = 1", f"closure-depth = {LONG}"),
+            "model/closure-depth",
+            f"expected an integer, found {QUOTED_LONG}",
+        ),
+        (
+            BASIC.replace("closure-depth = 1", f"{LONG} = 1"),
+            f"model/{QUOTED_LONG}",
+            f"unknown key {QUOTED_LONG}",
+        ),
+        (
+            BASIC.replace("loss = 1/2", f"{LONG} = 1/2"),
+            f"lottery even/{QUOTED_LONG}",
+            f"unknown outcome {QUOTED_LONG}",
+        ),
+        (
+            BASIC + f"\n[{LONG}]\nx = 1\n",
+            QUOTED_LONG,
+            f"unknown section [{QUOTED_LONG}]",
+        ),
+        (
+            WITH_ACTS.replace("[act umbrella]\n", f"[act umbrella]\n{LONG} = sure\n"),
+            f"act umbrella/{QUOTED_LONG}",
+            f"unknown state {QUOTED_LONG}",
+        ),
+    ],
+    ids=["regime", "signed-utilities", "closure-depth", "model-key", "outcome", "section", "state"],
+)
+def test_a_schema_error_quotes_a_long_name_by_a_prefix_and_its_length(text, path, message):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_model(text)
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+    assert len(str(excinfo.value)) < 200
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit for integer strings")
+def test_a_model_integer_past_the_digit_limit_names_its_digit_count():
+    text = BASIC.replace("closure-depth = 1", f"closure-depth = {'9' * (DIGIT_LIMIT + 1)}")
+    with pytest.raises(SchemaError) as excinfo:
+        parse_model(text)
+    assert str(excinfo.value) == (
+        f"model/closure-depth: integer of {DIGIT_LIMIT + 1} digits is past this Python's "
+        "limit for integer strings"
+    )
+
+
 def test_indented_line_under_a_bare_key_is_a_schema_error():
     # configparser before 3.13 fails here on appending to the bare key's
     # None; the reader names the key and the line on every Python.
